@@ -2,9 +2,10 @@
 
 A signal Fock state meets a thermal noise mode on a beam splitter of
 transmittance T; the transmitted port is what the receiver sees.  The empty
-polarisation mode of the same receiver sees the l=0 version.  This script
-prints both distributions and what an imperfect photon-number-resolving
-detector makes of them.
+polarisation mode of the same receiver sees the l=0 version.  The port holds
+the T-thinned Fock state plus thermal noise of mean (1-T)*nbar, which gives
+both distributions in closed form.  This script prints them and what an
+imperfect photon-number-resolving detector makes of them.
 
 Run:  python demos/photocount_statistics.py
 """
@@ -18,7 +19,8 @@ print(f"transmitted-port distributions at T={T}, thermal mean nbar={NBAR}")
 for l in (1, 0):
     pmf = photocount_pmf(l, NBAR, T)
     head = ", ".join(f"p[{s}]={p:.5f}" for s, p in enumerate(pmf.probs[:5]))
-    print(f"  incident |{l}>: {head}, ...  (tail bound {pmf.truncation_tail:.1e})")
+    print(f"  incident |{l}>: {head}, ...")
+    print(f"    {len(pmf.probs)} rows tabulated, tail left out {pmf.truncation_tail:.1e}")
 
 print()
 print("the l=1, s=0 and s=1 values have closed forms 4/9 and 8/27 at these")
@@ -37,3 +39,5 @@ for eta, dark in ((1.0, 0.0), (0.7, 0.001)):
 print()
 print("with a perfect detector the mapping is the identity coarse-graining;")
 print("losses shift weight toward zero counts, dark counts away from it.")
+print("efficiency is one more thinning of the port, so these counts come from")
+print("the closed form directly, without the table above.")

@@ -16,7 +16,7 @@ from .channels import (
     poisson_observables,
     thermal_observables,
 )
-from .errors import ConfigurationError, DomainError, TruncationError
+from .errors import ConfigurationError, DomainError
 from .keyrates import (
     S_MAX,
     KeyRates,
@@ -29,17 +29,13 @@ from .keyrates import (
     security_threshold,
 )
 from .photodetection import (
-    TWO_PLUS,
     DetectionPmf,
     DetectorKind,
     DetectorModel,
     PhotocountDistribution,
-    TruncationPolicy,
     bs_coefficient,
     detect_pmf,
     photocount_pmf,
-    pnrd_weights,
-    spad_weights,
 )
 from .scan import (
     ALL_CRITERIA,
@@ -86,9 +82,6 @@ __all__ = [
     "RegionLabel",
     "S_MAX",
     "ScanConfig",
-    "TruncationError",
-    "TruncationPolicy",
-    "TWO_PLUS",
     "WitnessVerdict",
     "assess",
     "bell_from_qber",
@@ -105,11 +98,9 @@ __all__ = [
     "max_noise",
     "photocount_pmf",
     "pnrd_threshold",
-    "pnrd_weights",
     "poisson_observables",
     "security_threshold",
     "spad_threshold",
-    "spad_weights",
     "sweep",
     "thermal_observables",
 ]

@@ -12,16 +12,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, check_range
 from .keyrates import KeyRates, bell_from_qber, key_rates
-from .photodetection import (
-    DEFAULT_POLICY,
-    DetectorKind,
-    DetectorModel,
-    TruncationPolicy,
-    detect_pmf,
-    photocount_pmf,
-)
+from .photodetection import DetectorKind, DetectorModel, detect_pmf, photocount_pmf
 from .witness import CoincidenceStats, WitnessVerdict, evaluate
 
 _COINCIDENCE_FLOOR = 1e-30  # below this the normalisation N counts as zero
@@ -42,8 +35,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
-        if self.nbar < 0.0:
-            raise DomainError(f"noise mean must be nonnegative, got {self.nbar}")
+        check_range("noise mean", self.nbar, 0.0)
 
 
 @dataclass(frozen=True)
@@ -54,10 +46,8 @@ class ChannelConfig:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.t <= 1.0:
-            raise DomainError(f"coupling transmittance must lie in [0, 1], got {self.t}")
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"Werner weight must lie in [0, 1], got {self.p}")
+        check_range("coupling transmittance", self.t, 0.0, 1.0)
+        check_range("Werner weight", self.p, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -97,10 +87,7 @@ def _undefined_assessment(stats: CoincidenceStats, verdict: WitnessVerdict) -> L
 
 
 def thermal_observables(
-    cfg: ChannelConfig,
-    noise: NoiseModel,
-    det: DetectorModel,
-    policy: TruncationPolicy = DEFAULT_POLICY,
+    cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel
 ) -> LinkAssessment:
     """Q, S, key rates and witness statistics for thermal noise with PNRDs.
 
@@ -119,8 +106,8 @@ def thermal_observables(
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("thermal noise analysis requires PNRD detection")
-    counts0 = detect_pmf(photocount_pmf(0, noise.nbar, cfg.t, policy), det)
-    counts1 = detect_pmf(photocount_pmf(1, noise.nbar, cfg.t, policy), det)
+    counts0 = detect_pmf(photocount_pmf(0, noise.nbar, cfg.t), det)
+    counts1 = detect_pmf(photocount_pmf(1, noise.nbar, cfg.t), det)
     p00, p10 = counts0.p0, counts0.p1
     p01, p11 = counts1.p0, counts1.p1
     stats = CoincidenceStats(
@@ -147,10 +134,8 @@ def effective_detector(t: float, nbar: float, det: DetectorModel) -> tuple[float
     reaches the detector as an extra Poissonian click rate on top of the
     intrinsic dark counts.
     """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"coupling transmittance must lie in [0, 1], got {t}")
-    if nbar < 0.0:
-        raise DomainError(f"noise mean must be nonnegative, got {nbar}")
+    check_range("coupling transmittance", t, 0.0, 1.0)
+    check_range("noise mean", nbar, 0.0)
     return t * det.eta, det.dark + det.eta * (1.0 - t) * nbar
 
 
@@ -190,15 +175,10 @@ def poisson_observables(
     )
 
 
-def assess(
-    cfg: ChannelConfig,
-    noise: NoiseModel,
-    det: DetectorModel,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> LinkAssessment:
+def assess(cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel) -> LinkAssessment:
     """Dispatch to the observable model matching the noise statistics."""
     if noise.statistics is NoiseStatistics.THERMAL and det.kind is DetectorKind.PNRD:
-        return thermal_observables(cfg, noise, det, policy)
+        return thermal_observables(cfg, noise, det)
     if noise.statistics is NoiseStatistics.POISSON and det.kind is DetectorKind.SPAD:
         return poisson_observables(cfg, noise, det)
     raise ConfigurationError(

@@ -23,13 +23,8 @@ from .channels import (
     NoiseStatistics,
     assess,
 )
-from .errors import ConfigurationError, DomainError, TruncationError
-from .photodetection import (
-    DetectorKind,
-    DetectorModel,
-    TruncationPolicy,
-    photocount_pmf,
-)
+from .errors import ConfigurationError, DomainError
+from .photodetection import DetectorKind, DetectorModel, photocount_pmf
 from .scan import ALL_CRITERIA, Criterion, ScanConfig, classify_assessment, sweep
 
 CSV_HEADER = "T,nu_nongauss,nu_bb84,nu_di,capped_nongauss,capped_bb84,capped_di"
@@ -128,15 +123,6 @@ def _resolve_detector(res: _Resolver) -> tuple[NoiseStatistics, DetectorModel, f
     return statistics, detector, p
 
 
-def _resolve_policy(res: _Resolver) -> TruncationPolicy:
-    n_max = res.get("n-max", int, None)
-    tail_tol = res.get("tail-tol", float, 1e-10)
-    try:
-        return TruncationPolicy(n_max=n_max, tail_tol=tail_tol)
-    except DomainError as exc:
-        raise ConfigurationError(f"--n-max/--tail-tol: {exc}") from exc
-
-
 def _manifest(command: str, parameters: dict) -> dict:
     return {
         "tool": "qkdng",
@@ -144,13 +130,6 @@ def _manifest(command: str, parameters: dict) -> dict:
         "command": command,
         "generated_utc": datetime.now(timezone.utc).isoformat(),
         "parameters": parameters,
-    }
-
-
-def _policy_doc(policy: TruncationPolicy) -> dict:
-    return {
-        "n_max": "auto" if policy.n_max is None else policy.n_max,
-        "tail_tol": policy.tail_tol,
     }
 
 
@@ -163,13 +142,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     statistics, detector, p = _resolve_detector(res)
     t = res.get("T", float)
     nu = res.get("nu", float)
-    policy = _resolve_policy(res)
     try:
         cfg = ChannelConfig(t=t, p=p)
         noise = NoiseModel(statistics=statistics, nbar=nu)
     except DomainError as exc:
         raise ConfigurationError(f"--T/--nu: {exc}") from exc
-    assessment = assess(cfg, noise, detector, policy)
+    assessment = assess(cfg, noise, detector)
     regions = classify_assessment(assessment)
     doc = {
         "q": _json_num(assessment.q),
@@ -190,8 +168,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "eta": detector.eta,
             "dark": detector.dark,
             "p": p,
-            "policy": _policy_doc(policy),
-            "n_max_resolved": policy.resolve_n_max(nu),
             "effective_detector_mapping": EFFECTIVE_DETECTOR_MAPPING,
         }),
     }
@@ -244,7 +220,6 @@ def _curve_doc(curve) -> dict:
 def _cmd_scan(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     statistics, detector, p = _resolve_detector(res)
-    policy = _resolve_policy(res)
     t_min = res.get("t-min", float, 0.02)
     t_max = res.get("t-max", float, 1.0)
     t_points = res.get("t-points", int, 96)
@@ -273,7 +248,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             nu_cap=nu_cap,
             tol=tol,
             criteria=criteria,
-            policy=policy,
             probe_points=probe_points,
         )
     except DomainError as exc:
@@ -297,7 +271,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         "tol": tol,
         "criteria": [c.value for c in criteria],
         "probe_points": probe_points,
-        "policy": _policy_doc(policy),
         "effective_detector_mapping": EFFECTIVE_DETECTOR_MAPPING,
         "format": args.format,
         "out": str(out),
@@ -313,21 +286,19 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
     l = res.get("l", int)
     nbar = res.get("nbar", float)
     t = res.get("T", float)
-    policy = _resolve_policy(res)
     try:
-        pmf = photocount_pmf(l, nbar, t, policy)
+        pmf = photocount_pmf(l, nbar, t)
+        probs = pmf.probs
     except DomainError as exc:
         raise ConfigurationError(f"--l/--nbar/--T: {exc}") from exc
     print("s p")
-    for s, prob in enumerate(pmf.probs):
+    for s, prob in enumerate(probs):
         print(f"{s} {_fmt(prob)}")
     print(f"truncation_tail {_fmt(pmf.truncation_tail)}")
     manifest = _manifest("pmf", {
         "l": l,
         "nbar": nbar,
         "T": t,
-        "policy": _policy_doc(policy),
-        "n_max_resolved": policy.resolve_n_max(nbar),
     })
     print(f"manifest {json.dumps(manifest, separators=(',', ':'))}")
     return 0
@@ -350,13 +321,6 @@ def _add_common_channel_flags(sub: argparse.ArgumentParser) -> None:
                      help="flat key=value file mirroring the flag names")
 
 
-def _add_truncation_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n-max", type=int, default=None,
-                     help="thermal-sum cutoff (default: derived from the noise mean)")
-    sub.add_argument("--tail-tol", type=float, default=None,
-                     help="maximum tolerated neglected thermal mass (default 1e-10)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkdng",
@@ -368,14 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="assess a single (T, nu) channel point")
     _add_common_channel_flags(ev)
-    _add_truncation_flags(ev)
     ev.add_argument("--T", type=float, default=None, help="coupling transmittance in [0, 1]")
     ev.add_argument("--nu", type=float, default=None, help="mean photon number of the noise")
     ev.set_defaults(handler=_cmd_eval)
 
     sc = sub.add_parser("scan", help="sweep T and find per-criterion noise boundaries")
     _add_common_channel_flags(sc)
-    _add_truncation_flags(sc)
     sc.add_argument("--t-min", type=float, default=None, help="first grid transmittance (default 0.02)")
     sc.add_argument("--t-max", type=float, default=None, help="last grid transmittance (default 1.0)")
     sc.add_argument("--t-points", type=int, default=None, help="grid size (default 96)")
@@ -394,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--l", type=int, default=None, help="incident Fock photon number")
     pm.add_argument("--nbar", type=float, default=None, help="thermal mean of the noise port")
     pm.add_argument("--T", type=float, default=None, help="beam-splitter transmittance")
-    _add_truncation_flags(pm)
     pm.add_argument("--config", default=None, help="flat key=value file mirroring the flag names")
     pm.set_defaults(handler=_cmd_pmf)
     return parser
@@ -405,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, ConfigurationError, TruncationError) as exc:
+    except (DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

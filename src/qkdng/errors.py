@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check that raises them."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -9,9 +11,21 @@ class ConfigurationError(ValueError):
     """Mutually incompatible or unsupported settings were combined."""
 
 
-class TruncationError(ValueError):
-    """A truncation policy cannot reach its own tail tolerance."""
+def check_range(
+    what: str, value: float, lo: float, hi: float = math.inf, *, open_lo: bool = False
+) -> float:
+    """Return ``value`` as a float if it is finite and lies in [lo, hi].
 
-    def __init__(self, message: str, achieved_tail: float):
-        super().__init__(message)
-        self.achieved_tail = achieved_tail
+    ``open_lo`` excludes ``lo`` itself.  NaN and infinities always fail,
+    since every comparison with NaN is False and no physical input here is
+    unbounded.
+
+    Raises:
+        DomainError: ``value`` is not finite or lies outside the range.
+    """
+    value = float(value)
+    above_lo = value > lo if open_lo else value >= lo
+    if not (math.isfinite(value) and above_lo and value <= hi):
+        interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
+        raise DomainError(f"{what} must be finite and lie in {interval}, got {value!r}")
+    return value

@@ -1,9 +1,20 @@
-"""Detector POVM weights and beam-splitter photocount statistics.
+"""Beam-splitter photocount statistics and their coarse-graining by a PNRD.
 
-Everything here is diagonal in the Fock basis: detectors are per-Fock-state
-outcome weights, and the signal/noise mixing enters only through the photon
-number distribution it leaves in the transmitted port.  That distribution is
-all the downstream error and coincidence formulas consume.
+Everything here is diagonal in the Fock basis: the signal/noise mixing enters
+only through the photon number distribution it leaves in the transmitted
+port.  That distribution is all the downstream error and coincidence
+formulas consume, and it has a closed form.  Each signal photon reaches the
+transmitted port with probability ``t`` and each noise photon with
+probability ``1 - t``; the thermal port has no phase reference, so the port
+holds the ``t``-thinned Fock state plus thermal noise of mean
+``m = (1 - t) * nbar``:
+
+    p(s|l) = sum_{j<=l} C(l,j) t^j (1-t)^(l-j) q(s|j,m),
+    q(s|j,m) = sum_{k<=min(s,j)} C(s,k) C(j,k) m^(s+j-2k) / (1+m)^(s+j+1),
+
+where q is the count distribution of ``|j>`` after additive thermal noise.
+Detector efficiency is one more thinning of the same kind, so no infinite
+sum is ever truncated on the way to the detected counts.
 """
 
 from __future__ import annotations
@@ -11,18 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import ConfigurationError, DomainError, TruncationError
-
-TWO_PLUS = 2  # detected-count label meaning "two or more photons"
+from .errors import ConfigurationError, DomainError, check_range
 
 _EXACT_LIMIT = 20   # largest index evaluated with exact integer factorials
-_PAD = 64           # row granularity of the cached amplitude tables
-_N_MAX_LIMIT = 4000  # guards the quadratically sized amplitude table
+_TAIL_FLOOR = 1e-17  # tabulated tail mass left out, below double round-off on 1
+_MAX_ROWS = 10**6    # longest photocount table worth building for output
 
 
 class DetectorKind(str, Enum):
@@ -45,50 +53,75 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", DetectorKind(self.kind))
-        if not 0.0 <= self.eta <= 1.0:
-            raise DomainError(f"detector efficiency must lie in [0, 1], got {self.eta}")
-        if self.dark < 0.0:
-            raise DomainError(f"dark-count rate must be nonnegative, got {self.dark}")
+        check_range("detector efficiency", self.eta, 0.0, 1.0)
+        check_range("dark-count rate", self.dark, 0.0)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoff for the infinite thermal sums.
-
-    ``n_max`` of None derives max(50, ceil(40*(nbar+1))), which keeps the
-    neglected geometric tail below ~e^-40 for any mean.
-    """
-
-    n_max: int | None = None
-    tail_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.n_max is not None and self.n_max < 1:
-            raise DomainError(f"n_max must be at least 1, got {self.n_max}")
-        if self.tail_tol <= 0.0:
-            raise DomainError(f"tail_tol must be positive, got {self.tail_tol}")
-
-    def resolve_n_max(self, nbar: float) -> int:
-        if self.n_max is not None:
-            return self.n_max
-        return max(50, math.ceil(40.0 * (nbar + 1.0)))
-
-
-DEFAULT_POLICY = TruncationPolicy()
+def _count_prob(s: int, l: int, t: float, m: float) -> float:
+    """p(s|l): ``s`` photons from ``|l>`` thinned by ``t`` plus thermal mean ``m``."""
+    g = 1.0 / (1.0 + m)
+    r = m * g
+    total = 0.0
+    for j in range(l + 1):
+        fock = 0.0  # q(s|j,m), with m^a / (1+m)^b written as r^a g^(b-a)
+        for k in range(min(s, j) + 1):
+            fock += math.comb(s, k) * math.comb(j, k) * r ** (s + j - 2 * k) * g ** (2 * k + 1)
+        total += math.comb(l, j) * t**j * (1.0 - t) ** (l - j) * fock
+    return total
 
 
 @dataclass(frozen=True)
 class PhotocountDistribution:
     """Transmitted-port photon number distribution for one Fock input.
 
-    ``probs[s]`` is the probability of ``s`` photons; trailing exact zeros
-    are trimmed.  ``truncation_tail`` bounds the thermal mass neglected by
-    the cutoff, so sum(probs) + truncation_tail accounts for unit mass.
+    The distribution is that of ``|incident_l>`` thinned by ``t`` plus
+    thermal noise of mean ``m``.  ``probs`` tabulates it from ``s = 0`` up to
+    where the remaining tail, reported as ``truncation_tail``, drops below
+    double round-off, so ``sum(probs) + truncation_tail`` is 1.  Only output
+    and tests read the table; ``detect_pmf`` uses the closed form.
     """
 
-    probs: np.ndarray
     incident_l: int
-    truncation_tail: float
+    t: float
+    m: float
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, float]:
+        l, t, m = self.incident_l, self.t, self.m
+        # rows the geometric factor r^s needs to fall below the floor
+        rows = math.log(_TAIL_FLOOR) / math.log1p(-1.0 / (1.0 + m)) if m > 0.0 else 0.0
+        if l + rows > _MAX_ROWS:
+            raise DomainError(
+                f"tabulating the photocount distribution at noise mean {m:g} takes "
+                f"about {l + rows:.3g} rows, more than {_MAX_ROWS}"
+            )
+        r = m / (1.0 + m)
+        probs = []
+        s = 0
+        while True:
+            p = _count_prob(s, l, t, m)
+            probs.append(p)
+            if s >= l:
+                # every term of p(s'|l) is C(s',k) r^s' times a constant with k <= l,
+                # so for s' >= s the ratio p(s'+1)/p(s') is at most this
+                ratio = r * (s + 1) / (s + 1 - l)
+                tail = p * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+                if tail <= _TAIL_FLOOR:
+                    break
+            s += 1
+        table = np.array(probs)
+        table.setflags(write=False)
+        return table, tail
+
+    @property
+    def probs(self) -> np.ndarray:
+        """``probs[s]`` is the probability of ``s`` transmitted photons."""
+        return self._table[0]
+
+    @property
+    def truncation_tail(self) -> float:
+        """Upper bound on the probability of counts beyond ``probs``."""
+        return self._table[1]
 
 
 @dataclass(frozen=True)
@@ -120,8 +153,7 @@ def bs_coefficient(l: int, n: int, k: int, s: int, t: float) -> float:
     for name, value in (("l", l), ("n", n), ("k", k), ("s", s)):
         if value < 0:
             raise DomainError(f"index {name} must be nonnegative, got {value}")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmittance must lie in [0, 1], got {t}")
+    check_range("transmittance", t, 0.0, 1.0)
     if k > l or k > s or s - k > n:
         return 0.0
     # k <= min(l, s) and s - k <= n imply s <= l + n, so l + n - s >= 0 here.
@@ -141,165 +173,37 @@ def bs_coefficient(l: int, n: int, k: int, s: int, t: float) -> float:
     return sign * mag * (1.0 - t) ** (0.5 * (l + s - 2 * k)) * t ** (0.5 * (n + 2 * k - s))
 
 
-@lru_cache(maxsize=16)
-def _amplitude_sq_matrix(l: int, t: float, n_rows: int) -> np.ndarray:
-    """Squared k-summed amplitudes, indexed [noise Fock n, transmitted count s].
-
-    Rows run to ``n_rows``, columns to ``l + n_rows``; entries with
-    s > l + n are zero.  Cached because a boundary search revisits one
-    transmittance with many different noise means.
-    """
-    n = np.arange(n_rows + 1)[:, None]
-    s = np.arange(l + n_rows + 1)[None, :]
-    lgf = gammaln(np.arange(l + n_rows + 1) + 1.0)  # log(i!)
-
-    reflected = l + n - s
-    valid_ns = reflected >= 0
-    log_norm = 0.5 * (lgf[s] + lgf[np.maximum(reflected, 0)] - lgf[l] - lgf[n])
-
-    total = np.zeros((n_rows + 1, l + n_rows + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(l + 1):
-            j = s - k  # noise photons ending up in the transmitted port
-            ok = valid_ns & (j >= 0) & (j <= n) & (k <= s)
-            log_bin = (
-                _log_comb(l, k)
-                + lgf[n] - lgf[np.clip(j, 0, None)] - lgf[np.clip(n - j, 0, None)]
-            )
-            # exponents are clipped to zero on masked entries so 0**negative
-            # can never appear; the mask then discards those slots entirely
-            e_refl = np.where(ok, l + s - 2 * k, 0).astype(np.float64)
-            e_trans = np.where(ok, n + 2 * k - s, 0).astype(np.float64)
-            amp = (
-                np.exp(log_norm + log_bin)
-                * np.power(1.0 - t, 0.5 * e_refl)
-                * np.power(t, 0.5 * e_trans)
-            )
-            sign = np.where((s - k) % 2 == 0, 1.0, -1.0)
-            total += np.where(ok, sign * amp, 0.0)
-    out = np.square(total)
-    out.setflags(write=False)
-    return out
-
-
-def _thermal_weights(nbar: float, n_max: int) -> np.ndarray:
-    if nbar == 0.0:
-        w = np.zeros(n_max + 1)
-        w[0] = 1.0
-        return w
-    ratio = nbar / (nbar + 1.0)
-    return np.power(ratio, np.arange(n_max + 1)) / (nbar + 1.0)
-
-
-def thermal_tail(nbar: float, n_max: int) -> float:
-    """Geometric bound on the thermal mass above the cutoff ``n_max``."""
-    if nbar == 0.0:
-        return 0.0
-    return (nbar / (nbar + 1.0)) ** (n_max + 1)
-
-
-def photocount_pmf(
-    l: int,
-    nbar: float,
-    t: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> PhotocountDistribution:
+def photocount_pmf(l: int, nbar: float, t: float) -> PhotocountDistribution:
     """Photocount distribution of Fock state ``|l>`` mixed with thermal noise.
 
     The signal enters a beam splitter of transmittance ``t`` whose other port
-    carries a single-mode thermal state of mean ``nbar``; returned are the
-    photon number probabilities in the transmitted port, with the thermal sum
-    truncated per ``policy``.
+    carries a single-mode thermal state of mean ``nbar``; returned is the
+    photon number distribution in the transmitted port.
 
     Raises:
-        TruncationError: the policy's explicit ``n_max`` leaves more tail
-            mass than ``tail_tol`` permits.
-        DomainError: arguments out of range, or a cutoff so large that the
-            quadratic amplitude table would be impractical (means above a
-            few thousand photons are outside this model's intended regime).
+        DomainError: arguments out of range or not finite.
     """
     if l < 0:
         raise DomainError(f"incident Fock number must be nonnegative, got {l}")
-    if nbar < 0.0:
-        raise DomainError(f"thermal mean must be nonnegative, got {nbar}")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmittance must lie in [0, 1], got {t}")
-    n_max = policy.resolve_n_max(nbar)
-    if n_max > _N_MAX_LIMIT:
-        raise DomainError(
-            f"thermal cutoff n_max={n_max} exceeds the supported limit {_N_MAX_LIMIT}"
-        )
-    tail = thermal_tail(nbar, n_max)
-    if tail > policy.tail_tol:
-        raise TruncationError(
-            f"thermal cutoff n_max={n_max} leaves tail {tail:.3e} above "
-            f"tail_tol={policy.tail_tol:.3e}",
-            achieved_tail=tail,
-        )
-    # tables are built at padded sizes so a noise-mean search at fixed t
-    # keeps hitting the same cache entry
-    n_rows = _PAD * max(1, math.ceil(n_max / _PAD))
-    matrix = _amplitude_sq_matrix(int(l), float(t), n_rows)
-    weights = _thermal_weights(float(nbar), n_max)
-    probs = weights @ matrix[: n_max + 1, : l + n_max + 1]
-    nonzero = np.nonzero(probs)[0]
-    probs = probs[: nonzero[-1] + 1].copy() if nonzero.size else probs[:1].copy()
-    probs.setflags(write=False)
-    return PhotocountDistribution(probs=probs, incident_l=int(l), truncation_tail=tail)
-
-
-def spad_weights(n: int, det: DetectorModel) -> tuple[float, float]:
-    """(no-click, click) POVM weights of a SPAD for the Fock state ``|n>``.
-
-    The pair sums to one exactly since the click weight is defined as the
-    complement.
-    """
-    if det.kind is not DetectorKind.SPAD:
-        raise ConfigurationError("spad_weights requires a SPAD detector model")
-    if n < 0:
-        raise DomainError(f"Fock index must be nonnegative, got {n}")
-    no_click = math.exp(-det.dark) * (1.0 - det.eta) ** n
-    return no_click, 1.0 - no_click
-
-
-def pnrd_weights(count: int, k: int, det: DetectorModel) -> float:
-    """PNRD outcome weight for Fock state ``|k>``.
-
-    ``count`` is 0, 1 or ``TWO_PLUS``; the two-or-more weight is the
-    complement of the other two, so the three sum to one exactly.
-    """
-    if det.kind is not DetectorKind.PNRD:
-        raise ConfigurationError("pnrd_weights requires a PNRD detector model")
-    if k < 0:
-        raise DomainError(f"Fock index must be nonnegative, got {k}")
-    damp = math.exp(-det.dark)
-    p0 = damp * (1.0 - det.eta) ** k
-    linear = 0.0 if k == 0 else k * det.eta * (1.0 - det.eta) ** (k - 1)
-    p1 = damp * (linear + det.dark * (1.0 - det.eta) ** k)
-    if count == 0:
-        return p0
-    if count == 1:
-        return p1
-    if count == TWO_PLUS:
-        return 1.0 - p0 - p1
-    raise DomainError(f"count must be 0, 1 or TWO_PLUS, got {count}")
+    nbar = check_range("thermal mean", nbar, 0.0)
+    t = check_range("transmittance", t, 0.0, 1.0)
+    return PhotocountDistribution(incident_l=int(l), t=t, m=(1.0 - t) * nbar)
 
 
 def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
     """Coarse-grain a photocount distribution through an imperfect PNRD.
 
-    With a perfect detector this is the identity coarse-graining
-    (0 -> 0, 1 -> 1, rest -> two-or-more).  The two-plus slot absorbs the
-    truncation tail, which the policy already bounds below tolerance.
+    Efficiency ``eta`` thins the port once more, mapping (t, m) to
+    (t eta, eta m); Poissonian dark counts of mean d then give
+    p0 = e^-d p~0 and p1 = e^-d (p~1 + d p~0).  With a perfect detector this
+    is the identity coarse-graining (0 -> 0, 1 -> 1, rest -> two-or-more).
     """
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("detect_pmf coarse-grains onto PNRD outcomes")
-    s = np.arange(len(pmf.probs))
+    l, t, m = pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta
+    miss = _count_prob(0, l, t, m)
+    single = _count_prob(1, l, t, m)
     damp = math.exp(-det.dark)
-    miss = np.power(1.0 - det.eta, s)
-    linear = np.where(
-        s > 0, s * det.eta * np.power(1.0 - det.eta, np.maximum(s - 1, 0)), 0.0
-    )
-    p0 = float((damp * miss) @ pmf.probs)
-    p1 = float((damp * (linear + det.dark * miss)) @ pmf.probs)
+    p0 = damp * miss
+    p1 = damp * (single + det.dark * miss)
     return DetectionPmf(p0=p0, p1=p1, p_two_plus=1.0 - p0 - p1)

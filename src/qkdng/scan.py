@@ -22,8 +22,8 @@ from .channels import (
     NoiseStatistics,
     assess,
 )
-from .errors import DomainError
-from .photodetection import DEFAULT_POLICY, DetectorModel, TruncationPolicy
+from .errors import DomainError, check_range
+from .photodetection import DetectorModel
 
 
 class Criterion(str, Enum):
@@ -54,7 +54,6 @@ class ScanConfig:
     nu_cap: float = 10.0
     tol: float = 1e-4
     criteria: tuple[Criterion, ...] = ALL_CRITERIA
-    policy: TruncationPolicy = DEFAULT_POLICY
     probe_points: int = 0  # >= 3 enables the single-crossing pre-probe
 
     def __post_init__(self) -> None:
@@ -63,14 +62,12 @@ class ScanConfig:
         object.__setattr__(self, "t_grid", grid)
         if not grid:
             raise DomainError("t_grid must not be empty")
-        if any(not 0.0 <= t <= 1.0 for t in grid):
-            raise DomainError("t_grid values must lie in [0, 1]")
+        for t in grid:
+            check_range("t_grid value", t, 0.0, 1.0)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("t_grid must be strictly increasing")
-        if self.nu_cap <= 0.0:
-            raise DomainError(f"nu_cap must be positive, got {self.nu_cap}")
-        if self.tol <= 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        check_range("nu_cap", self.nu_cap, 0.0, open_lo=True)
+        check_range("tol", self.tol, 0.0, open_lo=True)
         criteria = tuple(Criterion(c) for c in self.criteria)
         object.__setattr__(self, "criteria", criteria)
         if not criteria or len(set(criteria)) != len(criteria):
@@ -127,7 +124,6 @@ def assess_point(config: ScanConfig, t: float, nu: float) -> LinkAssessment:
         ChannelConfig(t=t, p=config.p),
         NoiseModel(statistics=config.statistics, nbar=nu),
         config.detector,
-        config.policy,
     )
 
 

@@ -178,6 +178,12 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             NoiseModel(NoiseStatistics.THERMAL, -1.0)
 
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_non_finite_noise_mean(self, statistics, nbar):
+        with pytest.raises(DomainError, match="noise mean"):
+            NoiseModel(statistics, nbar)
+
     def test_string_statistics_coerced(self):
         model = NoiseModel("thermal", 0.5)
         assert model.statistics is NoiseStatistics.THERMAL

@@ -67,6 +67,23 @@ class TestEval:
         assert not doc["coincidence_defined"]
         assert doc["region"]["bb84"] == "Neither"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--nu", "nan"), ("--nu", "inf"), ("--T", "nan"), ("--eta", "nan"), ("--dark", "inf"),
+    ])
+    def test_non_finite_flag(self, capsys, flag, value):
+        argv = {"--T": "0.5", "--nu": "0.1", flag: value}
+        code, _, err = run_cli(capsys, "eval", "--preset", "fig4", *sum(argv.items(), ()))
+        assert code == 2
+        assert err.startswith("error:") and flag in err
+
+    def test_large_thermal_noise_mean(self, capsys):
+        # no photon-number cutoff limits the thermal model
+        code, out, _ = run_cli(capsys, "eval", "--preset", "fig4", "--T", "0.5", "--nu", "150")
+        assert code == 0
+        doc = json.loads(out)
+        assert 0.0 <= doc["q"] <= 0.5
+        assert doc["region"]["bb84"] == "Neither"
+
     def test_preset_supplies_channel(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--preset", "fig4", "--T", "0.6", "--nu", "0.1")
         assert code == 0
@@ -134,7 +151,7 @@ class TestScan:
         params = manifest["parameters"]
         assert params["p"] == 1.0
         assert params["tol"] == 1e-3
-        assert params["policy"]["n_max"] == "auto"
+        assert "policy" not in params  # the thermal model has no truncation setting
         assert "effective_detector_mapping" in params
 
     def test_json_format(self, capsys, tmp_path):
@@ -184,6 +201,12 @@ class TestScan:
         assert row[0] == "0.0"
         assert row[1:] == ["", "", "", "", "", ""]
 
+    @pytest.mark.parametrize("flag,value", [("--nu-cap", "inf"), ("--tol", "nan")])
+    def test_non_finite_search_flag(self, capsys, tmp_path, flag, value):
+        code, _, err = run_cli(capsys, *self.scan_args(tmp_path / "x.csv"), flag, value)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, *self.scan_args(tmp_path))  # a directory
         assert code != 0
@@ -200,7 +223,7 @@ class TestPmf:
         assert lines[2].startswith("1 0.7")
         assert lines[3].startswith("truncation_tail")
         manifest = json.loads(lines[4].split(" ", 1)[1])
-        assert manifest["parameters"]["n_max_resolved"] == 50
+        assert manifest["parameters"] == {"l": 1, "nbar": 0.0, "T": 0.7}
 
     def test_thermal_row_value(self, capsys):
         code, out, _ = run_cli(capsys, "pmf", "--l", "1", "--nbar", "1", "--T", "0.5")
@@ -218,3 +241,8 @@ class TestPmf:
         code, _, err = run_cli(capsys, "pmf", "--l", "-1", "--nbar", "0", "--T", "0.5")
         assert code != 0
         assert "--l" in err
+
+    def test_non_finite_nbar(self, capsys):
+        code, _, err = run_cli(capsys, "pmf", "--l", "1", "--nbar", "nan", "--T", "0.5")
+        assert code == 2
+        assert "--nbar" in err

@@ -3,20 +3,60 @@ import math
 import numpy as np
 import pytest
 
-from qkdng.errors import ConfigurationError, DomainError, TruncationError
+from qkdng.errors import ConfigurationError, DomainError
 from qkdng.photodetection import (
-    TWO_PLUS,
     DetectorKind,
     DetectorModel,
     PhotocountDistribution,
-    TruncationPolicy,
-    _amplitude_sq_matrix,
     bs_coefficient,
     detect_pmf,
     photocount_pmf,
-    pnrd_weights,
-    spad_weights,
 )
+
+TWO_PLUS = 2  # detected-count label meaning "two or more photons"
+
+
+def spad_weights(n, det):
+    """(no-click, click) POVM weights of a SPAD for the Fock state ``|n>``.
+
+    Oracle for the detector models: the click weight is the complement, so
+    the pair sums to one exactly.
+    """
+    if det.kind is not DetectorKind.SPAD:
+        raise ConfigurationError("spad_weights requires a SPAD detector model")
+    if n < 0:
+        raise DomainError(f"Fock index must be nonnegative, got {n}")
+    no_click = math.exp(-det.dark) * (1.0 - det.eta) ** n
+    return no_click, 1.0 - no_click
+
+
+def pnrd_weights(count, k, det):
+    """PNRD outcome weight for Fock state ``|k>``, the oracle of ``detect_pmf``.
+
+    ``count`` is 0, 1 or ``TWO_PLUS``; the two-or-more weight is the
+    complement of the other two, so the three sum to one exactly.
+    """
+    if det.kind is not DetectorKind.PNRD:
+        raise ConfigurationError("pnrd_weights requires a PNRD detector model")
+    if k < 0:
+        raise DomainError(f"Fock index must be nonnegative, got {k}")
+    damp = math.exp(-det.dark)
+    p0 = damp * (1.0 - det.eta) ** k
+    linear = 0.0 if k == 0 else k * det.eta * (1.0 - det.eta) ** (k - 1)
+    p1 = damp * (linear + det.dark * (1.0 - det.eta) ** k)
+    if count == 0:
+        return p0
+    if count == 1:
+        return p1
+    if count == TWO_PLUS:
+        return 1.0 - p0 - p1
+    raise DomainError(f"count must be 0, 1 or TWO_PLUS, got {count}")
+
+
+def amplitude_sq(l, n, s, t):
+    """Squared k-summed beam-splitter amplitude from |l>|n> to s transmitted photons."""
+    amp = sum(bs_coefficient(l, n, k, s, t) for k in range(0, min(l, s) + 1))
+    return amp * amp
 
 
 def brute_force_pmf(l, nbar, t, s, n_sum):
@@ -24,8 +64,7 @@ def brute_force_pmf(l, nbar, t, s, n_sum):
     total = 0.0
     for n in range(n_sum + 1):
         weight = (nbar / (nbar + 1.0)) ** n / (nbar + 1.0)
-        amp = sum(bs_coefficient(l, n, k, s, t) for k in range(0, min(l, s) + 1))
-        total += weight * amp * amp
+        total += weight * amplitude_sq(l, n, s, t)
     return total
 
 
@@ -74,22 +113,29 @@ class TestBsCoefficient:
 
 
 class TestAmplitudeMatrix:
-    @pytest.mark.parametrize("l", [0, 1, 2])
+    """Squared amplitudes from ``bs_coefficient``, the oracle of the closed form."""
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.8, 1.0])
     def test_matches_scalar_route(self, l, t):
-        matrix = _amplitude_sq_matrix(l, t, 64)
-        for n in range(0, 11):
-            for s in range(0, l + n + 1):
-                amp = sum(bs_coefficient(l, n, k, s, t) for k in range(0, min(l, s) + 1))
-                assert matrix[n, s] == pytest.approx(amp * amp, abs=1e-13)
+        # the thermal average of the amplitude matrix, cut where the neglected
+        # geometric weight drops below 1e-16, against the closed form
+        for nbar in (0.0, 0.4, 2.5):
+            probs = photocount_pmf(l, nbar, t).probs
+            ratio = nbar / (nbar + 1.0)
+            n_sum = 0 if nbar == 0.0 else math.ceil(math.log(1e-16) / math.log(ratio))
+            for s in range(30):
+                expected = brute_force_pmf(l, nbar, t, s, n_sum)
+                got = probs[s] if s < len(probs) else 0.0
+                assert got == pytest.approx(expected, abs=1e-12), (nbar, s)
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_unitary_rows_at_scale(self, l):
         # every noise Fock index maps onto a unit-mass count distribution,
         # including rows deep in the log-space regime
-        matrix = _amplitude_sq_matrix(l, 0.35, 512)
-        row_sums = matrix.sum(axis=1)
-        assert np.abs(row_sums - 1.0).max() < 1e-10
+        for n in (0, 7, 25, 60, 130, 250):
+            total = math.fsum(amplitude_sq(l, n, s, 0.35) for s in range(l + n + 1))
+            assert total == pytest.approx(1.0, abs=1e-10), n
 
 
 class TestPhotocountPmf:
@@ -115,12 +161,38 @@ class TestPhotocountPmf:
         for s in (0, 1, 2):
             assert pmf.probs[s] == pytest.approx(brute_force_pmf(1, 1.0, 0.5, s, 500), abs=1e-8)
 
-    @pytest.mark.parametrize("l,nbar,t", [(0, 0.5, 0.3), (1, 1.0, 0.5), (1, 3.7, 0.85), (2, 0.8, 0.4)])
+    @pytest.mark.parametrize("l,nbar,t", [
+        (0, 0.5, 0.3), (1, 1.0, 0.5), (1, 3.7, 0.85), (2, 0.8, 0.4),
+        (3, 20.0, 0.3), (1, 150.0, 0.0),
+    ])
     def test_normalization(self, l, nbar, t):
         pmf = photocount_pmf(l, nbar, t)
-        assert float(pmf.probs.sum()) + pmf.truncation_tail == pytest.approx(1.0, abs=1e-8)
+        assert math.fsum(pmf.probs) + pmf.truncation_tail == pytest.approx(1.0, abs=1e-13)
+        assert pmf.truncation_tail <= 1e-16
         assert np.all(pmf.probs >= 0.0)
         assert np.all(pmf.probs <= 1.0)
+
+    def test_tail_bounds_the_omitted_mass(self):
+        # the l=1 closed form, summed far past the table, is the exact tail
+        nbar, t = 3.0, 0.6
+        pmf = photocount_pmf(1, nbar, t)
+        m = (1.0 - t) * nbar
+        r = m / (1.0 + m)
+
+        def p1(s):  # (1-t) m^s/(1+m)^(s+1) + t m^(s-1) (m^2+s)/(1+m)^(s+2)
+            return (1.0 - t) * (1.0 - r) * r**s + t * r ** (s - 1) * (m * m + s) / (1.0 + m) ** 3
+
+        cut = len(pmf.probs)
+        assert pmf.probs[cut - 1] == pytest.approx(p1(cut - 1), rel=1e-12)
+        omitted = math.fsum(p1(s) for s in range(cut, cut + 2000))
+        assert 0.0 < omitted <= pmf.truncation_tail <= 1e-16
+
+    def test_overlong_table_refused(self):
+        # the closed form needs no table; only asking for one is refused
+        pmf = photocount_pmf(1, 1e7, 0.5)
+        assert detect_pmf(pmf, DetectorModel(DetectorKind.PNRD)).p0 > 0.0
+        with pytest.raises(DomainError):
+            pmf.probs
 
     def test_vacuum_input_is_attenuated_thermal(self):
         nbar, t = 2.0, 0.4
@@ -129,12 +201,6 @@ class TestPhotocountPmf:
         geometric = (1.0 / (mean + 1.0)) * (mean / (mean + 1.0)) ** np.arange(10)
         assert np.abs(pmf.probs[:10] - geometric).max() < 1e-8
 
-    def test_truncation_error_reports_tail(self):
-        policy = TruncationPolicy(n_max=5, tail_tol=1e-10)
-        with pytest.raises(TruncationError) as excinfo:
-            photocount_pmf(1, 1.0, 0.5, policy)
-        assert excinfo.value.achieved_tail == pytest.approx(0.5 ** 6, abs=1e-15)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             photocount_pmf(-1, 0.5, 0.5)
@@ -142,6 +208,9 @@ class TestPhotocountPmf:
             photocount_pmf(1, -0.5, 0.5)
         with pytest.raises(DomainError):
             photocount_pmf(1, 0.5, 1.2)
+        for nbar, t in ((math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan)):
+            with pytest.raises(DomainError):
+                photocount_pmf(1, nbar, t)
 
 
 class TestSpadWeights:
@@ -208,9 +277,7 @@ class TestDetectPmf:
         assert out.p_two_plus == pytest.approx(0.0, abs=1e-15)
 
     def test_vacuum_dark_count_term(self):
-        pmf = PhotocountDistribution(
-            probs=np.array([1.0]), incident_l=0, truncation_tail=0.0
-        )
+        pmf = PhotocountDistribution(incident_l=0, t=1.0, m=0.0)  # vacuum
         out = detect_pmf(pmf, DetectorModel(DetectorKind.PNRD, eta=0.7, dark=0.001))
         assert out.p1 == pytest.approx(0.001 * math.exp(-0.001), rel=1e-12)
 
@@ -221,13 +288,19 @@ class TestDetectPmf:
         assert out.p0 + out.p1 + out.p_two_plus == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_weight_sum(self):
-        pmf = photocount_pmf(1, 0.8, 0.45)
-        det = DetectorModel(DetectorKind.PNRD, eta=0.55, dark=0.01)
-        out = detect_pmf(pmf, det)
-        by_hand0 = sum(pnrd_weights(0, s, det) * p for s, p in enumerate(pmf.probs))
-        by_hand1 = sum(pnrd_weights(1, s, det) * p for s, p in enumerate(pmf.probs))
-        assert out.p0 == pytest.approx(by_hand0, abs=1e-14)
-        assert out.p1 == pytest.approx(by_hand1, abs=1e-14)
+        # the closed form against the per-Fock POVM weights summed over the table
+        cases = [
+            (1, 0.8, 0.45, 0.55, 0.01), (0, 0.8, 0.45, 0.55, 0.01), (1, 3.0, 0.2, 0.7, 0.001),
+            (2, 1.5, 0.6, 0.3, 0.1), (3, 0.2, 0.9, 1.0, 0.0), (1, 5.0, 0.0, 0.0, 0.02),
+        ]
+        for l, nbar, t, eta, dark in cases:
+            pmf = photocount_pmf(l, nbar, t)
+            det = DetectorModel(DetectorKind.PNRD, eta=eta, dark=dark)
+            out = detect_pmf(pmf, det)
+            by_hand0 = math.fsum(pnrd_weights(0, s, det) * p for s, p in enumerate(pmf.probs))
+            by_hand1 = math.fsum(pnrd_weights(1, s, det) * p for s, p in enumerate(pmf.probs))
+            assert out.p0 == pytest.approx(by_hand0, abs=1e-14)
+            assert out.p1 == pytest.approx(by_hand1, abs=1e-14)
 
     def test_kind_check(self):
         pmf = photocount_pmf(0, 0.1, 0.5)
@@ -242,15 +315,14 @@ class TestDetectorModel:
         with pytest.raises(DomainError):
             DetectorModel(DetectorKind.SPAD, dark=-0.1)
 
+    @pytest.mark.parametrize("eta,dark", [(1.0, math.nan), (1.0, math.inf), (math.nan, 0.0)])
+    def test_non_finite_rejected(self, eta, dark):
+        with pytest.raises(DomainError):
+            DetectorModel(DetectorKind.PNRD, eta=eta, dark=dark)
+
     def test_string_kind_coerced(self):
         det = DetectorModel("pnrd")
         assert det.kind is DetectorKind.PNRD
         assert detect_pmf(photocount_pmf(1, 0.0, 0.7), det).p1 == pytest.approx(0.7, abs=1e-12)
         with pytest.raises(ValueError):
             DetectorModel("apd")
-
-    def test_policy_validation(self):
-        with pytest.raises(DomainError):
-            TruncationPolicy(n_max=0)
-        with pytest.raises(DomainError):
-            TruncationPolicy(tail_tol=0.0)

@@ -201,6 +201,12 @@ class TestScanConfigValidation:
         with pytest.raises(DomainError):
             thermal_config(nu_cap=-1.0)
 
+    @pytest.mark.parametrize("field", ["tol", "nu_cap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_search_range(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            thermal_config(**{field: value})
+
     def test_duplicate_criteria(self):
         with pytest.raises(DomainError):
             thermal_config(criteria=(Criterion.BB84, Criterion.BB84))
