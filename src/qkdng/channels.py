@@ -11,11 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError, check_range
-from .keyrates import KeyRates, bell_from_qber, key_rates
-from .photodetection import DetectorKind, DetectorModel, detect_pmf, photocount_pmf
-from .witness import CoincidenceStats, WitnessVerdict, evaluate
+from .keyrates import KeyRates, bell_from_qber, key_rate_fields, key_rates
+from .photodetection import DetectorKind, DetectorModel, _count_prob, detect_pmf, photocount_pmf
+from .witness import CoincidenceStats, WitnessVerdict, evaluate, witness_margin
 
 _COINCIDENCE_FLOOR = 1e-30  # below this the normalisation N counts as zero
 
@@ -26,6 +29,20 @@ EFFECTIVE_DETECTOR_MAPPING = "eta_eff = T*eta; d_eff = dark + eta*(1-T)*nbar"
 class NoiseStatistics(str, Enum):
     THERMAL = "thermal"   # single-mode thermal occupation of the noise port
     POISSON = "poisson"   # multimode-thermal limit with Poissonian counts
+
+
+# the detector each noise model is analysed with
+DETECTOR_FOR = {NoiseStatistics.THERMAL: DetectorKind.PNRD,
+                NoiseStatistics.POISSON: DetectorKind.SPAD}
+
+
+def check_pairing(statistics: NoiseStatistics, kind: DetectorKind) -> None:
+    """Raise ConfigurationError unless the noise model has an analysis with ``kind``."""
+    if DETECTOR_FOR[statistics] is not kind:
+        raise ConfigurationError(
+            f"unsupported pairing {statistics.value}+{kind.value}; "
+            "supported pairings: thermal+pnrd, poisson+spad"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,21 @@ class LinkAssessment:
     @property
     def nongauss(self) -> bool:
         return self.coincidence_defined and self.witness.passed
+
+
+class LinkFields(NamedTuple):  # not a dataclass: ten times cheaper to create at import
+    """Array twin of ``LinkAssessment``: the fields the scan decisions read.
+
+    Elementwise over broadcast (t, nu) arrays.  Where ``defined`` is False,
+    ``q`` is NaN, both rates are 0 and ``di_defined`` is False.
+    """
+
+    defined: np.ndarray
+    margin: np.ndarray
+    q: np.ndarray
+    bb84: np.ndarray
+    di: np.ndarray
+    di_defined: np.ndarray
 
 
 def _clamp01(x: float) -> float:
@@ -175,13 +207,62 @@ def poisson_observables(
     )
 
 
+def thermal_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
+    """``thermal_observables`` elementwise over broadcast arrays ``t`` and ``nu``.
+
+    Unchecked: the caller guarantees t in [0, 1], nu >= 0, p in [0, 1] and
+    a PNRD detector.
+    """
+    t_eff, m_eff = t * det.eta, (1.0 - t) * nu * det.eta  # efficiency thins both
+    damp = math.exp(-det.dark)
+
+    def detected(l):  # (p0, p1) of |l> after dark counts, as in detect_pmf
+        miss = _count_prob(0, l, t_eff, m_eff)
+        return damp * miss, damp * (_count_prob(1, l, t_eff, m_eff) + det.dark * miss)
+
+    p00, p10 = detected(0)
+    p01, p11 = detected(1)
+    norm = (p11 * p00 + p10 * p01) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # N = 0 where undefined
+        q = (4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm) / (2.0 * norm)
+    return _link_fields(det.kind, p11 * p11, 1.0 - p01 - p11, norm >= _COINCIDENCE_FLOOR, q)
+
+
+def poisson_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
+    """``poisson_observables`` elementwise over broadcast arrays ``t`` and ``nu``.
+
+    Unchecked: the caller guarantees t in [0, 1], nu >= 0, p in [0, 1] and
+    a SPAD detector.  Where e^(2 d_eff) overflows every field is NaN or
+    False, so no criterion holds.
+    """
+    eta, dark = t * det.eta, det.dark + det.eta * (1.0 - t) * nu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        edark = np.exp(dark)
+        f = 2.0 + edark * (eta - 2.0) - 2.0 * eta
+        p_s = 0.25 * np.exp(-4.0 * dark) * f * f
+        p_e = np.exp(-4.0 * dark) * (1.0 - edark) * (1.0 - eta) * (1.0 - eta - edark)
+        q = 0.5 - np.exp(2.0 * dark) * p * eta * eta / (2.0 * f * f)
+        defined = f * f >= _COINCIDENCE_FLOOR
+    return _link_fields(det.kind, p_s, p_e, defined, q)
+
+
+def _link_fields(kind: DetectorKind, p_s, p_e, defined, q) -> LinkFields:
+    """Clamp as the scalar models do, then add the witness and the key rates."""
+    q = np.where(defined, np.clip(q, 0.0, 0.5), np.nan)
+    bb84, di, di_defined = key_rate_fields(q)
+    return LinkFields(
+        defined=defined,
+        margin=witness_margin(kind, np.clip(p_s, 0.0, 1.0), np.clip(p_e, 0.0, 1.0)),
+        q=q,
+        bb84=np.where(defined, bb84, 0.0),
+        di=di,
+        di_defined=di_defined,
+    )
+
+
 def assess(cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel) -> LinkAssessment:
     """Dispatch to the observable model matching the noise statistics."""
-    if noise.statistics is NoiseStatistics.THERMAL and det.kind is DetectorKind.PNRD:
+    check_pairing(noise.statistics, det.kind)
+    if noise.statistics is NoiseStatistics.THERMAL:
         return thermal_observables(cfg, noise, det)
-    if noise.statistics is NoiseStatistics.POISSON and det.kind is DetectorKind.SPAD:
-        return poisson_observables(cfg, noise, det)
-    raise ConfigurationError(
-        f"unsupported pairing {noise.statistics.value}+{det.kind.value}; "
-        "supported pairings: thermal+pnrd, poisson+spad"
-    )
+    return poisson_observables(cfg, noise, det)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    DETECTOR_FOR,
     EFFECTIVE_DETECTOR_MAPPING,
     ChannelConfig,
     NoiseModel,
@@ -25,7 +26,9 @@ from .channels import (
 )
 from .errors import ConfigurationError, DomainError
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
-from .scan import ALL_CRITERIA, Criterion, ScanConfig, classify_assessment, sweep
+from .scan import (
+    ALL_CRITERIA, MAX_PROBE_POINTS, Criterion, ScanConfig, classify_assessment, sweep,
+)
 
 CSV_HEADER = "T,nu_nongauss,nu_bb84,nu_di,capped_nongauss,capped_bb84,capped_di"
 
@@ -98,9 +101,7 @@ def _resolve_detector(res: _Resolver) -> tuple[NoiseStatistics, DetectorModel, f
         kind = DetectorKind(detector_name)
     except ValueError:
         raise ConfigurationError(f"--detector must be pnrd or spad, got {detector_name}")
-    pairs = {NoiseStatistics.THERMAL: DetectorKind.PNRD,
-             NoiseStatistics.POISSON: DetectorKind.SPAD}
-    if pairs[statistics] is not kind:
+    if DETECTOR_FOR[statistics] is not kind:
         raise ConfigurationError(
             f"--noise {statistics.value} cannot be combined with --detector {kind.value}; "
             "supported pairings: thermal+pnrd, poisson+spad"
@@ -217,6 +218,21 @@ def _curve_doc(curve) -> dict:
     return {"criteria": [c.value for c in curve.criteria], "points": points}
 
 
+def _diagnostics(curve) -> dict:
+    """What the sweep did: search cost, boundary outcome counts, versions."""
+    bounds = [bound for point in curve.points for bound in point.bounds.values()]
+    return {
+        "bisection_steps": curve.bisection_steps,
+        "evaluations": curve.evaluations,
+        "boundaries": len(bounds),
+        "capped": sum(bound.capped for bound in bounds),
+        "undefined": sum(bound.undefined for bound in bounds),
+        "monotone_warning": sum(bound.monotone_warning for bound in bounds),
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+    }
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     statistics, detector, p = _resolve_detector(res)
@@ -251,7 +267,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             probe_points=probe_points,
         )
     except DomainError as exc:
-        raise ConfigurationError(f"--t-min/--t-max/--t-points/--nu-cap/--tol: {exc}") from exc
+        raise ConfigurationError(
+            f"--t-min/--t-max/--t-points/--nu-cap/--tol/--probe-points: {exc}"
+        ) from exc
     curve = sweep(config)
     out = Path(args.out)
     if args.format == "csv":
@@ -275,8 +293,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         "format": args.format,
         "out": str(out),
     })
+    manifest["diagnostics"] = diagnostics = _diagnostics(curve)
     manifest_path = out.with_name(out.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    if diagnostics["monotone_warning"]:
+        print(
+            f"warning: {diagnostics['monotone_warning']} of {diagnostics['boundaries']} "
+            "boundaries break the single-crossing assumption (monotone_warning); "
+            "their nu_star may be wrong",
+            file=sys.stderr,
+        )
     print(f"wrote {out} and {manifest_path}")
     return 0
 
@@ -344,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--nu-cap", type=float, default=None, help="largest noise mean searched (default 10)")
     sc.add_argument("--tol", type=float, default=None, help="bisection tolerance on nu (default 1e-4)")
     sc.add_argument("--probe-points", type=int, default=None,
-                    help="size of the optional single-crossing pre-probe (default off)")
+                    help="size of the optional single-crossing pre-probe: 0 (off, "
+                         f"the default) or 3 to {MAX_PROBE_POINTS}")
     sc.add_argument("--criteria", type=str, default=None,
                     help="comma list from nongauss,bb84,di (default all)")
     sc.add_argument("--out", required=True, help="output file path")

@@ -57,8 +57,11 @@ class DetectorModel:
         check_range("dark-count rate", self.dark, 0.0)
 
 
-def _count_prob(s: int, l: int, t: float, m: float) -> float:
-    """p(s|l): ``s`` photons from ``|l>`` thinned by ``t`` plus thermal mean ``m``."""
+def _count_prob(s: int, l: int, t, m):
+    """p(s|l): ``s`` photons from ``|l>`` thinned by ``t`` plus thermal mean ``m``.
+
+    Elementwise when ``t`` and ``m`` are numpy arrays.
+    """
     g = 1.0 / (1.0 + m)
     r = m * g
     total = 0.0

@@ -5,12 +5,21 @@ which a criterion (non-Gaussianity witness, BB84 security, DI security)
 still holds, by bisection under a single-crossing assumption: more noise
 photons only ever degrade the link.  An optional coarse pre-probe flags
 indicator patterns that violate that assumption instead of failing.
+
+Every bracket starts as [0, nu_cap] and halves until it is no wider than
+``tol``, so all (T, criterion) brackets need the same ceil(log2(nu_cap/tol))
+steps and advance in lock step: each step is one call of the model's array
+function (``thermal_fields`` or ``poisson_fields``) on a (criteria, T) array
+of midpoints.  Rounding can leave a bracket a hair wider or narrower than
+its neighbours; each stops at its own width, as a scalar loop would.
+Single points (``indicator``, ``max_noise``) go through the same code with
+one element.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -18,9 +27,13 @@ import numpy as np
 from .channels import (
     ChannelConfig,
     LinkAssessment,
+    LinkFields,
     NoiseModel,
     NoiseStatistics,
     assess,
+    check_pairing,
+    poisson_fields,
+    thermal_fields,
 )
 from .errors import DomainError, check_range
 from .photodetection import DetectorModel
@@ -42,6 +55,9 @@ class RegionLabel(str, Enum):
 ALL_CRITERIA = (Criterion.NONGAUSS, Criterion.BB84, Criterion.DI)
 PROTOCOLS = (Criterion.BB84, Criterion.DI)
 
+# a pre-probe is a coarse check; its arrays grow with probe_points times the grid
+MAX_PROBE_POINTS = 1000
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -54,10 +70,20 @@ class ScanConfig:
     nu_cap: float = 10.0
     tol: float = 1e-4
     criteria: tuple[Criterion, ...] = ALL_CRITERIA
-    probe_points: int = 0  # >= 3 enables the single-crossing pre-probe
+    probe_points: int = 0  # 3 to MAX_PROBE_POINTS enables the single-crossing pre-probe
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
+        check_pairing(self.statistics, self.detector.kind)
+        check_range("Werner weight", self.p, 0.0, 1.0)
+        probe = self.probe_points
+        if isinstance(probe, bool) or not isinstance(probe, int) or not (
+            probe == 0 or 3 <= probe <= MAX_PROBE_POINTS
+        ):
+            raise DomainError(
+                f"probe_points must be 0 (off) or an integer in [3, {MAX_PROBE_POINTS}], "
+                f"got {probe!r}"
+            )
         grid = tuple(float(t) for t in self.t_grid)
         object.__setattr__(self, "t_grid", grid)
         if not grid:
@@ -98,8 +124,16 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
+    """Boundary records in grid order, with what the search cost.
+
+    ``bisection_steps`` counts the lock-step halvings and ``evaluations`` the
+    calls of the model's array function, bisection steps included.
+    """
+
     criteria: tuple[Criterion, ...]
     points: tuple[BoundaryPoint, ...]
+    bisection_steps: int
+    evaluations: int
 
     def t_values(self) -> np.ndarray:
         return np.array([point.t for point in self.points])
@@ -137,58 +171,104 @@ def _holds(criterion: Criterion, assessment: LinkAssessment) -> bool:
     return assessment.rates.di_defined and assessment.rates.di > 0.0
 
 
+def _evaluate(config: ScanConfig, t, nu) -> LinkFields:
+    model = thermal_fields if config.statistics is NoiseStatistics.THERMAL else poisson_fields
+    return model(t, nu, config.p, config.detector)
+
+
+def _holds_array(criterion: Criterion, fields: LinkFields) -> np.ndarray:
+    """Elementwise ``_holds`` on the fields of the array models."""
+    if criterion is Criterion.NONGAUSS:
+        passed = fields.margin > 0.0
+    elif criterion is Criterion.BB84:
+        passed = fields.bb84 > 0.0
+    else:
+        passed = fields.di_defined & (fields.di > 0.0)
+    return fields.defined & passed
+
+
 def indicator(criterion: Criterion | str, t: float, nu: float, config: ScanConfig) -> bool:
-    """True when the criterion holds at (t, nu); undefined links count as False."""
-    return _holds(Criterion(criterion), assess_point(config, t, nu))
+    """True when the criterion holds at (t, nu); undefined links count as False.
+
+    Decided on the array model the sweep uses, so it agrees with every
+    boundary the sweep reports.
+    """
+    t = check_range("coupling transmittance", t, 0.0, 1.0)
+    nu = check_range("noise mean", nu, 0.0)
+    fields = _evaluate(config, np.float64(t), np.float64(nu))
+    return bool(_holds_array(Criterion(criterion), fields))
 
 
 def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> CriterionBoundary:
     """Largest noise mean at or below ``nu_cap`` where the criterion holds.
 
-    Bisection to interval width ``tol``, returning the last point known to
-    satisfy the criterion.  Assumes a single true-to-false crossing in the
-    noise mean; with ``probe_points`` >= 3 a coarse pre-probe checks the
-    pattern and a violation is reported on the record, not raised.
+    A one-point ``sweep``: bisection to interval width ``tol``, returning the
+    last point known to satisfy the criterion.  Assumes a single
+    true-to-false crossing in the noise mean; with ``probe_points`` >= 3 a
+    coarse pre-probe checks the pattern and a violation is reported on the
+    record, not raised.
     """
     criterion = Criterion(criterion)
-    base = assess_point(config, t, 0.0)
-    if not base.coincidence_defined:
-        return CriterionBoundary(0.0, capped=False, undefined=True)
-    if not _holds(criterion, base):
-        return CriterionBoundary(0.0, capped=False, undefined=False)
-    warning = False
-    if config.probe_points >= 3:
-        flags = [
-            indicator(criterion, t, nu, config)
-            for nu in np.linspace(0.0, config.nu_cap, config.probe_points)
-        ]
-        pattern = "".join("1" if flag else "0" for flag in flags)
-        warning = "01" in pattern  # any off-to-on flip means multiple crossings
-    if indicator(criterion, t, config.nu_cap, config):
-        return CriterionBoundary(
-            config.nu_cap, capped=True, undefined=False, monotone_warning=warning
-        )
-    lo, hi = 0.0, config.nu_cap  # holds at lo, fails at hi
-    while hi - lo > config.tol:
-        mid = 0.5 * (lo + hi)
-        if indicator(criterion, t, mid, config):
-            lo = mid
-        else:
-            hi = mid
-    return CriterionBoundary(lo, capped=False, undefined=False, monotone_warning=warning)
+    curve = sweep(replace(config, t_grid=(t,), criteria=(criterion,)))
+    return curve.points[0].bounds[criterion]
 
 
 def sweep(config: ScanConfig) -> BoundaryCurve:
     """One boundary record per grid transmittance, ordered by the grid.
 
-    Every (t, criterion) search is independent of the others; evaluation is
-    sequential, so output order and content are deterministic.
+    All (t, criterion) brackets advance together: the noise means 0 and
+    ``nu_cap`` are evaluated once per t and shared by the criteria, the
+    optional pre-probe is one more evaluation, and each bisection step is one
+    evaluation of a (criteria, t) array of midpoints.  A record is, in order
+    of precedence: undefined (no coincidences at nu = 0), failing at nu = 0,
+    capped (still holding at ``nu_cap``) or bisected.
     """
-    points = []
-    for t in config.t_grid:
-        bounds = {criterion: max_noise(criterion, t, config) for criterion in config.criteria}
-        points.append(BoundaryPoint(t=t, bounds=bounds))
-    return BoundaryCurve(criteria=config.criteria, points=tuple(points))
+    criteria = config.criteria
+    t = np.array(config.t_grid)
+
+    def holds(fields: LinkFields) -> np.ndarray:
+        return np.stack([_holds_array(criterion, fields) for criterion in criteria])
+
+    base = _evaluate(config, t, np.zeros_like(t))
+    at_zero = holds(base)
+    capped = at_zero & holds(_evaluate(config, t, np.full_like(t, config.nu_cap)))
+    evaluations = 2
+    warning = np.zeros_like(at_zero)
+    if config.probe_points:
+        grid = np.linspace(0.0, config.nu_cap, config.probe_points)[:, np.newaxis]
+        flags = holds(_evaluate(config, t, grid))  # (criteria, probe, t)
+        # any off-to-on flip means multiple crossings
+        warning = at_zero & (~flags[:, :-1] & flags[:, 1:]).any(axis=1)
+        evaluations += 1
+    # holds at lo, fails at hi; brackets decided without bisection start closed
+    lo = np.zeros(at_zero.shape)
+    hi = np.where(at_zero & ~capped, config.nu_cap, 0.0)
+    steps = 0
+    while (active := hi - lo > config.tol).any():
+        mid = 0.5 * (lo + hi)
+        fields = _evaluate(config, t, mid)
+        ok = np.stack([_holds_array(c, fields)[k] for k, c in enumerate(criteria)])
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
+        steps += 1
+    nu_star = np.where(capped, config.nu_cap, lo)
+    undefined = np.broadcast_to(~base.defined, at_zero.shape)
+    rows = [
+        [
+            CriterionBoundary(nu, capped=cap, undefined=undef, monotone_warning=warn)
+            for nu, cap, undef, warn in zip(*columns)
+        ]
+        for columns in zip(nu_star.tolist(), capped.tolist(), undefined.tolist(),
+                           warning.tolist())
+    ]
+    points = tuple(
+        BoundaryPoint(t=t_value, bounds=dict(zip(criteria, bounds)))
+        for t_value, bounds in zip(config.t_grid, zip(*rows))
+    )
+    return BoundaryCurve(
+        criteria=criteria, points=points, bisection_steps=steps,
+        evaluations=evaluations + steps,
+    )
 
 
 def classify_assessment(assessment: LinkAssessment) -> dict[Criterion, RegionLabel]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .photodetection import DetectorKind
 
@@ -61,3 +63,11 @@ def evaluate(kind: DetectorKind, stats: CoincidenceStats) -> WitnessVerdict:
         threshold = pnrd_threshold(stats.p_e)
     margin = stats.p_s - threshold
     return WitnessVerdict(passed=margin > 0.0, margin=margin)
+
+
+def witness_margin(kind: DetectorKind, p_s: np.ndarray, p_e: np.ndarray) -> np.ndarray:
+    """Elementwise ``evaluate(kind, CoincidenceStats(p_s, p_e)).margin``, unchecked."""
+    if kind is DetectorKind.SPAD:
+        root = np.sqrt(p_e * (8.0 + p_e))
+        return p_s - 0.5 * np.sqrt(p_e / (8.0 + p_e)) * (2.0 + p_e + root)
+    return p_s - (np.sqrt(p_e) - p_e)

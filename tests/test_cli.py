@@ -175,6 +175,50 @@ class TestScan:
         manifest = json.loads((tmp_path / "probed.csv.manifest.json").read_text())
         assert manifest["parameters"]["probe_points"] == 5
 
+    @pytest.mark.parametrize("probe_points", ["-3", "2", "1000000000000"])
+    def test_bad_probe_points_rejected(self, capsys, tmp_path, probe_points):
+        out = tmp_path / "probed.csv"
+        code, _, err = run_cli(
+            capsys, "scan", "--preset", "fig3", "--t-points", "4",
+            "--probe-points", probe_points, "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "probe_points" in err
+        assert not out.exists()
+
+    def test_manifest_diagnostics(self, capsys, tmp_path):
+        out = tmp_path / "diag.csv"
+        code, _, err = run_cli(
+            capsys, "scan", "--preset", "fig3", "--t-min", "0", "--t-max", "1",
+            "--t-points", "5", "--nu-cap", "1", "--tol", "1e-3", "--probe-points", "5",
+            "--out", str(out),
+        )
+        assert code == 0 and err == ""
+        diag = json.loads((tmp_path / "diag.csv.manifest.json").read_text())["diagnostics"]
+        # ceil(log2(1 / 1e-3)) = 10 steps, plus nu = 0, nu = nu_cap and the probe
+        assert diag["bisection_steps"] == 10
+        assert diag["evaluations"] == 13
+        assert diag["boundaries"] == 15
+        assert diag["undefined"] == 3    # T = 0, every criterion
+        assert diag["capped"] >= 1       # T = 1 decouples the noise
+        assert diag["monotone_warning"] == 0
+        assert diag["python"].count(".") == 2 and diag["numpy"]
+
+    def test_monotone_warning_reported(self, capsys, tmp_path, monkeypatch):
+        import qkdng.scan
+        from test_scan import banded_fields
+
+        monkeypatch.setattr(qkdng.scan, "thermal_fields", banded_fields)
+        out = tmp_path / "banded.csv"
+        code, _, err = run_cli(
+            capsys, "scan", "--preset", "fig3", "--t-min", "0.5", "--t-points", "1",
+            "--nu-cap", "2", "--probe-points", "9", "--out", str(out),
+        )
+        assert code == 0
+        assert err.startswith("warning: 2 of 3 boundaries") and err.count("\n") == 1
+        diag = json.loads((tmp_path / "banded.csv.manifest.json").read_text())["diagnostics"]
+        assert diag["monotone_warning"] == 2
+
     def test_criteria_subset_keeps_columns(self, capsys, tmp_path):
         out = tmp_path / "sub.csv"
         code, _, _ = run_cli(

@@ -10,6 +10,7 @@ from qkdng.keyrates import (
     binary_entropy,
     dw_rate_bb84,
     dw_rate_di,
+    key_rate_fields,
     key_rates,
     security_threshold,
 )
@@ -131,3 +132,23 @@ class TestFamilyProperties:
             rate, defined = dw_rate_di(q, s)
             assert defined
             assert rate <= dw_rate_bb84(q, s) + 1e-12
+
+
+class TestKeyRateFields:
+    def test_matches_scalar_rates(self):
+        q = np.concatenate([[0.0, 0.5], np.linspace(0.0, 0.5, 201)])
+        bb84, di, defined = key_rate_fields(q)
+        for k, qk in enumerate(q):
+            rates = key_rates(qk, bell_from_qber(qk))
+            assert bb84[k] == pytest.approx(rates.bb84, abs=1e-12)
+            assert di[k] == pytest.approx(rates.di, abs=1e-12)
+            assert defined[k] == rates.di_defined
+
+    def test_entropy_endpoints_are_zero(self):
+        # q = 0 puts both entropy arguments on {0, 1}: a perfect link keeps 1 bit
+        bb84, di, defined = key_rate_fields(np.array([0.0]))
+        assert bb84.tolist() == [1.0] and di.tolist() == [1.0] and defined.tolist() == [True]
+
+    def test_nan_qber_has_no_defined_rate(self):
+        bb84, di, defined = key_rate_fields(np.array([math.nan]))
+        assert math.isnan(bb84[0]) and di.tolist() == [0.0] and defined.tolist() == [False]

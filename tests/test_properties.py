@@ -2,20 +2,31 @@
 
 Bisection in ``qkdng.scan`` assumes that the QBER never falls as the noise
 mean grows at a fixed coupling; the monotonicity property checks that
-assumption on points the boundary tests do not visit.
+assumption on points the boundary tests do not visit.  The sweep decides on
+the array twins of the models, which must agree with the scalar ``assess``.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdng.channels import ChannelConfig, NoiseModel, NoiseStatistics, assess
+from qkdng.channels import (
+    DETECTOR_FOR,
+    ChannelConfig,
+    NoiseModel,
+    NoiseStatistics,
+    assess,
+    poisson_fields,
+    thermal_fields,
+)
 from qkdng.keyrates import S_MAX
-from qkdng.photodetection import DetectorKind, DetectorModel
+from qkdng.photodetection import DetectorModel
+from qkdng.scan import Criterion, _holds, _holds_array
 
-DETECTOR_FOR = {NoiseStatistics.THERMAL: DetectorKind.PNRD, NoiseStatistics.POISSON: DetectorKind.SPAD}
+ARRAY_MODEL = {NoiseStatistics.THERMAL: thermal_fields, NoiseStatistics.POISSON: poisson_fields}
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
 
 unit = st.floats(0.0, 1.0)
@@ -57,3 +68,27 @@ def test_bb84_rate_bounds_di_rate(statistics, t, nu, eta, d, p):
     rates = link(statistics, t, nu, eta, d, p).rates
     if rates.di_defined:
         assert rates.bb84 >= rates.di
+
+
+@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@EXAMPLES
+@given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
+def test_array_model_equals_scalar_model(statistics, t, nu, eta, d, p):
+    det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
+    a = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
+    fields = ARRAY_MODEL[statistics](np.array([t]), np.array([nu]), p, det)
+    assert fields.defined.tolist() == [a.coincidence_defined]
+    assert fields.margin[0] == pytest.approx(a.witness.margin, abs=1e-12)
+    if a.coincidence_defined:
+        assert fields.q[0] == pytest.approx(a.q, abs=1e-12)
+    else:
+        assert math.isnan(fields.q[0])
+    assert fields.bb84[0] == pytest.approx(a.rates.bb84, abs=1e-12)
+    assert fields.di[0] == pytest.approx(a.rates.di, abs=1e-12)
+    if not a.coincidence_defined or abs(a.s - 2.0) > 1e-12:
+        assert fields.di_defined.tolist() == [a.rates.di_defined]
+    deciding = {Criterion.NONGAUSS: a.witness.margin, Criterion.BB84: a.rates.bb84,
+                Criterion.DI: a.rates.di}
+    for criterion, field in deciding.items():
+        if abs(field) > 1e-12:
+            assert _holds_array(criterion, fields).tolist() == [_holds(criterion, a)]

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from qkdng.channels import NoiseStatistics
-from qkdng.errors import DomainError
+import qkdng.scan
+from qkdng.channels import LinkFields, NoiseStatistics
+from qkdng.errors import ConfigurationError, DomainError
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import (
     ALL_CRITERIA,
     Criterion,
+    CriterionBoundary,
     RegionLabel,
     ScanConfig,
+    _holds,
+    assess_point,
     classify,
     indicator,
     max_noise,
@@ -153,6 +157,200 @@ class TestSweep:
         assert values[1] > 0.0
 
 
+def scalar_max_noise(criterion, t, config):
+    """The per-(t, criterion) scalar bisection on ``assess``: the sweep's oracle."""
+
+    def holds(nu):
+        return _holds(criterion, assess_point(config, t, nu))
+
+    base = assess_point(config, t, 0.0)
+    if not base.coincidence_defined:
+        return CriterionBoundary(0.0, capped=False, undefined=True)
+    if not _holds(criterion, base):
+        return CriterionBoundary(0.0, capped=False, undefined=False)
+    warning = False
+    if config.probe_points >= 3:
+        flags = [holds(nu) for nu in np.linspace(0.0, config.nu_cap, config.probe_points)]
+        pattern = "".join("1" if flag else "0" for flag in flags)
+        warning = "01" in pattern
+    if holds(config.nu_cap):
+        return CriterionBoundary(
+            config.nu_cap, capped=True, undefined=False, monotone_warning=warning
+        )
+    lo, hi = 0.0, config.nu_cap
+    while hi - lo > config.tol:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return CriterionBoundary(lo, capped=False, undefined=False, monotone_warning=warning)
+
+
+ORACLE_GRID = (0.0, 0.05, 0.3, 0.55, 0.8, 0.97, 1.0)  # 0 undefined, 1 capped
+
+
+def oracle_config(statistics, dark=0.0, **kw):
+    kind = DetectorKind.PNRD if statistics is NoiseStatistics.THERMAL else DetectorKind.SPAD
+    settings = dict(t_grid=ORACLE_GRID, statistics=statistics,
+                    detector=DetectorModel(kind, eta=0.7, dark=dark), nu_cap=3.0, tol=1e-4)
+    settings.update(kw)
+    return ScanConfig(**settings)
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    @pytest.mark.parametrize("settings", [
+        {},
+        {"dark": 0.001},
+        {"p": 0.5},  # dead channel: no key at nu = 0
+        {"p": 0.97, "probe_points": 9},
+        {"criteria": (Criterion.DI, Criterion.NONGAUSS)},
+        {"criteria": (Criterion.NONGAUSS, Criterion.DI)},
+        {"criteria": (Criterion.BB84,), "nu_cap": 0.7, "tol": 3e-5},
+    ])
+    def test_sweep_equals_scalar_bisection(self, statistics, settings):
+        config = oracle_config(statistics, **settings)
+        curve = sweep(config)
+        assert [point.t for point in curve.points] == list(config.t_grid)
+        for point in curve.points:
+            assert list(point.bounds) == list(config.criteria)
+            for criterion, bound in point.bounds.items():
+                assert bound == scalar_max_noise(criterion, point.t, config)
+                assert type(bound.nu_star) is float and type(bound.capped) is bool
+                assert type(bound.undefined) is bool
+                assert type(bound.monotone_warning) is bool
+
+    def test_oracle_grid_covers_every_outcome(self):
+        bounds = [b for statistics in NoiseStatistics
+                  for point in sweep(oracle_config(statistics)).points
+                  for b in point.bounds.values()]
+        assert any(b.undefined for b in bounds)
+        assert any(b.capped for b in bounds)
+        assert any(0.0 < b.nu_star < 3.0 for b in bounds)
+        dead = sweep(oracle_config(NoiseStatistics.THERMAL, p=0.5)).points
+        assert all(point.bounds[c].nu_star == 0.0 and not point.bounds[c].undefined
+                   for point in dead[1:] for c in (Criterion.BB84, Criterion.DI))
+
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
+    def test_max_noise_equals_scalar_bisection(self, criterion, t):
+        config = oracle_config(NoiseStatistics.THERMAL, probe_points=5)
+        assert max_noise(criterion, t, config) == scalar_max_noise(criterion, t, config)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_poisson_sweep_past_exp_overflow(self):
+        # e^(2 d_eff) overflows from nu ~ 355: no criterion holds there, and the
+        # array path says so without a warning where scalar assess would raise
+        config = oracle_config(NoiseStatistics.POISSON, t_grid=(0.5, 1.0), nu_cap=1000.0,
+                               tol=1e-3, probe_points=50)
+        assert not indicator(Criterion.BB84, 0.5, 900.0, config)
+        low, decoupled = sweep(config).points
+        assert all(0.0 < b.nu_star < 10.0 and not b.monotone_warning
+                   for b in low.bounds.values())
+        assert decoupled.bounds[Criterion.BB84].capped
+
+
+class TestSweepCost:
+    """Each bisection step is one array evaluation, whatever the grid size."""
+
+    @staticmethod
+    def count_calls(monkeypatch, statistics):
+        name = "thermal_fields" if statistics is NoiseStatistics.THERMAL else "poisson_fields"
+        real = getattr(qkdng.scan, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qkdng.scan, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    @pytest.mark.parametrize("points", [1, 7, 40])
+    @pytest.mark.parametrize("probe_points", [0, 9])
+    def test_evaluations_per_sweep(self, monkeypatch, statistics, points, probe_points):
+        calls = self.count_calls(monkeypatch, statistics)
+        config = oracle_config(statistics, t_grid=tuple(np.linspace(0.3, 0.9, points)),
+                               nu_cap=2.0, tol=1e-3, probe_points=probe_points)
+        curve = sweep(config)
+        steps = math.ceil(math.log2(config.nu_cap / config.tol))  # 11
+        assert curve.bisection_steps == steps
+        assert len(calls) == curve.evaluations == 2 + steps + (1 if probe_points else 0)
+
+    def test_no_bisection_without_an_open_bracket(self, monkeypatch):
+        # every boundary is undefined, dead or capped: nothing left to halve
+        calls = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
+        curve = sweep(oracle_config(NoiseStatistics.THERMAL, t_grid=(0.0, 1.0),
+                                    criteria=(Criterion.BB84,)))
+        assert curve.bisection_steps == 0
+        assert len(calls) == curve.evaluations == 2
+
+
+def fake_fields(witness, bb84, di):
+    """Model whose criteria hold exactly where the given predicates of (t, nu) do."""
+
+    def fields(t, nu, p, det):
+        t, nu = np.broadcast_arrays(t, nu)
+        sign = {name: np.where(holds(t, nu), 1.0, -1.0)
+                for name, holds in (("margin", witness), ("bb84", bb84), ("di", di))}
+        return LinkFields(defined=np.ones(nu.shape, dtype=bool), q=np.zeros(nu.shape),
+                          di_defined=np.ones(nu.shape, dtype=bool), **sign)
+
+    return fields
+
+
+# several crossings: the witness holds on [0, 0.5] and [1, 1.5], BB84 on
+# [0, 0.5] and from 1 on, DI on [0.3, 0.7] and from 1.9 on
+banded_fields = fake_fields(
+    lambda t, nu: (nu <= 0.5) | ((nu >= 1.0) & (nu <= 1.5)),
+    lambda t, nu: (nu <= 0.5) | (nu >= 1.0),
+    lambda t, nu: ((nu >= 0.3) & (nu <= 0.7)) | (nu >= 1.9),
+)
+
+
+class TestMonotoneProbe:
+    def test_probe_flags_multiple_crossings(self, monkeypatch):
+        monkeypatch.setattr(qkdng.scan, "thermal_fields", banded_fields)
+        config = thermal_config(t_grid=(0.3, 0.6), probe_points=9, tol=1e-4)
+        for point in sweep(config).points:
+            witness, bb84, di = (point.bounds[c] for c in ALL_CRITERIA)
+            assert witness.monotone_warning and not witness.capped
+            assert witness.nu_star == pytest.approx(1.5, abs=1e-4)
+            assert bb84.monotone_warning and bb84.capped  # flagged on capped records too
+            # failing at nu = 0 outranks both the probe and the cap
+            assert di == CriterionBoundary(0.0, capped=False, undefined=False)
+
+    def test_probe_off_flags_nothing(self, monkeypatch):
+        monkeypatch.setattr(qkdng.scan, "thermal_fields", banded_fields)
+        curve = sweep(thermal_config(t_grid=(0.3,)))
+        assert not any(b.monotone_warning for b in curve.points[0].bounds.values())
+
+
+def test_each_bracket_stops_at_its_own_width(monkeypatch):
+    # with tol = nu_cap / 2**6 rounding leaves some brackets a hair wider than
+    # tol after 6 halvings and others not: each must stop as the scalar loop does
+    def below(t, nu):
+        return nu <= t
+
+    monkeypatch.setattr(qkdng.scan, "thermal_fields", fake_fields(below, below, below))
+    nu_cap = 0.7402473781645857
+    config = thermal_config(t_grid=tuple(np.linspace(0.01, 0.73, 50)), nu_cap=nu_cap,
+                            tol=nu_cap / 2**6, criteria=(Criterion.BB84,))
+    steps = set()
+    for point in sweep(config).points:
+        lo, hi, n = 0.0, config.nu_cap, 0
+        while hi - lo > config.tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mid <= point.t else (lo, mid)
+            n += 1
+        steps.add(n)
+        assert point.bounds[Criterion.BB84].nu_star == lo
+    assert steps == {6, 7}
+
+
 class TestClassify:
     def test_decoupled_point_is_cross_region(self):
         config = thermal_config(nu_cap=10.0)
@@ -210,3 +408,22 @@ class TestScanConfigValidation:
     def test_duplicate_criteria(self):
         with pytest.raises(DomainError):
             thermal_config(criteria=(Criterion.BB84, Criterion.BB84))
+
+    @pytest.mark.parametrize("p", [2.0, -0.1, math.nan])
+    def test_werner_weight_range(self, p):
+        with pytest.raises(DomainError, match="Werner weight"):
+            thermal_config(p=p)
+
+    def test_unsupported_pairing(self):
+        with pytest.raises(ConfigurationError, match="supported pairings"):
+            thermal_config(det=DetectorModel(DetectorKind.SPAD))
+
+    @pytest.mark.parametrize("probe_points", [-3, 1, 2, 4.0, True, "5", 10**12])
+    def test_bad_probe_points(self, probe_points):
+        # 10**12 must be refused here, before a probe grid of that size exists
+        with pytest.raises(DomainError, match="probe_points"):
+            thermal_config(probe_points=probe_points)
+
+    @pytest.mark.parametrize("probe_points", [0, 3, 9])
+    def test_good_probe_points(self, probe_points):
+        assert thermal_config(probe_points=probe_points).probe_points == probe_points
