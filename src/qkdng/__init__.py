@@ -39,6 +39,7 @@ from .photodetection import (
 )
 from .scan import (
     ALL_CRITERIA,
+    BoundaryColumn,
     BoundaryCurve,
     BoundaryPoint,
     Criterion,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_CRITERIA",
+    "BoundaryColumn",
     "BoundaryCurve",
     "BoundaryPoint",
     "ChannelConfig",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_range
 from .keyrates import KeyRates, bell_from_qber, key_rate_fields, key_rates
-from .photodetection import DetectorKind, DetectorModel, _count_prob, detect_pmf, photocount_pmf
+from .photodetection import DetectorKind, DetectorModel, _detected, detect_pmf, photocount_pmf
 from .witness import CoincidenceStats, WitnessVerdict, evaluate, witness_margin
 
 _COINCIDENCE_FLOOR = 1e-30  # below this the normalisation N counts as zero
@@ -176,29 +176,32 @@ def poisson_observables(
 ) -> LinkAssessment:
     """Q, S, key rates and witness statistics for Poissonian noise with SPADs.
 
-    Closed forms in the effective parameters (eta, d):
+    Closed forms in the effective parameters (eta, d), written in x = e^(-d)
+    so that no exponential overflows however large the noise mean:
 
-        Q   = 1/2 - e^(2d) p eta^2 / (2 (2 + e^d (eta-2) - 2 eta)^2),
-        P_s = (1/4) e^(-4d) (2 + e^d (eta-2) - 2 eta)^2,
-        P_e = e^(-4d) (1 - e^d) (1 - eta) (1 - eta - e^d),
+        F   = (2 - 2 eta) x + eta - 2,
+        Q   = 1/2 - p eta^2 / (2 F^2),
+        P_s = (1/4) x^2 F^2,
+        P_e = x^2 (x - 1) (1 - eta) ((1 - eta) x - 1),
 
-    where P_s already averages the four equivalent success outcomes.
+    where P_s already averages the four equivalent success outcomes.  The
+    link is undefined where F^2 < floor * x^2.
     """
     if noise.statistics is not NoiseStatistics.POISSON:
         raise ConfigurationError("poisson_observables requires poisson noise statistics")
     if det.kind is not DetectorKind.SPAD:
         raise ConfigurationError("Poissonian noise analysis requires SPAD detection")
     eta, dark = effective_detector(cfg.t, noise.nbar, det)
-    edark = math.exp(dark)
-    f = 2.0 + edark * (eta - 2.0) - 2.0 * eta
-    p_s = 0.25 * math.exp(-4.0 * dark) * f * f
-    p_e = math.exp(-4.0 * dark) * (1.0 - edark) * (1.0 - eta) * (1.0 - eta - edark)
+    x = math.exp(-dark)
+    f = (2.0 - 2.0 * eta) * x + eta - 2.0
+    p_s = 0.25 * x * x * f * f
+    p_e = x * x * (x - 1.0) * (1.0 - eta) * ((1.0 - eta) * x - 1.0)
     stats = CoincidenceStats(p_s=_clamp01(p_s), p_e=_clamp01(p_e))
     verdict = evaluate(det.kind, stats)
-    if f * f < _COINCIDENCE_FLOOR:
+    if f * f < _COINCIDENCE_FLOOR * x * x:
         # eta_eff and d_eff both zero: the detectors never fire
         return _undefined_assessment(stats, verdict)
-    q = 0.5 - math.exp(2.0 * dark) * cfg.p * eta * eta / (2.0 * f * f)
+    q = 0.5 - cfg.p * eta * eta / (2.0 * f * f)
     q = min(max(q, 0.0), 0.5)
     s = bell_from_qber(q)
     return LinkAssessment(
@@ -214,14 +217,8 @@ def thermal_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
     a PNRD detector.
     """
     t_eff, m_eff = t * det.eta, (1.0 - t) * nu * det.eta  # efficiency thins both
-    damp = math.exp(-det.dark)
-
-    def detected(l):  # (p0, p1) of |l> after dark counts, as in detect_pmf
-        miss = _count_prob(0, l, t_eff, m_eff)
-        return damp * miss, damp * (_count_prob(1, l, t_eff, m_eff) + det.dark * miss)
-
-    p00, p10 = detected(0)
-    p01, p11 = detected(1)
+    p00, p10 = _detected(0, t_eff, m_eff, det.dark)
+    p01, p11 = _detected(1, t_eff, m_eff, det.dark)
     norm = (p11 * p00 + p10 * p01) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):  # N = 0 where undefined
         q = (4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm) / (2.0 * norm)
@@ -232,18 +229,16 @@ def poisson_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
     """``poisson_observables`` elementwise over broadcast arrays ``t`` and ``nu``.
 
     Unchecked: the caller guarantees t in [0, 1], nu >= 0, p in [0, 1] and
-    a SPAD detector.  Where e^(2 d_eff) overflows every field is NaN or
-    False, so no criterion holds.
+    a SPAD detector.
     """
     eta, dark = t * det.eta, det.dark + det.eta * (1.0 - t) * nu
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        edark = np.exp(dark)
-        f = 2.0 + edark * (eta - 2.0) - 2.0 * eta
-        p_s = 0.25 * np.exp(-4.0 * dark) * f * f
-        p_e = np.exp(-4.0 * dark) * (1.0 - edark) * (1.0 - eta) * (1.0 - eta - edark)
-        q = 0.5 - np.exp(2.0 * dark) * p * eta * eta / (2.0 * f * f)
-        defined = f * f >= _COINCIDENCE_FLOOR
-    return _link_fields(det.kind, p_s, p_e, defined, q)
+    x = np.exp(-dark)
+    f = (2.0 - 2.0 * eta) * x + eta - 2.0
+    p_s = 0.25 * x * x * f * f
+    p_e = x * x * (x - 1.0) * (1.0 - eta) * ((1.0 - eta) * x - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # F = 0 where undefined
+        q = 0.5 - p * eta * eta / (2.0 * f * f)
+    return _link_fields(det.kind, p_s, p_e, f * f >= _COINCIDENCE_FLOOR * x * x, q)
 
 
 def _link_fields(kind: DetectorKind, p_s, p_e, defined, q) -> LinkFields:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -181,59 +182,57 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _csv_fields(curve, criterion: Criterion) -> tuple[list[str], list[str]]:
+    """The nu and capped CSV columns of one criterion; empty where not scanned."""
+    if criterion not in curve.criteria:
+        blank = [""] * len(curve.t_grid)
+        return blank, blank
+    column = curve.column(criterion)
+    # empty sentinel at undefined points: plotting tools show a gap, not a false zero
+    nu = ["" if undefined else repr(nu_star)
+          for nu_star, undefined in zip(column.nu_star, column.undefined)]
+    capped = ["" if undefined else "true" if flag else "false"
+              for flag, undefined in zip(column.capped, column.undefined)]
+    return nu, capped
 
 
 def _csv_text(curve) -> str:
-    lines = [CSV_HEADER]
-    for point in curve.points:
-        nu_fields = []
-        capped_fields = []
-        for criterion in ALL_CRITERIA:
-            bound = point.bounds.get(criterion)
-            if bound is None or bound.undefined:
-                # empty sentinel: plotting tools show a gap, not a false zero
-                nu_fields.append("")
-                capped_fields.append("")
-            else:
-                nu_fields.append(_fmt(bound.nu_star))
-                capped_fields.append(_fmt_bool(bound.capped))
-        lines.append(",".join([_fmt(point.t)] + nu_fields + capped_fields))
-    return "\n".join(lines) + "\n"
+    nu_fields, capped_fields = zip(*(_csv_fields(curve, c) for c in ALL_CRITERIA))
+    rows = zip(map(repr, curve.t_grid), *nu_fields, *capped_fields)
+    return "\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n"
 
 
 def _curve_doc(curve) -> dict:
-    points = []
-    for point in curve.points:
-        bounds = {}
-        for criterion, bound in point.bounds.items():
-            bounds[criterion.value] = {
-                "nu_star": None if bound.undefined else bound.nu_star,
-                "capped": bound.capped,
-                "undefined": bound.undefined,
-                "monotone_warning": bound.monotone_warning,
+    names = [c.value for c in curve.criteria]
+    points = [{"T": t, "bounds": {}} for t in curve.t_grid]
+    for name, column in zip(names, curve.columns):
+        for point, nu_star, capped, undefined, warning in zip(points, *column):
+            point["bounds"][name] = {
+                "nu_star": None if undefined else nu_star,
+                "capped": capped,
+                "undefined": undefined,
+                "monotone_warning": warning,
             }
-        points.append({"T": point.t, "bounds": bounds})
-    return {"criteria": [c.value for c in curve.criteria], "points": points}
+    return {"criteria": names, "points": points}
 
 
-def _diagnostics(curve) -> dict:
-    """What the sweep did: search cost, boundary outcome counts, versions."""
-    bounds = [bound for point in curve.points for bound in point.bounds.values()]
+def _diagnostics(curve, phase_s: dict[str, float]) -> dict:
+    """What the scan did: search cost, boundary outcome counts, phase times, versions."""
     return {
         "bisection_steps": curve.bisection_steps,
         "evaluations": curve.evaluations,
-        "boundaries": len(bounds),
-        "capped": sum(bound.capped for bound in bounds),
-        "undefined": sum(bound.undefined for bound in bounds),
-        "monotone_warning": sum(bound.monotone_warning for bound in bounds),
+        "boundaries": len(curve.criteria) * len(curve.t_grid),
+        "capped": sum(sum(column.capped) for column in curve.columns),
+        "undefined": sum(sum(column.undefined) for column in curve.columns),
+        "monotone_warning": sum(sum(column.monotone_warning) for column in curve.columns),
+        "phase_s": phase_s,
         "python": "{}.{}.{}".format(*sys.version_info[:3]),
         "numpy": np.__version__,
     }
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     res = _Resolver(args)
     statistics, detector, p = _resolve_detector(res)
     t_min = res.get("t-min", float, 0.02)
@@ -270,12 +269,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--t-min/--t-max/--t-points/--nu-cap/--tol/--probe-points: {exc}"
         ) from exc
+    resolved = time.perf_counter()
     curve = sweep(config)
+    swept = time.perf_counter()
     out = Path(args.out)
     if args.format == "csv":
         out.write_text(_csv_text(curve))
     else:
         out.write_text(json.dumps(_curve_doc(curve), indent=2) + "\n")
+    # the manifest's own write comes after, so it cannot time itself
+    phase_s = {"resolve": resolved - started, "sweep": swept - resolved,
+               "write": time.perf_counter() - swept}
     manifest = _manifest("scan", {
         "noise": statistics.value,
         "detector": detector.kind.value,
@@ -293,7 +297,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         "format": args.format,
         "out": str(out),
     })
-    manifest["diagnostics"] = diagnostics = _diagnostics(curve)
+    manifest["diagnostics"] = diagnostics = _diagnostics(curve, phase_s)
     manifest_path = out.with_name(out.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     if diagnostics["monotone_warning"]:

@@ -14,7 +14,11 @@ holds the ``t``-thinned Fock state plus thermal noise of mean
 
 where q is the count distribution of ``|j>`` after additive thermal noise.
 Detector efficiency is one more thinning of the same kind, so no infinite
-sum is ever truncated on the way to the detected counts.
+sum is ever truncated on the way to the detected counts.  The detector
+models read only the probabilities of 0 and 1 counts, which sum to short
+closed forms: with g = 1/(1+m), r = m g and a = 1 - t g,
+
+    p(0|l) = g a^l,    p(1|l) = g a^(l-1) (r a + l t g^2),    p(1|0) = g r.
 """
 
 from __future__ import annotations
@@ -71,6 +75,26 @@ def _count_prob(s: int, l: int, t, m):
             fock += math.comb(s, k) * math.comb(j, k) * r ** (s + j - 2 * k) * g ** (2 * k + 1)
         total += math.comb(l, j) * t**j * (1.0 - t) ** (l - j) * fock
     return total
+
+
+def _detected(l: int, t, m, dark: float):
+    """(p0, p1) of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
+
+    The closed forms p(0|l) and p(1|l) of the module docstring, folded with
+    Poissonian dark counts of mean ``dark``: p0 = e^-dark p(0|l) and
+    p1 = e^-dark (p(1|l) + dark p(0|l)).  Arithmetic only, so elementwise
+    when ``t`` and ``m`` are numpy arrays.
+    """
+    g = 1.0 / (1.0 + m)
+    r = m * g
+    if l == 0:
+        miss, single = g, g * r
+    else:
+        a = 1.0 - t * g
+        miss = g * a**l
+        single = g * a ** (l - 1) * (r * a + l * t * g * g)
+    damp = math.exp(-dark)
+    return damp * miss, damp * (single + dark * miss)
 
 
 @dataclass(frozen=True)
@@ -203,10 +227,5 @@ def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
     """
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("detect_pmf coarse-grains onto PNRD outcomes")
-    l, t, m = pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta
-    miss = _count_prob(0, l, t, m)
-    single = _count_prob(1, l, t, m)
-    damp = math.exp(-det.dark)
-    p0 = damp * miss
-    p1 = damp * (single + det.dark * miss)
+    p0, p1 = _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)
     return DetectionPmf(p0=p0, p1=p1, p_two_plus=1.0 - p0 - p1)

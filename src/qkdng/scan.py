@@ -14,13 +14,19 @@ of midpoints.  Rounding can leave a bracket a hair wider or narrower than
 its neighbours; each stops at its own width, as a scalar loop would.
 Single points (``indicator``, ``max_noise``) go through the same code with
 one element.
+
+The outcome stays in the shape it is computed in: a ``BoundaryCurve`` holds
+one ``BoundaryColumn`` per criterion, tuples over the grid made with one
+``.tolist()`` per array.  Per-point records (``curve.points``) are built
+from those columns only when something asks for them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,34 +128,53 @@ class BoundaryPoint:
     bounds: dict[Criterion, CriterionBoundary]
 
 
+class BoundaryColumn(NamedTuple):
+    """One criterion's ``CriterionBoundary`` fields over the grid, one tuple each."""
+
+    nu_star: tuple[float, ...]
+    capped: tuple[bool, ...]
+    undefined: tuple[bool, ...]
+    monotone_warning: tuple[bool, ...]
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Boundary records in grid order, with what the search cost.
+    """Boundaries in grid order, one column per criterion, with what the search cost.
 
-    ``bisection_steps`` counts the lock-step halvings and ``evaluations`` the
-    calls of the model's array function, bisection steps included.
+    ``columns[i]`` belongs to ``criteria[i]``.  Columns hold Python floats and
+    bools, so curves compare with ``==``.  ``bisection_steps`` counts the
+    lock-step halvings and ``evaluations`` the calls of the model's array
+    function, bisection steps included.
     """
 
     criteria: tuple[Criterion, ...]
-    points: tuple[BoundaryPoint, ...]
+    t_grid: tuple[float, ...]
+    columns: tuple[BoundaryColumn, ...]
     bisection_steps: int
     evaluations: int
 
+    def column(self, criterion: Criterion | str) -> BoundaryColumn:
+        return self.columns[self.criteria.index(Criterion(criterion))]
+
+    @cached_property
+    def points(self) -> tuple[BoundaryPoint, ...]:
+        """The same boundaries as one record per grid transmittance, built once."""
+        rows = zip(*(map(CriterionBoundary, *column) for column in self.columns))
+        return tuple(
+            BoundaryPoint(t=t, bounds=dict(zip(self.criteria, bounds)))
+            for t, bounds in zip(self.t_grid, rows)
+        )
+
     def t_values(self) -> np.ndarray:
-        return np.array([point.t for point in self.points])
+        return np.array(self.t_grid)
 
     def nu_star(self, criterion: Criterion | str) -> np.ndarray:
         """Boundary values in grid order, NaN at undefined points."""
-        criterion = Criterion(criterion)
-        return np.array([
-            math.nan if point.bounds[criterion].undefined
-            else point.bounds[criterion].nu_star
-            for point in self.points
-        ])
+        column = self.column(criterion)
+        return np.where(column.undefined, np.nan, column.nu_star)
 
     def capped(self, criterion: Criterion | str) -> np.ndarray:
-        criterion = Criterion(criterion)
-        return np.array([point.bounds[criterion].capped for point in self.points])
+        return np.array(self.column(criterion).capped)
 
 
 def assess_point(config: ScanConfig, t: float, nu: float) -> LinkAssessment:
@@ -208,20 +233,19 @@ def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> Crite
     coarse pre-probe checks the pattern and a violation is reported on the
     record, not raised.
     """
-    criterion = Criterion(criterion)
-    curve = sweep(replace(config, t_grid=(t,), criteria=(criterion,)))
-    return curve.points[0].bounds[criterion]
+    curve = sweep(replace(config, t_grid=(t,), criteria=(Criterion(criterion),)))
+    return CriterionBoundary(*(values[0] for values in curve.columns[0]))
 
 
 def sweep(config: ScanConfig) -> BoundaryCurve:
-    """One boundary record per grid transmittance, ordered by the grid.
+    """One boundary per (criterion, grid transmittance), as columns over the grid.
 
     All (t, criterion) brackets advance together: the noise means 0 and
     ``nu_cap`` are evaluated once per t and shared by the criteria, the
     optional pre-probe is one more evaluation, and each bisection step is one
-    evaluation of a (criteria, t) array of midpoints.  A record is, in order
-    of precedence: undefined (no coincidences at nu = 0), failing at nu = 0,
-    capped (still holding at ``nu_cap``) or bisected.
+    evaluation of a (criteria, t) array of midpoints.  A boundary is, in
+    order of precedence: undefined (no coincidences at nu = 0), failing at
+    nu = 0, capped (still holding at ``nu_cap``) or bisected.
     """
     criteria = config.criteria
     t = np.array(config.t_grid)
@@ -253,20 +277,13 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
         steps += 1
     nu_star = np.where(capped, config.nu_cap, lo)
     undefined = np.broadcast_to(~base.defined, at_zero.shape)
-    rows = [
-        [
-            CriterionBoundary(nu, capped=cap, undefined=undef, monotone_warning=warn)
-            for nu, cap, undef, warn in zip(*columns)
-        ]
-        for columns in zip(nu_star.tolist(), capped.tolist(), undefined.tolist(),
-                           warning.tolist())
-    ]
-    points = tuple(
-        BoundaryPoint(t=t_value, bounds=dict(zip(criteria, bounds)))
-        for t_value, bounds in zip(config.t_grid, zip(*rows))
+    columns = tuple(
+        BoundaryColumn(*map(tuple, fields))
+        for fields in zip(nu_star.tolist(), capped.tolist(), undefined.tolist(),
+                          warning.tolist())
     )
     return BoundaryCurve(
-        criteria=criteria, points=points, bisection_steps=steps,
+        criteria=criteria, t_grid=config.t_grid, columns=columns, bisection_steps=steps,
         evaluations=evaluations + steps,
     )
 

@@ -1,8 +1,14 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+import qkdng.scan
+from qkdng.channels import NoiseStatistics
 from qkdng.cli import CSV_HEADER, main
+from qkdng.photodetection import DetectorKind, DetectorModel
+from qkdng.scan import ALL_CRITERIA, Criterion, ScanConfig, sweep
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +38,17 @@ class TestEval:
         assert code == 0
         doc = json.loads(out)
         assert doc["q"] == pytest.approx(0.05, abs=1e-12)
+
+    def test_poisson_noise_far_past_exp_overflow(self, capsys):
+        # e^(d_eff) overflows a double from d_eff ~ 709; the model must not
+        code, out, _ = run_cli(
+            capsys, "eval", "--noise", "poisson", "--detector", "spad",
+            "--T", "0", "--nu", "800", "--eta", "1", "--dark", "0",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["q"] == 0.5
+        assert doc["region"]["bb84"] == "Neither"
 
     def test_rejected_pairing(self, capsys):
         code, _, err = run_cli(
@@ -245,6 +262,18 @@ class TestScan:
         assert row[0] == "0.0"
         assert row[1:] == ["", "", "", "", "", ""]
 
+    def test_poisson_huge_cap_is_capped(self, capsys, tmp_path):
+        # Q rises to 1/2 - p eta^2 / (2 (2 - eta)^2) = 0.002 as the noise grows:
+        # BB84 holds at any noise mean, so the boundary is the cap
+        out = tmp_path / "huge.csv"
+        code, _, _ = run_cli(
+            capsys, "scan", "--preset", "fig5", "--eta", "1", "--dark", "0",
+            "--nu-cap", "1e6", "--t-min", "0.999", "--t-points", "1", "--criteria", "bb84",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "0.999,,1000000.0,,,true,"
+
     @pytest.mark.parametrize("flag,value", [("--nu-cap", "inf"), ("--tol", "nan")])
     def test_non_finite_search_flag(self, capsys, tmp_path, flag, value):
         code, _, err = run_cli(capsys, *self.scan_args(tmp_path / "x.csv"), flag, value)
@@ -255,6 +284,95 @@ class TestScan:
         code, _, err = run_cli(capsys, *self.scan_args(tmp_path))  # a directory
         assert code != 0
         assert err
+
+
+def record_csv(curve):
+    """The scan CSV rendered record by record from ``curve.points``: the oracle."""
+    lines = [CSV_HEADER]
+    for point in curve.points:
+        nu_fields, capped_fields = [], []
+        for criterion in ALL_CRITERIA:
+            bound = point.bounds.get(criterion)
+            if bound is None or bound.undefined:
+                nu_fields.append("")
+                capped_fields.append("")
+            else:
+                nu_fields.append(repr(bound.nu_star))
+                capped_fields.append("true" if bound.capped else "false")
+        lines.append(",".join([repr(point.t)] + nu_fields + capped_fields))
+    return "\n".join(lines) + "\n"
+
+
+def record_doc(curve):
+    """The scan JSON document built record by record from ``curve.points``."""
+    points = [
+        {"T": point.t, "bounds": {
+            criterion.value: {
+                "nu_star": None if bound.undefined else bound.nu_star,
+                "capped": bound.capped,
+                "undefined": bound.undefined,
+                "monotone_warning": bound.monotone_warning,
+            }
+            for criterion, bound in point.bounds.items()
+        }}
+        for point in curve.points
+    ]
+    return {"criteria": [c.value for c in curve.criteria], "points": points}
+
+
+class TestColumnarOutput:
+    """The scan output, written from columns, against the per-record oracle."""
+
+    @pytest.mark.parametrize("noise,detector", [("thermal", "pnrd"), ("poisson", "spad")])
+    @pytest.mark.parametrize("criteria", [
+        "nongauss,bb84,di", "di,bb84,nongauss", "bb84", "di,nongauss", "nongauss,di",
+    ])
+    def test_csv_and_json_equal_record_oracle(self, capsys, tmp_path, noise, detector,
+                                              criteria):
+        # T = 0 is undefined (no dark counts), T = 1 capped
+        flags = ["--noise", noise, "--detector", detector, "--t-min", "0", "--t-max", "1",
+                 "--t-points", "5", "--nu-cap", "1", "--tol", "1e-3", "--criteria", criteria]
+        csv_out, json_out = tmp_path / "c.csv", tmp_path / "c.json"
+        assert run_cli(capsys, "scan", *flags, "--out", str(csv_out))[0] == 0
+        assert run_cli(capsys, "scan", *flags, "--out", str(json_out), "--format", "json")[0] == 0
+        curve = sweep(ScanConfig(
+            t_grid=tuple(np.linspace(0.0, 1.0, 5)), statistics=NoiseStatistics(noise),
+            detector=DetectorModel(DetectorKind(detector)), nu_cap=1.0, tol=1e-3,
+            criteria=tuple(Criterion(c) for c in criteria.split(",")),
+        ))
+        assert csv_out.read_text() == record_csv(curve)
+        assert json_out.read_text() == json.dumps(record_doc(curve), indent=2) + "\n"
+        rows = csv_out.read_text().splitlines()
+        assert rows[1] == "0.0,,,,,,"
+        scanned = [c.value in criteria.split(",") for c in ALL_CRITERIA]
+        assert rows[-1].split(",")[4:] == ["true" if s else "" for s in scanned]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scan_builds_no_records(self, capsys, tmp_path, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-point record was built")
+
+        monkeypatch.setattr(qkdng.scan, "BoundaryPoint", refuse)
+        monkeypatch.setattr(qkdng.scan, "CriterionBoundary", refuse)
+        code, _, err = run_cli(
+            capsys, "scan", "--preset", "fig5", "--eta", "0.7", "--dark", "0.001",
+            "--t-points", "40", "--out", str(tmp_path / f"fig5.{fmt}"), "--format", fmt,
+        )
+        assert code == 0, err
+        curve = sweep(ScanConfig(t_grid=(0.5,), statistics="poisson",
+                                 detector=DetectorModel(DetectorKind.SPAD)))
+        with pytest.raises(AssertionError, match="per-point record"):
+            curve.points  # the guard does catch a record being built
+
+    def test_manifest_phase_times(self, capsys, tmp_path):
+        out = tmp_path / "timed.csv"
+        assert run_cli(capsys, "scan", "--preset", "fig3", "--t-points", "4",
+                       "--out", str(out))[0] == 0
+        manifest = json.loads((tmp_path / "timed.csv.manifest.json").read_text())
+        phase_s = manifest["diagnostics"]["phase_s"]
+        assert set(phase_s) == {"resolve", "sweep", "write"}
+        assert all(isinstance(v, float) and math.isfinite(v) and v >= 0.0
+                   for v in phase_s.values())
 
 
 class TestPmf:

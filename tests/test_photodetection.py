@@ -8,6 +8,8 @@ from qkdng.photodetection import (
     DetectorKind,
     DetectorModel,
     PhotocountDistribution,
+    _count_prob,
+    _detected,
     bs_coefficient,
     detect_pmf,
     photocount_pmf,
@@ -306,6 +308,33 @@ class TestDetectPmf:
         pmf = photocount_pmf(0, 0.1, 0.5)
         with pytest.raises(ConfigurationError):
             detect_pmf(pmf, DetectorModel(DetectorKind.SPAD))
+
+
+class TestDetectedClosedForm:
+    """``_detected``, shared by ``detect_pmf`` and the array model, against ``_count_prob``."""
+
+    TS = (0.0, 0.3, 0.8, 1.0)
+    MS = (0.0, 0.4, 2.5)
+
+    @pytest.mark.parametrize("l", range(4))
+    @pytest.mark.parametrize("dark", [0.0, 0.02])
+    def test_matches_count_prob(self, l, dark):
+        for t in self.TS:
+            for m in self.MS:
+                p0, p1 = _detected(l, t, m, dark)
+                miss, single = _count_prob(0, l, t, m), _count_prob(1, l, t, m)
+                assert p0 == pytest.approx(math.exp(-dark) * miss, abs=1e-15)
+                assert p1 == pytest.approx(math.exp(-dark) * (single + dark * miss), abs=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("l", range(4))
+    def test_array_equals_scalar(self, l):
+        # t = 1 with m = 0 makes a = 1 - t g vanish: no division may see it
+        t, m = np.meshgrid(self.TS, self.MS)
+        p0, p1 = _detected(l, t, m, 0.001)
+        for k in np.ndindex(t.shape):
+            scalar = _detected(l, float(t[k]), float(m[k]), 0.001)
+            assert (p0[k], p1[k]) == pytest.approx(scalar, abs=1e-15)
 
 
 class TestDetectorModel:

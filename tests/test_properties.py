@@ -92,3 +92,24 @@ def test_array_model_equals_scalar_model(statistics, t, nu, eta, d, p):
     for criterion, field in deciding.items():
         if abs(field) > 1e-12:
             assert _holds_array(criterion, fields).tolist() == [_holds(criterion, a)]
+
+
+@EXAMPLES
+@given(t=unit, nu=st.floats(0.0, 1e6), extra=st.floats(0.0, 1e6), eta=unit, d=dark, p=unit)
+def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
+    # far past e^(d_eff) overflow: Q still lies in [0, 1/2], grows with the
+    # noise mean, and the array model still equals the scalar one
+    statistics = NoiseStatistics.POISSON
+    quiet = link(statistics, t, nu, eta, d, p)
+    noisy = link(statistics, t, nu + extra, eta, d, p)
+    if quiet.coincidence_defined:
+        assert 0.0 <= quiet.q <= 0.5
+        if noisy.coincidence_defined:
+            assert noisy.q >= quiet.q - 1e-12
+    det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
+    fields = poisson_fields(np.array([t]), np.array([nu]), p, det)
+    assert fields.defined.tolist() == [quiet.coincidence_defined]
+    if quiet.coincidence_defined:
+        assert fields.q[0] == pytest.approx(quiet.q, abs=1e-12)
+    assert fields.margin[0] == pytest.approx(quiet.witness.margin, abs=1e-12)
+    assert fields.bb84[0] == pytest.approx(quiet.rates.bb84, abs=1e-12)

@@ -9,6 +9,7 @@ from qkdng.errors import ConfigurationError, DomainError
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import (
     ALL_CRITERIA,
+    BoundaryPoint,
     Criterion,
     CriterionBoundary,
     RegionLabel,
@@ -157,6 +158,78 @@ class TestSweep:
         assert values[1] > 0.0
 
 
+# records the per-record sweep built before results became columns, as
+# (nu_star, capped, undefined, monotone_warning) per criterion in DI, NONGAUSS,
+# BB84 order, on t_grid (0, 0.3, 0.8, 1) with eta 0.7, nu_cap 3, tol 1e-4, 5 probes
+RECORDED = {
+    (NoiseStatistics.THERMAL, 0.0): (
+        [(0.0, False, True, False)] * 3,
+        [(0.02142333984375, False, False, False), (0.010528564453125, False, False, False),
+         (0.035064697265625, False, False, False)],
+        [(0.329864501953125, False, False, False), (0.721527099609375, False, False, False),
+         (0.51654052734375, False, False, False)],
+        [(3.0, True, False, False)] * 3,
+    ),
+    (NoiseStatistics.POISSON, 0.001): (
+        [(0.0, False, False, False)] * 3,
+        [(0.019775390625, False, False, False), (0.0106201171875, False, False, False),
+         (0.034149169921875, False, False, False)],
+        [(0.367034912109375, False, False, False), (1.57708740234375, False, False, False),
+         (0.62109375, False, False, False)],
+        [(3.0, True, False, False)] * 3,
+    ),
+}
+
+
+class TestColumns:
+    """The sweep's columns, and the per-point records built from them on request."""
+
+    @staticmethod
+    def recorded_config(statistics, dark):
+        kind = DetectorKind.PNRD if statistics is NoiseStatistics.THERMAL else DetectorKind.SPAD
+        return ScanConfig(
+            t_grid=(0.0, 0.3, 0.8, 1.0), statistics=statistics,
+            detector=DetectorModel(kind, eta=0.7, dark=dark), nu_cap=3.0, tol=1e-4,
+            criteria=(Criterion.DI, Criterion.NONGAUSS, Criterion.BB84), probe_points=5,
+        )
+
+    @pytest.mark.parametrize("statistics,dark", list(RECORDED))
+    def test_points_equal_recorded_records(self, statistics, dark):
+        config = self.recorded_config(statistics, dark)
+        expected = tuple(
+            BoundaryPoint(t=t, bounds={c: CriterionBoundary(*record)
+                                       for c, record in zip(config.criteria, records)})
+            for t, records in zip(config.t_grid, RECORDED[statistics, dark])
+        )
+        curve = sweep(config)
+        assert curve.points == expected
+        assert [list(point.bounds) for point in curve.points] == [list(config.criteria)] * 4
+
+    def test_columns_hold_python_values(self):
+        curve = sweep(self.recorded_config(NoiseStatistics.THERMAL, 0.0))
+        assert curve.t_grid == (0.0, 0.3, 0.8, 1.0)
+        assert len(curve.columns) == 3
+        for column in curve.columns:
+            assert all(type(values) is tuple and len(values) == 4 for values in column)
+            assert all(type(x) is float for x in column.nu_star)
+            for flags in column[1:]:
+                assert all(type(flag) is bool for flag in flags)
+        assert curve.column("bb84") is curve.columns[2]
+
+    def test_points_cached_outside_equality(self):
+        config = self.recorded_config(NoiseStatistics.POISSON, 0.001)
+        first, second = sweep(config), sweep(config)
+        assert first.points is first.points
+        assert first == second  # one built its records, the other did not
+
+    def test_array_views_read_the_columns(self):
+        curve = sweep(self.recorded_config(NoiseStatistics.THERMAL, 0.0))
+        assert curve.t_values().tolist() == [0.0, 0.3, 0.8, 1.0]
+        nu = curve.nu_star(Criterion.BB84)
+        assert math.isnan(nu[0]) and nu[1:].tolist() == [0.035064697265625, 0.51654052734375, 3.0]
+        assert curve.capped("bb84").tolist() == [False, False, False, True]
+
+
 def scalar_max_noise(criterion, t, config):
     """The per-(t, criterion) scalar bisection on ``assess``: the sweep's oracle."""
 
@@ -241,8 +314,8 @@ class TestSweepOracle:
 
     @pytest.mark.filterwarnings("error")
     def test_poisson_sweep_past_exp_overflow(self):
-        # e^(2 d_eff) overflows from nu ~ 355: no criterion holds there, and the
-        # array path says so without a warning where scalar assess would raise
+        # e^(d_eff) would overflow from nu ~ 1000; the model is written in
+        # e^(-d_eff) and decides without a warning: at T = 0.5 nothing holds
         config = oracle_config(NoiseStatistics.POISSON, t_grid=(0.5, 1.0), nu_cap=1000.0,
                                tol=1e-3, probe_points=50)
         assert not indicator(Criterion.BB84, 0.5, 900.0, config)
