@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, check_range
-from .keyrates import KeyRates, bell_from_qber, key_rate_fields, key_rates
+from .keyrates import KeyRates, bell_from_qber, key_rates
 from .photodetection import DetectorKind, DetectorModel, _detected, detect_pmf, photocount_pmf
 from .witness import CoincidenceStats, WitnessVerdict, evaluate, witness_margin
 
@@ -92,15 +92,12 @@ class LinkFields(NamedTuple):  # not a dataclass: ten times cheaper to create at
     """Array twin of ``LinkAssessment``: the fields the scan decisions read.
 
     Elementwise over broadcast (t, nu) arrays.  Where ``defined`` is False,
-    ``q`` is NaN, both rates are 0 and ``di_defined`` is False.
+    ``q`` is NaN.  A protocol is secure where ``q <= Q_STAR_BB84/DI``.
     """
 
     defined: np.ndarray
     margin: np.ndarray
     q: np.ndarray
-    bb84: np.ndarray
-    di: np.ndarray
-    di_defined: np.ndarray
 
 
 def _clamp01(x: float) -> float:
@@ -193,7 +190,7 @@ def poisson_observables(
         raise ConfigurationError("Poissonian noise analysis requires SPAD detection")
     eta, dark = effective_detector(cfg.t, noise.nbar, det)
     x = math.exp(-dark)
-    f = (2.0 - 2.0 * eta) * x + eta - 2.0
+    f = (2.0 - 2.0 * eta) * math.expm1(-dark) - eta  # = F, two terms <= 0: no cancellation
     p_s = 0.25 * x * x * f * f
     p_e = x * x * (x - 1.0) * (1.0 - eta) * ((1.0 - eta) * x - 1.0)
     stats = CoincidenceStats(p_s=_clamp01(p_s), p_e=_clamp01(p_e))
@@ -233,7 +230,7 @@ def poisson_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
     """
     eta, dark = t * det.eta, det.dark + det.eta * (1.0 - t) * nu
     x = np.exp(-dark)
-    f = (2.0 - 2.0 * eta) * x + eta - 2.0
+    f = (2.0 - 2.0 * eta) * np.expm1(-dark) - eta  # = F, two terms <= 0: no cancellation
     p_s = 0.25 * x * x * f * f
     p_e = x * x * (x - 1.0) * (1.0 - eta) * ((1.0 - eta) * x - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # F = 0 where undefined
@@ -242,17 +239,35 @@ def poisson_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
 
 
 def _link_fields(kind: DetectorKind, p_s, p_e, defined, q) -> LinkFields:
-    """Clamp as the scalar models do, then add the witness and the key rates."""
-    q = np.where(defined, np.clip(q, 0.0, 0.5), np.nan)
-    bb84, di, di_defined = key_rate_fields(q)
+    """Clamp as the scalar models do, then add the witness margin."""
     return LinkFields(
         defined=defined,
         margin=witness_margin(kind, np.clip(p_s, 0.0, 1.0), np.clip(p_e, 0.0, 1.0)),
-        q=q,
-        bb84=np.where(defined, bb84, 0.0),
-        di=di,
-        di_defined=di_defined,
+        q=np.where(defined, np.clip(q, 0.0, 0.5), np.nan),
     )
+
+
+def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: DetectorModel):
+    """Noise mean at which the array model's Q equals ``q_star``, elementwise in ``t``.
+
+    Thermal: Q = (1-p)/2 + 2p rho/(1+rho)^2 rises with rho = p10 p01/(p11 p00)
+    <= 1, and rho/(1-rho) = ((1+d) m + d)(1 + m - t eta)/(t eta), m = (1-t) nu eta.
+    Poisson: Q rises as x = e^(-d_eff) falls and is at most q_star where
+    -F <= K = eta sqrt(p/(1 - 2 q_star)).  Unchecked; quietly NaN, infinite
+    or negative where no bracket is open.
+    """
+    t_e, d = t * det.eta, det.dark
+    with np.errstate(all="ignore"):
+        if statistics is NoiseStatistics.POISSON:  # x* = 1 + (eta - K)/(2 - 2 eta)
+            k = t_e * math.sqrt(p / (1.0 - 2.0 * q_star))
+            return (-np.log1p((t_e - k) / (2.0 - 2.0 * t_e)) - d) / (det.eta * (1.0 - t))
+        k = np.divide(q_star - 0.5 * (1.0 - p), 2.0 * p)  # rho*/(1+rho*)^2
+        s = np.sqrt(1.0 - 4.0 * k)
+        # (1+d) m^2 + b m + c = 0, from rho*/(1-rho*) = 2k/(s(1+s))
+        b = (1.0 + d) * (1.0 - t_e) + d
+        c = d * (1.0 - t_e) - t_e * 2.0 * k / (s * (1.0 + s))
+        m = -2.0 * c / (b + np.sqrt(b * b - 4.0 * (1.0 + d) * c))
+        return m / ((1.0 - t) * det.eta)
 
 
 def assess(cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel) -> LinkAssessment:

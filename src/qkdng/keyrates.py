@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError
 
 S_MAX = 2.0 * math.sqrt(2.0)  # Tsirelson bound on the CHSH score
 _BELL_SLACK = 1e-9            # round-off allowance when validating a score
+
+# largest QBERs with a positive rate; both rates fall as Q grows along the family
+Q_STAR_BB84 = 0.1100278644383595
+Q_STAR_DI = 0.07149175884448569
 
 
 class Protocol(str, Enum):
@@ -108,28 +110,6 @@ def key_rates(qber: float, s: float) -> KeyRates:
         di=di if defined else 0.0,
         di_defined=defined,
     )
-
-
-def _entropy_array(q: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
-    return np.where((q == 0.0) | (q == 1.0), 0.0, h)  # 0*log(0) := 0
-
-
-def key_rate_fields(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise ``key_rates(q, bell_from_qber(q))`` as (bb84, di, di_defined).
-
-    Unchecked: ``q`` must lie in [0, 1/2]; a NaN ``q`` gives a NaN BB84 rate
-    and an undefined DI rate.
-    """
-    s = S_MAX * (1.0 - 2.0 * q)
-    h = _entropy_array(q)
-    bb84 = 1.0 - h - _entropy_array(np.clip(q + s / S_MAX, 0.0, 1.0))
-    defined = s > 2.0
-    with np.errstate(invalid="ignore"):  # no CHSH violation: negative excess
-        eve_arg = (1.0 + np.sqrt(np.minimum((s / 2.0) ** 2 - 1.0, 1.0))) / 2.0
-    di = np.where(defined, 1.0 - h - _entropy_array(eve_arg), 0.0)
-    return bb84, di, defined
 
 
 def security_threshold(protocol: Protocol | str, tol: float = 1e-6) -> float:

@@ -3,17 +3,19 @@
 For each coupling transmittance the scan finds the largest noise mean at
 which a criterion (non-Gaussianity witness, BB84 security, DI security)
 still holds, by bisection under a single-crossing assumption: more noise
-photons only ever degrade the link.  An optional coarse pre-probe flags
-indicator patterns that violate that assumption instead of failing.
+photons only ever degrade the link.  A protocol holds while Q <= Q*, and
+``channels.noise_root`` solves Q = Q* for the noise mean in closed form.
 
 Every bracket starts as [0, nu_cap] and halves until it is no wider than
 ``tol``, so all (T, criterion) brackets need the same ceil(log2(nu_cap/tol))
-steps and advance in lock step: each step is one call of the model's array
-function (``thermal_fields`` or ``poisson_fields``) on a (criteria, T) array
-of midpoints.  Rounding can leave a bracket a hair wider or narrower than
-its neighbours; each stops at its own width, as a scalar loop would.
-Single points (``indicator``, ``max_noise``) go through the same code with
-one element.
+steps and advance in lock step.  A security row decides a midpoint by
+``mid <= root``, replaying the bisection without a model call.  The witness
+row calls the model's array function (``thermal_fields`` or ``poisson_fields``)
+once per step on a (1, T) array of midpoints; only it gets the optional
+pre-probe for multiple crossings.  Rounding can leave a bracket a hair wider
+or narrower than its neighbours; each stops at its own width, as a scalar
+loop would.  Single points (``indicator``, ``max_noise``) go through the
+same code with one element.
 
 The outcome stays in the shape it is computed in: a ``BoundaryCurve`` holds
 one ``BoundaryColumn`` per criterion, tuples over the grid made with one
@@ -38,10 +40,12 @@ from .channels import (
     NoiseStatistics,
     assess,
     check_pairing,
+    noise_root,
     poisson_fields,
     thermal_fields,
 )
 from .errors import DomainError, check_range
+from .keyrates import Q_STAR_BB84, Q_STAR_DI
 from .photodetection import DetectorModel
 
 
@@ -60,6 +64,7 @@ class RegionLabel(str, Enum):
 
 ALL_CRITERIA = (Criterion.NONGAUSS, Criterion.BB84, Criterion.DI)
 PROTOCOLS = (Criterion.BB84, Criterion.DI)
+Q_STAR = {Criterion.BB84: Q_STAR_BB84, Criterion.DI: Q_STAR_DI}
 
 # a pre-probe is a coarse check; its arrays grow with probe_points times the grid
 MAX_PROBE_POINTS = 1000
@@ -94,8 +99,8 @@ class ScanConfig:
         object.__setattr__(self, "t_grid", grid)
         if not grid:
             raise DomainError("t_grid must not be empty")
-        for t in grid:
-            check_range("t_grid value", t, 0.0, 1.0)
+        for bad in (t for t in grid if not 0.0 <= t <= 1.0):  # NaN included
+            check_range("t_grid value", bad, 0.0, 1.0)  # raises on the first
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("t_grid must be strictly increasing")
         check_range("nu_cap", self.nu_cap, 0.0, open_lo=True)
@@ -144,7 +149,7 @@ class BoundaryCurve:
     ``columns[i]`` belongs to ``criteria[i]``.  Columns hold Python floats and
     bools, so curves compare with ``==``.  ``bisection_steps`` counts the
     lock-step halvings and ``evaluations`` the calls of the model's array
-    function, bisection steps included.
+    function.
     """
 
     criteria: tuple[Criterion, ...]
@@ -204,19 +209,15 @@ def _evaluate(config: ScanConfig, t, nu) -> LinkFields:
 def _holds_array(criterion: Criterion, fields: LinkFields) -> np.ndarray:
     """Elementwise ``_holds`` on the fields of the array models."""
     if criterion is Criterion.NONGAUSS:
-        passed = fields.margin > 0.0
-    elif criterion is Criterion.BB84:
-        passed = fields.bb84 > 0.0
-    else:
-        passed = fields.di_defined & (fields.di > 0.0)
-    return fields.defined & passed
+        return fields.defined & (fields.margin > 0.0)
+    return fields.defined & (fields.q <= Q_STAR[criterion])
 
 
 def indicator(criterion: Criterion | str, t: float, nu: float, config: ScanConfig) -> bool:
     """True when the criterion holds at (t, nu); undefined links count as False.
 
-    Decided on the array model the sweep uses, so it agrees with every
-    boundary the sweep reports.
+    Decided on the array model the sweep uses; its security boundaries are
+    roots of the same Q = Q*, so the two agree up to rounding.
     """
     t = check_range("coupling transmittance", t, 0.0, 1.0)
     nu = check_range("noise mean", nu, 0.0)
@@ -228,10 +229,8 @@ def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> Crite
     """Largest noise mean at or below ``nu_cap`` where the criterion holds.
 
     A one-point ``sweep``: bisection to interval width ``tol``, returning the
-    last point known to satisfy the criterion.  Assumes a single
-    true-to-false crossing in the noise mean; with ``probe_points`` >= 3 a
-    coarse pre-probe checks the pattern and a violation is reported on the
-    record, not raised.
+    last point known to satisfy the criterion.  For the witness, a pre-probe
+    (``probe_points`` >= 3) reports a second crossing on the record.
     """
     curve = sweep(replace(config, t_grid=(t,), criteria=(Criterion(criterion),)))
     return CriterionBoundary(*(values[0] for values in curve.columns[0]))
@@ -241,9 +240,9 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     """One boundary per (criterion, grid transmittance), as columns over the grid.
 
     All (t, criterion) brackets advance together: the noise means 0 and
-    ``nu_cap`` are evaluated once per t and shared by the criteria, the
-    optional pre-probe is one more evaluation, and each bisection step is one
-    evaluation of a (criteria, t) array of midpoints.  A boundary is, in
+    ``nu_cap`` are evaluated once per t and shared by the criteria; after
+    that only the witness costs evaluations, one for the optional pre-probe
+    and one per step while one of its brackets is open.  A boundary is, in
     order of precedence: undefined (no coincidences at nu = 0), failing at
     nu = 0, capped (still holding at ``nu_cap``) or bisected.
     """
@@ -258,11 +257,15 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     capped = at_zero & holds(_evaluate(config, t, np.full_like(t, config.nu_cap)))
     evaluations = 2
     warning = np.zeros_like(at_zero)
-    if config.probe_points:
+    # NaN in the witness row, whose midpoints are decided on the model
+    root = np.stack([noise_root(config.statistics, t, Q_STAR[c], config.p, config.detector)
+                     if c in Q_STAR else np.full_like(t, np.nan) for c in criteria])
+    w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
+    if w is not None and config.probe_points:
         grid = np.linspace(0.0, config.nu_cap, config.probe_points)[:, np.newaxis]
-        flags = holds(_evaluate(config, t, grid))  # (criteria, probe, t)
+        flags = _holds_array(Criterion.NONGAUSS, _evaluate(config, t, grid))  # (probe, t)
         # any off-to-on flip means multiple crossings
-        warning = at_zero & (~flags[:, :-1] & flags[:, 1:]).any(axis=1)
+        warning[w] = at_zero[w] & (~flags[:-1] & flags[1:]).any(axis=0)
         evaluations += 1
     # holds at lo, fails at hi; brackets decided without bisection start closed
     lo = np.zeros(at_zero.shape)
@@ -270,8 +273,10 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     steps = 0
     while (active := hi - lo > config.tol).any():
         mid = 0.5 * (lo + hi)
-        fields = _evaluate(config, t, mid)
-        ok = np.stack([_holds_array(c, fields)[k] for k, c in enumerate(criteria)])
+        ok = mid <= root
+        if w is not None and active[w].any():
+            ok[w] = _holds_array(Criterion.NONGAUSS, _evaluate(config, t, mid[w:w + 1]))[0]
+            evaluations += 1
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
         steps += 1
@@ -284,7 +289,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     )
     return BoundaryCurve(
         criteria=criteria, t_grid=config.t_grid, columns=columns, bisection_steps=steps,
-        evaluations=evaluations + steps,
+        evaluations=evaluations,
     )
 
 

@@ -9,6 +9,7 @@ from qkdng.channels import (
     NoiseStatistics,
     assess,
     effective_detector,
+    poisson_fields,
     poisson_observables,
     thermal_observables,
 )
@@ -110,6 +111,15 @@ class TestPoissonObservables:
             assert 0.0 <= out.q <= 0.5
             assert 0.0 <= out.stats.p_s <= 1.0
             assert 0.0 <= out.stats.p_e <= 1.0
+
+    def test_faint_link_keeps_its_qber_digits(self):
+        # eta_eff ~ 8e-17 and d_eff ~ 1e-15: F = (2 - 2 eta) x + eta - 2 summed
+        # as written cancels to ~10% error; the reference is 40-digit arithmetic
+        det = DetectorModel(DetectorKind.SPAD, eta=2.220446049250313e-16, dark=0.0)
+        exact = 0.49949754586451178834
+        assert poisson(0.34375, 8.0, det=det).q == pytest.approx(exact, abs=1e-15)
+        fields = poisson_fields(np.array([0.34375]), np.array([8.0]), 1.0, det)
+        assert fields.q[0] == pytest.approx(exact, abs=1e-15)
 
     def test_dead_detector_is_undefined(self):
         out = poisson(0.0, 0.0, det=DetectorModel(DetectorKind.SPAD, eta=0.5, dark=0.0))

@@ -232,9 +232,9 @@ class TestScan:
             "--nu-cap", "2", "--probe-points", "9", "--out", str(out),
         )
         assert code == 0
-        assert err.startswith("warning: 2 of 3 boundaries") and err.count("\n") == 1
+        assert err.startswith("warning: 1 of 3 boundaries") and err.count("\n") == 1
         diag = json.loads((tmp_path / "banded.csv.manifest.json").read_text())["diagnostics"]
-        assert diag["monotone_warning"] == 2
+        assert diag["monotone_warning"] == 1
 
     def test_criteria_subset_keeps_columns(self, capsys, tmp_path):
         out = tmp_path / "sub.csv"

@@ -5,12 +5,13 @@ import pytest
 
 from qkdng.errors import DomainError
 from qkdng.keyrates import (
+    Q_STAR_BB84,
+    Q_STAR_DI,
     S_MAX,
     bell_from_qber,
     binary_entropy,
     dw_rate_bb84,
     dw_rate_di,
-    key_rate_fields,
     key_rates,
     security_threshold,
 )
@@ -134,21 +135,26 @@ class TestFamilyProperties:
             assert rate <= dw_rate_bb84(q, s) + 1e-12
 
 
-class TestKeyRateFields:
-    def test_matches_scalar_rates(self):
-        q = np.concatenate([[0.0, 0.5], np.linspace(0.0, 0.5, 201)])
-        bb84, di, defined = key_rate_fields(q)
-        for k, qk in enumerate(q):
-            rates = key_rates(qk, bell_from_qber(qk))
-            assert bb84[k] == pytest.approx(rates.bb84, abs=1e-12)
-            assert di[k] == pytest.approx(rates.di, abs=1e-12)
-            assert defined[k] == rates.di_defined
+class TestQStar:
+    """Q* is the largest float at which a rate along the family is positive."""
+
+    @pytest.mark.parametrize("protocol,q_star", [("bb84", Q_STAR_BB84), ("di", Q_STAR_DI)])
+    def test_largest_qber_with_positive_rate(self, protocol, q_star):
+        def rate(q):
+            return getattr(key_rates(q, bell_from_qber(q)), protocol)
+
+        assert rate(q_star) > 0.0
+        assert rate(math.nextafter(q_star, 1.0)) <= 0.0
+        assert abs(security_threshold(protocol, tol=1e-12) - q_star) <= 1e-12
+
+    def test_di_defined_up_to_its_threshold(self):
+        assert key_rates(Q_STAR_DI, bell_from_qber(Q_STAR_DI)).di_defined
 
     def test_entropy_endpoints_are_zero(self):
         # q = 0 puts both entropy arguments on {0, 1}: a perfect link keeps 1 bit
-        bb84, di, defined = key_rate_fields(np.array([0.0]))
-        assert bb84.tolist() == [1.0] and di.tolist() == [1.0] and defined.tolist() == [True]
+        rates = key_rates(0.0, bell_from_qber(0.0))
+        assert (rates.bb84, rates.di, rates.di_defined) == (1.0, 1.0, True)
 
-    def test_nan_qber_has_no_defined_rate(self):
-        bb84, di, defined = key_rate_fields(np.array([math.nan]))
-        assert math.isnan(bb84[0]) and di.tolist() == [0.0] and defined.tolist() == [False]
+    def test_nan_qber_has_no_rate(self):
+        with pytest.raises(DomainError):
+            key_rates(math.nan, S_MAX)

@@ -4,13 +4,21 @@ Bisection in ``qkdng.scan`` assumes that the QBER never falls as the noise
 mean grows at a fixed coupling; the monotonicity property checks that
 assumption on points the boundary tests do not visit.  The sweep decides on
 the array twins of the models, which must agree with the scalar ``assess``.
+
+The security boundaries cross once, so the sweep reads them from closed-form
+roots.  Thermal model: Q = (1-p)/2 + 2p rho/(1+rho)^2 rises with rho for
+rho <= 1, and rho/(1-rho) = ((1+d) m + d)(1 + m - t_e)/t_e (t_e = T eta)
+rises with the noise m = (1-T) nu eta reaching the detector.  Poisson model:
+Q = 1/2 - p eta^2/(2 F^2) rises as x = e^(-d_eff) falls, and x falls as the
+noise mean grows.  So Q = Q* has one root in the noise mean, and the root
+property checks the criterion's indicator on both sides of it.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkdng.channels import (
@@ -19,12 +27,13 @@ from qkdng.channels import (
     NoiseModel,
     NoiseStatistics,
     assess,
+    noise_root,
     poisson_fields,
     thermal_fields,
 )
 from qkdng.keyrates import S_MAX
 from qkdng.photodetection import DetectorModel
-from qkdng.scan import Criterion, _holds, _holds_array
+from qkdng.scan import PROTOCOLS, Q_STAR, Criterion, ScanConfig, _holds, _holds_array, indicator
 
 ARRAY_MODEL = {NoiseStatistics.THERMAL: thermal_fields, NoiseStatistics.POISSON: poisson_fields}
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
@@ -37,6 +46,15 @@ dark = st.floats(0.0, 0.2)
 def link(statistics, t, nu, eta, d, p):
     det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
     return assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
+
+
+def assert_decisions_agree(fields, a):
+    """The array decisions equal the scalar ones wherever the deciding field is clear of 0."""
+    deciding = {Criterion.NONGAUSS: a.witness.margin, Criterion.BB84: a.rates.bb84,
+                Criterion.DI: a.rates.di}
+    for criterion, field in deciding.items():
+        if abs(field) > 1e-12:
+            assert _holds_array(criterion, fields).tolist() == [_holds(criterion, a)]
 
 
 @pytest.mark.parametrize("statistics", list(NoiseStatistics))
@@ -83,15 +101,7 @@ def test_array_model_equals_scalar_model(statistics, t, nu, eta, d, p):
         assert fields.q[0] == pytest.approx(a.q, abs=1e-12)
     else:
         assert math.isnan(fields.q[0])
-    assert fields.bb84[0] == pytest.approx(a.rates.bb84, abs=1e-12)
-    assert fields.di[0] == pytest.approx(a.rates.di, abs=1e-12)
-    if not a.coincidence_defined or abs(a.s - 2.0) > 1e-12:
-        assert fields.di_defined.tolist() == [a.rates.di_defined]
-    deciding = {Criterion.NONGAUSS: a.witness.margin, Criterion.BB84: a.rates.bb84,
-                Criterion.DI: a.rates.di}
-    for criterion, field in deciding.items():
-        if abs(field) > 1e-12:
-            assert _holds_array(criterion, fields).tolist() == [_holds(criterion, a)]
+    assert_decisions_agree(fields, a)
 
 
 @EXAMPLES
@@ -112,4 +122,19 @@ def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
     if quiet.coincidence_defined:
         assert fields.q[0] == pytest.approx(quiet.q, abs=1e-12)
     assert fields.margin[0] == pytest.approx(quiet.witness.margin, abs=1e-12)
-    assert fields.bb84[0] == pytest.approx(quiet.rates.bb84, abs=1e-12)
+    assert_decisions_agree(fields, quiet)
+
+
+@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize("criterion", PROTOCOLS)
+@EXAMPLES
+# below p = 1 - 2 Q* or with much dark noise no link is secure at all
+@given(t=unit, eta=st.floats(0.05, 1.0), d=st.floats(0.0, 0.01), p=st.floats(0.8, 1.0))
+def test_noise_root_separates_secure_from_insecure(statistics, criterion, t, eta, d, p):
+    det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
+    config = ScanConfig(t_grid=(t,), statistics=statistics, detector=det, p=p, nu_cap=50.0)
+    root = float(noise_root(statistics, np.array([t]), Q_STAR[criterion], p, det)[0])
+    # an open bracket: the criterion holds at nu = 0 and the root lies below the cap
+    assume(indicator(criterion, t, 0.0, config) and 0.0 < root < config.nu_cap)
+    assert indicator(criterion, t, root * (1.0 - 1e-6), config)
+    assert not indicator(criterion, t, root * (1.0 + 1e-6), config)

@@ -6,6 +6,7 @@ import pytest
 import qkdng.scan
 from qkdng.channels import LinkFields, NoiseStatistics
 from qkdng.errors import ConfigurationError, DomainError
+from qkdng.keyrates import Q_STAR_BB84
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import (
     ALL_CRITERIA,
@@ -325,8 +326,29 @@ class TestSweepOracle:
         assert decoupled.bounds[Criterion.BB84].capped
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize("eta,dark,p", [(0.7, 0.0, 0.0), (0.0, 0.01, 1.0), (1.0, 1.0, 1.0),
+                                        (1.0, 0.0, 1.0)])
+def test_unread_security_roots_stay_quiet(statistics, eta, dark, p):
+    # T = 0 and 1, p = 0, eta = 0 or a dark rate that kills the key make the
+    # closed-form roots NaN, infinite or negative: the sweep decides those
+    # boundaries at nu = 0 or nu_cap, warns about nothing, and matches the oracle
+    kind = DetectorKind.PNRD if statistics is NoiseStatistics.THERMAL else DetectorKind.SPAD
+    config = ScanConfig(t_grid=(0.0, 0.5, 1.0), statistics=statistics,
+                        detector=DetectorModel(kind, eta=eta, dark=dark), p=p, nu_cap=3.0,
+                        criteria=(Criterion.BB84, Criterion.DI))
+    for point in sweep(config).points:
+        for criterion, bound in point.bounds.items():
+            assert bound == scalar_max_noise(criterion, point.t, config)
+
+
 class TestSweepCost:
-    """Each bisection step is one array evaluation, whatever the grid size."""
+    """Each bisection step is one witness evaluation, whatever the grid size.
+
+    Security boundaries come from the closed-form roots and cost no
+    evaluation after nu = 0 and nu = nu_cap.
+    """
 
     @staticmethod
     def count_calls(monkeypatch, statistics):
@@ -352,6 +374,19 @@ class TestSweepCost:
         steps = math.ceil(math.log2(config.nu_cap / config.tol))  # 11
         assert curve.bisection_steps == steps
         assert len(calls) == curve.evaluations == 2 + steps + (1 if probe_points else 0)
+        # each step hands the model the witness row alone
+        assert [np.shape(nu) for _, nu, _, _ in calls[-steps:]] == [(1, points)] * steps
+
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    def test_security_sweep_evaluates_only_the_ends(self, monkeypatch, statistics):
+        calls = self.count_calls(monkeypatch, statistics)
+        config = oracle_config(statistics, criteria=(Criterion.BB84, Criterion.DI),
+                               probe_points=9)
+        curve = sweep(config)
+        assert curve.bisection_steps == math.ceil(math.log2(config.nu_cap / config.tol))
+        assert any(0.0 < nu < config.nu_cap for column in curve.columns
+                   for nu in column.nu_star)  # open brackets were bisected
+        assert len(calls) == curve.evaluations == 2
 
     def test_no_bisection_without_an_open_bracket(self, monkeypatch):
         # every boundary is undefined, dead or capped: nothing left to halve
@@ -362,25 +397,28 @@ class TestSweepCost:
         assert len(calls) == curve.evaluations == 2
 
 
-def fake_fields(witness, bb84, di):
-    """Model whose criteria hold exactly where the given predicates of (t, nu) do."""
+def fake_fields(witness, bb84=lambda t, nu: False, di=lambda t, nu: False):
+    """Model whose criteria hold exactly where the given predicates of (t, nu) do.
+
+    Security is faked through ``q``: 0 where DI holds, ``Q_STAR_BB84`` where
+    only BB84 does and 1/2 elsewhere, so ``di`` must imply ``bb84``.
+    """
 
     def fields(t, nu, p, det):
         t, nu = np.broadcast_arrays(t, nu)
-        sign = {name: np.where(holds(t, nu), 1.0, -1.0)
-                for name, holds in (("margin", witness), ("bb84", bb84), ("di", di))}
-        return LinkFields(defined=np.ones(nu.shape, dtype=bool), q=np.zeros(nu.shape),
-                          di_defined=np.ones(nu.shape, dtype=bool), **sign)
+        q = np.where(di(t, nu), 0.0, np.where(bb84(t, nu), Q_STAR_BB84, 0.5))
+        return LinkFields(defined=np.ones(nu.shape, dtype=bool),
+                          margin=np.where(witness(t, nu), 1.0, -1.0), q=q)
 
     return fields
 
 
 # several crossings: the witness holds on [0, 0.5] and [1, 1.5], BB84 on
-# [0, 0.5] and from 1 on, DI on [0.3, 0.7] and from 1.9 on
+# [0, 0.5] and from 1 on, DI from 1.9 on
 banded_fields = fake_fields(
     lambda t, nu: (nu <= 0.5) | ((nu >= 1.0) & (nu <= 1.5)),
     lambda t, nu: (nu <= 0.5) | (nu >= 1.0),
-    lambda t, nu: ((nu >= 0.3) & (nu <= 0.7)) | (nu >= 1.9),
+    lambda t, nu: nu >= 1.9,
 )
 
 
@@ -392,7 +430,9 @@ class TestMonotoneProbe:
             witness, bb84, di = (point.bounds[c] for c in ALL_CRITERIA)
             assert witness.monotone_warning and not witness.capped
             assert witness.nu_star == pytest.approx(1.5, abs=1e-4)
-            assert bb84.monotone_warning and bb84.capped  # flagged on capped records too
+            # the probe checks the witness only: Q rises with nu, so a security
+            # boundary crosses once
+            assert not bb84.monotone_warning and bb84.capped
             # failing at nu = 0 outranks both the probe and the cap
             assert di == CriterionBoundary(0.0, capped=False, undefined=False)
 
@@ -408,10 +448,10 @@ def test_each_bracket_stops_at_its_own_width(monkeypatch):
     def below(t, nu):
         return nu <= t
 
-    monkeypatch.setattr(qkdng.scan, "thermal_fields", fake_fields(below, below, below))
+    monkeypatch.setattr(qkdng.scan, "thermal_fields", fake_fields(below))
     nu_cap = 0.7402473781645857
     config = thermal_config(t_grid=tuple(np.linspace(0.01, 0.73, 50)), nu_cap=nu_cap,
-                            tol=nu_cap / 2**6, criteria=(Criterion.BB84,))
+                            tol=nu_cap / 2**6, criteria=(Criterion.NONGAUSS,))
     steps = set()
     for point in sweep(config).points:
         lo, hi, n = 0.0, config.nu_cap, 0
@@ -420,7 +460,7 @@ def test_each_bracket_stops_at_its_own_width(monkeypatch):
             lo, hi = (mid, hi) if mid <= point.t else (lo, mid)
             n += 1
         steps.add(n)
-        assert point.bounds[Criterion.BB84].nu_star == lo
+        assert point.bounds[Criterion.NONGAUSS].nu_star == lo
     assert steps == {6, 7}
 
 
@@ -458,9 +498,11 @@ class TestScanConfigValidation:
         with pytest.raises(DomainError):
             thermal_config(t_grid=(0.5, 0.4))
 
-    def test_grid_range(self):
-        with pytest.raises(DomainError):
-            thermal_config(t_grid=(0.5, 1.4))
+    @pytest.mark.parametrize("bad", [1.4, math.nan, math.inf, -0.1])
+    def test_grid_range(self, bad):
+        # the first bad value is named, not the later 2.0
+        with pytest.raises(DomainError, match=rf"^t_grid value .*got {bad!r}$"):
+            thermal_config(t_grid=(0.5, bad, 2.0))
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
