@@ -150,11 +150,28 @@ class TestQStar:
     def test_di_defined_up_to_its_threshold(self):
         assert key_rates(Q_STAR_DI, bell_from_qber(Q_STAR_DI)).di_defined
 
+
+class TestKeyRateFields:
+    """The array path decides security on a QBER field by ``q <= Q*``."""
+
+    def test_matches_scalar_rates(self):
+        q = np.concatenate([[0.0, 0.5], np.linspace(0.0, 0.5, 201),
+                            [Q_STAR_BB84, math.nextafter(Q_STAR_BB84, 1.0),
+                             Q_STAR_DI, math.nextafter(Q_STAR_DI, 1.0)]])
+        bb84, di = q <= Q_STAR_BB84, q <= Q_STAR_DI
+        for k, qk in enumerate(q):
+            rates = key_rates(qk, bell_from_qber(qk))
+            assert bb84[k] == (rates.bb84 > 0.0)
+            assert di[k] == (rates.di > 0.0)
+
     def test_entropy_endpoints_are_zero(self):
         # q = 0 puts both entropy arguments on {0, 1}: a perfect link keeps 1 bit
         rates = key_rates(0.0, bell_from_qber(0.0))
         assert (rates.bb84, rates.di, rates.di_defined) == (1.0, 1.0, True)
 
-    def test_nan_qber_has_no_rate(self):
+    def test_nan_qber_has_no_defined_rate(self):
+        # the scalar rates reject NaN; the array comparison counts it as insecure
         with pytest.raises(DomainError):
             key_rates(math.nan, S_MAX)
+        q = np.array([math.nan])
+        assert (q <= Q_STAR_BB84).tolist() == [False] and (q <= Q_STAR_DI).tolist() == [False]

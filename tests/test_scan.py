@@ -498,8 +498,12 @@ class TestScanConfigValidation:
         with pytest.raises(DomainError):
             thermal_config(t_grid=(0.5, 0.4))
 
+    def test_grid_range(self):
+        with pytest.raises(DomainError):
+            thermal_config(t_grid=(0.5, 1.4))
+
     @pytest.mark.parametrize("bad", [1.4, math.nan, math.inf, -0.1])
-    def test_grid_range(self, bad):
+    def test_grid_range_names_first_bad_value(self, bad):
         # the first bad value is named, not the later 2.0
         with pytest.raises(DomainError, match=rf"^t_grid value .*got {bad!r}$"):
             thermal_config(t_grid=(0.5, bad, 2.0))
