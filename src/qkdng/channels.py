@@ -4,6 +4,12 @@ Two physical configurations are supported: a single thermal mode coupled in
 at a beam splitter and read out with photon-number-resolving detectors, and
 multimode (Poissonian) noise read out with click detectors, where the noise
 is absorbed into effective detector parameters and closed forms apply.
+
+Each model is written once, in an arithmetic-only helper (``_thermal_terms``,
+``_poisson_terms``) that works on floats and numpy arrays alike.  The scalar
+twins (``thermal_observables``, ``poisson_observables``) check their inputs
+and build a ``LinkAssessment``; the array twins (``thermal_fields``,
+``poisson_fields``) serve the sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_range
 from .keyrates import KeyRates, bell_from_qber, key_rates
-from .photodetection import DetectorKind, DetectorModel, _detected, detect_pmf, photocount_pmf
+from .photodetection import DetectorKind, DetectorModel, _detected
 from .witness import CoincidenceStats, WitnessVerdict, evaluate, witness_margin
 
 _COINCIDENCE_FLOOR = 1e-30  # below this the normalisation N counts as zero
@@ -104,15 +110,58 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _undefined_assessment(stats: CoincidenceStats, verdict: WitnessVerdict) -> LinkAssessment:
+def _assessment(kind: DetectorKind, p_s: float, p_e: float, q: float | None) -> LinkAssessment:
+    """Clamp a scalar model's terms and decide it; ``q`` is None where undefined."""
+    stats = CoincidenceStats(p_s=_clamp01(p_s), p_e=_clamp01(p_e))
+    verdict = evaluate(kind, stats)
+    if q is None:
+        return LinkAssessment(
+            q=math.nan, s=math.nan, rates=KeyRates(bb84=0.0, di=0.0, di_defined=False),
+            stats=stats, witness=verdict, coincidence_defined=False,
+        )
+    q = min(max(q, 0.0), 0.5)  # Q <= 1/2 in exact arithmetic; strip round-off dust
+    s = bell_from_qber(q)
     return LinkAssessment(
-        q=math.nan,
-        s=math.nan,
-        rates=KeyRates(bb84=0.0, di=0.0, di_defined=False),
-        stats=stats,
-        witness=verdict,
-        coincidence_defined=False,
+        q=q, s=s, rates=key_rates(q, s), stats=stats, witness=verdict,
+        coincidence_defined=True,
     )
+
+
+def _thermal_terms(t, nu, p: float, det: DetectorModel):
+    """Unclamped (P_s, P_e, N, 2 N Q) of the thermal model, arithmetic only.
+
+    The detected-count probabilities p~(s|l), s, l in {0, 1}, of the occupied
+    (l=1) and empty (l=0) polarisation mode come from ``_detected``, with
+    efficiency thinning signal and noise alike, and combine into
+
+        N = (p11 p00 + p10 p01)^2,    2 N Q = 4 p * p11 p00 p01 p10 + (1-p) N,
+        P_s = p11^2,                  P_e = 1 - p01 - p11.
+
+    Elementwise when ``t`` and ``nu`` are numpy arrays.
+    """
+    t_eff, m_eff = t * det.eta, (1.0 - t) * nu * det.eta
+    p00, p10 = _detected(0, t_eff, m_eff, det.dark)
+    p01, p11 = _detected(1, t_eff, m_eff, det.dark)
+    norm = (p11 * p00 + p10 * p01) ** 2
+    return p11 * p11, 1.0 - p01 - p11, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm
+
+
+def _poisson_terms(eta, x, em1, p: float):
+    """(P_s, P_e, F^2, p eta^2 / 2) of the Poisson model, arithmetic only.
+
+    Closed forms in the effective parameters (eta, d), given x = e^(-d) and
+    em1 = e^(-d) - 1, so no exponential overflows at any noise mean and no
+    small term cancels (F and each factor of P_e sum terms of one sign):
+
+        F   = (2 - 2 eta) em1 - eta,        Q = 1/2 - (p eta^2 / 2) / F^2,
+        P_s = (1/4) x^2 F^2,                P_e = x^2 em1 (1 - eta) ((1 - eta) em1 - eta),
+
+    where P_s already averages the four equivalent success outcomes.
+    Elementwise on numpy arrays.
+    """
+    f = (2.0 - 2.0 * eta) * em1 - eta
+    p_e = x * x * em1 * (1.0 - eta) * ((1.0 - eta) * em1 - eta)
+    return 0.25 * x * x * f * f, p_e, f * f, 0.5 * p * eta * eta
 
 
 def thermal_observables(
@@ -120,39 +169,15 @@ def thermal_observables(
 ) -> LinkAssessment:
     """Q, S, key rates and witness statistics for thermal noise with PNRDs.
 
-    The four detected-count probabilities p~(s|l) for s, l in {0, 1} come
-    from the transmitted-port photocount statistics of the occupied (l=1)
-    and empty (l=0) polarisation mode, coarse-grained through the detector.
-    They combine into
-
-        Q = (4 p * p11 p00 p01 p10 + (1-p) N) / (2 N),
-        N = (p11 p00 + p10 p01)^2,
-        P_s = p11^2,  P_e = 1 - p01 - p11,
-
-    with perfect detection leaving the raw photocount probabilities intact.
+    The terms are those of ``_thermal_terms``; undefined where N < floor.
     """
     if noise.statistics is not NoiseStatistics.THERMAL:
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("thermal noise analysis requires PNRD detection")
-    counts0 = detect_pmf(photocount_pmf(0, noise.nbar, cfg.t), det)
-    counts1 = detect_pmf(photocount_pmf(1, noise.nbar, cfg.t), det)
-    p00, p10 = counts0.p0, counts0.p1
-    p01, p11 = counts1.p0, counts1.p1
-    stats = CoincidenceStats(
-        p_s=_clamp01(p11 * p11), p_e=_clamp01(counts1.p_two_plus)
-    )
-    verdict = evaluate(det.kind, stats)
-    norm = (p11 * p00 + p10 * p01) ** 2
-    if norm < _COINCIDENCE_FLOOR:
-        return _undefined_assessment(stats, verdict)
-    q = (4.0 * cfg.p * p11 * p00 * p01 * p10 + (1.0 - cfg.p) * norm) / (2.0 * norm)
-    q = min(max(q, 0.0), 0.5)  # AM-GM bounds q by 1/2; strip round-off dust
-    s = bell_from_qber(q)
-    return LinkAssessment(
-        q=q, s=s, rates=key_rates(q, s), stats=stats, witness=verdict,
-        coincidence_defined=True,
-    )
+    p_s, p_e, norm, two_nq = _thermal_terms(cfg.t, noise.nbar, cfg.p, det)
+    q = two_nq / (2.0 * norm) if norm >= _COINCIDENCE_FLOOR else None
+    return _assessment(det.kind, p_s, p_e, q)
 
 
 def effective_detector(t: float, nbar: float, det: DetectorModel) -> tuple[float, float]:
@@ -173,16 +198,8 @@ def poisson_observables(
 ) -> LinkAssessment:
     """Q, S, key rates and witness statistics for Poissonian noise with SPADs.
 
-    Closed forms in the effective parameters (eta, d), written in x = e^(-d)
-    so that no exponential overflows however large the noise mean:
-
-        F   = (2 - 2 eta) x + eta - 2,
-        Q   = 1/2 - p eta^2 / (2 F^2),
-        P_s = (1/4) x^2 F^2,
-        P_e = x^2 (x - 1) (1 - eta) ((1 - eta) x - 1),
-
-    where P_s already averages the four equivalent success outcomes.  The
-    link is undefined where F^2 < floor * x^2.
+    The terms are those of ``_poisson_terms`` at ``effective_detector``;
+    undefined where F^2 < floor * x^2 (eta_eff = d_eff = 0: no clicks).
     """
     if noise.statistics is not NoiseStatistics.POISSON:
         raise ConfigurationError("poisson_observables requires poisson noise statistics")
@@ -190,21 +207,9 @@ def poisson_observables(
         raise ConfigurationError("Poissonian noise analysis requires SPAD detection")
     eta, dark = effective_detector(cfg.t, noise.nbar, det)
     x = math.exp(-dark)
-    f = (2.0 - 2.0 * eta) * math.expm1(-dark) - eta  # = F, two terms <= 0: no cancellation
-    p_s = 0.25 * x * x * f * f
-    p_e = x * x * (x - 1.0) * (1.0 - eta) * ((1.0 - eta) * x - 1.0)
-    stats = CoincidenceStats(p_s=_clamp01(p_s), p_e=_clamp01(p_e))
-    verdict = evaluate(det.kind, stats)
-    if f * f < _COINCIDENCE_FLOOR * x * x:
-        # eta_eff and d_eff both zero: the detectors never fire
-        return _undefined_assessment(stats, verdict)
-    q = 0.5 - cfg.p * eta * eta / (2.0 * f * f)
-    q = min(max(q, 0.0), 0.5)
-    s = bell_from_qber(q)
-    return LinkAssessment(
-        q=q, s=s, rates=key_rates(q, s), stats=stats, witness=verdict,
-        coincidence_defined=True,
-    )
+    p_s, p_e, f2, k = _poisson_terms(eta, x, math.expm1(-dark), cfg.p)
+    q = 0.5 - k / f2 if f2 >= _COINCIDENCE_FLOOR * x * x else None
+    return _assessment(det.kind, p_s, p_e, q)
 
 
 def thermal_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
@@ -213,13 +218,10 @@ def thermal_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
     Unchecked: the caller guarantees t in [0, 1], nu >= 0, p in [0, 1] and
     a PNRD detector.
     """
-    t_eff, m_eff = t * det.eta, (1.0 - t) * nu * det.eta  # efficiency thins both
-    p00, p10 = _detected(0, t_eff, m_eff, det.dark)
-    p01, p11 = _detected(1, t_eff, m_eff, det.dark)
-    norm = (p11 * p00 + p10 * p01) ** 2
+    p_s, p_e, norm, two_nq = _thermal_terms(t, nu, p, det)
     with np.errstate(divide="ignore", invalid="ignore"):  # N = 0 where undefined
-        q = (4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm) / (2.0 * norm)
-    return _link_fields(det.kind, p11 * p11, 1.0 - p01 - p11, norm >= _COINCIDENCE_FLOOR, q)
+        q = two_nq / (2.0 * norm)
+    return _link_fields(det.kind, p_s, p_e, norm >= _COINCIDENCE_FLOOR, q)
 
 
 def poisson_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
@@ -230,12 +232,10 @@ def poisson_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
     """
     eta, dark = t * det.eta, det.dark + det.eta * (1.0 - t) * nu
     x = np.exp(-dark)
-    f = (2.0 - 2.0 * eta) * np.expm1(-dark) - eta  # = F, two terms <= 0: no cancellation
-    p_s = 0.25 * x * x * f * f
-    p_e = x * x * (x - 1.0) * (1.0 - eta) * ((1.0 - eta) * x - 1.0)
+    p_s, p_e, f2, k = _poisson_terms(eta, x, np.expm1(-dark), p)
     with np.errstate(divide="ignore", invalid="ignore"):  # F = 0 where undefined
-        q = 0.5 - p * eta * eta / (2.0 * f * f)
-    return _link_fields(det.kind, p_s, p_e, f * f >= _COINCIDENCE_FLOOR * x * x, q)
+        q = 0.5 - k / f2
+    return _link_fields(det.kind, p_s, p_e, f2 >= _COINCIDENCE_FLOOR * x * x, q)
 
 
 def _link_fields(kind: DetectorKind, p_s, p_e, defined, q) -> LinkFields:

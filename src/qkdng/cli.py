@@ -18,12 +18,12 @@ import numpy as np
 
 from . import __version__
 from .channels import (
-    DETECTOR_FOR,
     EFFECTIVE_DETECTOR_MAPPING,
     ChannelConfig,
     NoiseModel,
     NoiseStatistics,
     assess,
+    check_pairing,
 )
 from .errors import ConfigurationError, DomainError
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
@@ -102,11 +102,10 @@ def _resolve_detector(res: _Resolver) -> tuple[NoiseStatistics, DetectorModel, f
         kind = DetectorKind(detector_name)
     except ValueError:
         raise ConfigurationError(f"--detector must be pnrd or spad, got {detector_name}")
-    if DETECTOR_FOR[statistics] is not kind:
-        raise ConfigurationError(
-            f"--noise {statistics.value} cannot be combined with --detector {kind.value}; "
-            "supported pairings: thermal+pnrd, poisson+spad"
-        )
+    try:
+        check_pairing(statistics, kind)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--noise/--detector: {exc}") from exc
     if res.preset_values and "eta" not in res.preset_values:
         # a preset without detector numbers insists on explicit values
         if getattr(res.args, "eta", None) is None and "eta" not in res.file_values:
@@ -250,10 +249,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     if t_points < 1:
         raise ConfigurationError(f"--t-points must be at least 1, got {t_points}")
-    if t_points == 1:
-        grid = (t_min,)
-    else:
-        grid = tuple(np.linspace(t_min, t_max, t_points))
+    grid = tuple(np.linspace(t_min, t_max, t_points))
     try:
         config = ScanConfig(
             t_grid=grid,

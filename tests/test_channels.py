@@ -1,12 +1,16 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import qkdng.channels
+import qkdng.photodetection
 from qkdng.channels import (
     ChannelConfig,
     NoiseModel,
     NoiseStatistics,
+    _poisson_terms,
     assess,
     effective_detector,
     poisson_fields,
@@ -30,6 +34,15 @@ def poisson(t, nbar, p=1.0, det=PERFECT_SPAD):
     return poisson_observables(
         ChannelConfig(t=t, p=p), NoiseModel(NoiseStatistics.POISSON, nbar), det
     )
+
+
+def exact_poisson_p_e(t, nbar, eta):
+    """Poisson-model P_e at zero dark counts, in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        eta_eff = Decimal(t) * Decimal(eta)
+        x = (-Decimal(eta) * (1 - Decimal(t)) * Decimal(nbar)).exp()
+        return float(x * x * (x - 1) * (1 - eta_eff) * ((1 - eta_eff) * x - 1))
 
 
 class TestThermalObservables:
@@ -78,6 +91,20 @@ class TestThermalObservables:
         assert lossy.q > ideal.q
         assert lossy.stats.p_s < ideal.stats.p_s
 
+    def test_builds_no_photocount_distributions(self, monkeypatch):
+        cfg = ChannelConfig(t=0.6, p=0.9)
+        noise = NoiseModel(NoiseStatistics.THERMAL, 0.05)
+        det = DetectorModel(DetectorKind.PNRD, eta=0.7, dark=0.001)
+        expected = assess(cfg, noise, det)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the thermal model went through the photocount objects")
+
+        for module in (qkdng.photodetection, qkdng.channels):
+            for name in ("photocount_pmf", "detect_pmf"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        assert assess(cfg, noise, det) == expected
+
     def test_requires_pnrd(self):
         with pytest.raises(ConfigurationError):
             thermal(0.5, 0.5, det=PERFECT_SPAD)
@@ -120,6 +147,17 @@ class TestPoissonObservables:
         assert poisson(0.34375, 8.0, det=det).q == pytest.approx(exact, abs=1e-15)
         fields = poisson_fields(np.array([0.34375]), np.array([8.0]), 1.0, det)
         assert fields.q[0] == pytest.approx(exact, abs=1e-15)
+
+    # d_eff = 3.5e-15 and 5e-16: x - 1 by subtraction is 1.5% and 11% off
+    @pytest.mark.parametrize("eta, nbar", [(0.7, 1e-14), (1e-6, 1e-9)])
+    def test_faint_noise_keeps_error_coincidence_digits(self, eta, nbar):
+        det = DetectorModel(DetectorKind.SPAD, eta=eta, dark=0.0)
+        exact = exact_poisson_p_e(0.5, nbar, eta)
+        assert poisson(0.5, nbar, det=det).stats.p_e == pytest.approx(exact, rel=1e-14, abs=0.0)
+        t = np.array([0.5])  # the array twin's terms, as poisson_fields feeds them
+        dark = eta * (1.0 - t) * nbar
+        p_e = _poisson_terms(t * eta, np.exp(-dark), np.expm1(-dark), 1.0)[1]
+        assert p_e[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_dead_detector_is_undefined(self):
         out = poisson(0.0, 0.0, det=DetectorModel(DetectorKind.SPAD, eta=0.5, dark=0.0))
