@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_range
 from .keyrates import KeyRates, bell_from_qber, key_rates
-from .photodetection import DetectorKind, DetectorModel, _detected
+from .photodetection import DetectorKind, DetectorModel, _detected, detect_pmf, photocount_pmf
 from .witness import CoincidenceStats, WitnessVerdict, evaluate, witness_margin
 
 _COINCIDENCE_FLOOR = 1e-30  # below this the normalisation N counts as zero
@@ -127,21 +127,17 @@ def _assessment(kind: DetectorKind, p_s: float, p_e: float, q: float | None) -> 
     )
 
 
-def _thermal_terms(t, nu, p: float, det: DetectorModel):
+def _thermal_terms(p00, p10, p01, p11, p: float):
     """Unclamped (P_s, P_e, N, 2 N Q) of the thermal model, arithmetic only.
 
-    The detected-count probabilities p~(s|l), s, l in {0, 1}, of the occupied
-    (l=1) and empty (l=0) polarisation mode come from ``_detected``, with
-    efficiency thinning signal and noise alike, and combine into
+    From the detected-count probabilities p~(s|l), s, l in {0, 1}, of the
+    occupied (l=1) and empty (l=0) polarisation mode:
 
         N = (p11 p00 + p10 p01)^2,    2 N Q = 4 p * p11 p00 p01 p10 + (1-p) N,
         P_s = p11^2,                  P_e = 1 - p01 - p11.
 
-    Elementwise when ``t`` and ``nu`` are numpy arrays.
+    Elementwise when the probabilities are numpy arrays.
     """
-    t_eff, m_eff = t * det.eta, (1.0 - t) * nu * det.eta
-    p00, p10 = _detected(0, t_eff, m_eff, det.dark)
-    p01, p11 = _detected(1, t_eff, m_eff, det.dark)
     norm = (p11 * p00 + p10 * p01) ** 2
     return p11 * p11, 1.0 - p01 - p11, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm
 
@@ -169,13 +165,16 @@ def thermal_observables(
 ) -> LinkAssessment:
     """Q, S, key rates and witness statistics for thermal noise with PNRDs.
 
-    The terms are those of ``_thermal_terms``; undefined where N < floor.
+    The terms are those of ``_thermal_terms``, fed the 0- and 1-count
+    probabilities of ``detect_pmf``; undefined where N < floor.
     """
     if noise.statistics is not NoiseStatistics.THERMAL:
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("thermal noise analysis requires PNRD detection")
-    p_s, p_e, norm, two_nq = _thermal_terms(cfg.t, noise.nbar, cfg.p, det)
+    counts0 = detect_pmf(photocount_pmf(0, noise.nbar, cfg.t), det)
+    counts1 = detect_pmf(photocount_pmf(1, noise.nbar, cfg.t), det)
+    p_s, p_e, norm, two_nq = _thermal_terms(counts0.p0, counts0.p1, counts1.p0, counts1.p1, cfg.p)
     q = two_nq / (2.0 * norm) if norm >= _COINCIDENCE_FLOOR else None
     return _assessment(det.kind, p_s, p_e, q)
 
@@ -218,7 +217,10 @@ def thermal_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
     Unchecked: the caller guarantees t in [0, 1], nu >= 0, p in [0, 1] and
     a PNRD detector.
     """
-    p_s, p_e, norm, two_nq = _thermal_terms(t, nu, p, det)
+    t_eff, m_eff = t * det.eta, (1.0 - t) * nu * det.eta  # as detect_pmf thins
+    p_s, p_e, norm, two_nq = _thermal_terms(
+        *_detected(0, t_eff, m_eff, det.dark), *_detected(1, t_eff, m_eff, det.dark), p
+    )
     with np.errstate(divide="ignore", invalid="ignore"):  # N = 0 where undefined
         q = two_nq / (2.0 * norm)
     return _link_fields(det.kind, p_s, p_e, norm >= _COINCIDENCE_FLOOR, q)

@@ -25,7 +25,7 @@ from .channels import (
     assess,
     check_pairing,
 )
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
 from .scan import (
     ALL_CRITERIA, MAX_PROBE_POINTS, Criterion, ScanConfig, classify_assessment, sweep,
@@ -249,6 +249,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     if t_points < 1:
         raise ConfigurationError(f"--t-points must be at least 1, got {t_points}")
+    check_range("--t-min", t_min, 0.0, 1.0)
+    check_range("--t-max", t_max, 0.0, 1.0)  # a one-point grid never reaches t_max
     grid = tuple(np.linspace(t_min, t_max, t_points))
     try:
         config = ScanConfig(

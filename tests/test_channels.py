@@ -4,8 +4,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-import qkdng.channels
-import qkdng.photodetection
 from qkdng.channels import (
     ChannelConfig,
     NoiseModel,
@@ -90,20 +88,6 @@ class TestThermalObservables:
         lossy = thermal(0.6, 0.2, det=det)
         assert lossy.q > ideal.q
         assert lossy.stats.p_s < ideal.stats.p_s
-
-    def test_builds_no_photocount_distributions(self, monkeypatch):
-        cfg = ChannelConfig(t=0.6, p=0.9)
-        noise = NoiseModel(NoiseStatistics.THERMAL, 0.05)
-        det = DetectorModel(DetectorKind.PNRD, eta=0.7, dark=0.001)
-        expected = assess(cfg, noise, det)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the thermal model went through the photocount objects")
-
-        for module in (qkdng.photodetection, qkdng.channels):
-            for name in ("photocount_pmf", "detect_pmf"):
-                monkeypatch.setattr(module, name, forbidden, raising=False)
-        assert assess(cfg, noise, det) == expected
 
     def test_requires_pnrd(self):
         with pytest.raises(ConfigurationError):

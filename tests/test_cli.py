@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,19 @@ class TestScan:
         )
         assert code == 0
         assert out.read_text().splitlines()[1] == "0.999,,1000000.0,,,true,"
+
+    @pytest.mark.parametrize("flag,value", [("--t-max", "inf"), ("--t-max", "5"), ("--t-min", "nan")])
+    def test_bad_grid_end_on_one_point_grid(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "one.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error
+            code, _, err = run_cli(
+                capsys, "scan", "--preset", "fig3", "--t-points", "1", flag, value,
+                "--out", str(out),
+            )
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be finite and lie in [0, 1]")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--nu-cap", "inf"), ("--tol", "nan")])
     def test_non_finite_search_flag(self, capsys, tmp_path, flag, value):
