@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, check_range
 
 S_MAX = 2.0 * math.sqrt(2.0)  # Tsirelson bound on the CHSH score
 _BELL_SLACK = 1e-9            # round-off allowance when validating a score
@@ -115,12 +115,12 @@ def key_rates(qber: float, s: float) -> KeyRates:
 def security_threshold(protocol: Protocol | str, tol: float = 1e-6) -> float:
     """Largest QBER with a positive rate along S = 2*sqrt(2)*(1 - 2*Q).
 
-    Bisection on [0, 1/2]; the result is within ``tol`` of the true root and
-    the rate is positive for every smaller error rate.
+    Bisection on [0, 1/2]; the result is within ``tol`` of the true root,
+    or within one float of it when ``tol`` is finer than the float spacing,
+    and the rate is positive for every smaller error rate.
     """
     protocol = Protocol(protocol)
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    check_range("tolerance", tol, 0.0, open_lo=True)
 
     def secure(q: float) -> bool:
         s = bell_from_qber(q)
@@ -130,10 +130,12 @@ def security_threshold(protocol: Protocol | str, tol: float = 1e-6) -> float:
         return defined and rate > 0.0
 
     lo, hi = 0.0, 0.5  # secure at q=0, insecure at q=1/2
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # a bracket one float wide has no midpoint inside it, however wide tol allows
+    while hi - lo > tol and lo < mid < hi:
         if secure(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -8,11 +8,12 @@ photons only ever degrade the link.  A protocol holds while Q <= Q*, and
 
 Every bracket starts as [0, nu_cap] and halves until it is no wider than
 ``tol``, so all (T, criterion) brackets need the same ceil(log2(nu_cap/tol))
-steps and advance in lock step.  A security row decides a midpoint by
-``mid <= root``, replaying the bisection without a model call.  The witness
-row calls the model's array function (``thermal_fields`` or ``poisson_fields``)
-once per step on a (1, T) array of midpoints; only it gets the optional
-pre-probe for multiple crossings.  Rounding can leave a bracket a hair wider
+steps and advance in lock step; under a ``tol`` finer than the float
+spacing a bracket ends once it is one float wide instead.  A security row
+decides a midpoint by ``mid <= root``, replaying the bisection without a
+model call.  The witness row calls the model's array function
+(``thermal_fields`` or ``poisson_fields``) once per step on a (1, T) array
+of midpoints; only it gets the optional pre-probe for multiple crossings.  Rounding can leave a bracket a hair wider
 or narrower than its neighbours; each stops at its own width, as a scalar
 loop would.  Single points (``indicator``, ``max_noise``) go through the
 same code with one element.
@@ -271,14 +272,16 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     lo = np.zeros(at_zero.shape)
     hi = np.where(at_zero & ~capped, config.nu_cap, 0.0)
     steps = 0
-    while (active := hi - lo > config.tol).any():
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # a bracket one float wide has no midpoint inside it, however wide tol allows
+    while (active := (hi - lo > config.tol) & (lo < mid) & (mid < hi)).any():
         ok = mid <= root
         if w is not None and active[w].any():
             ok[w] = _holds_array(Criterion.NONGAUSS, _evaluate(config, t, mid[w:w + 1]))[0]
             evaluations += 1
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
+        mid = 0.5 * (lo + hi)
         steps += 1
     nu_star = np.where(capped, config.nu_cap, lo)
     undefined = np.broadcast_to(~base.defined, at_zero.shape)

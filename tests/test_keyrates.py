@@ -113,6 +113,11 @@ class TestThresholds:
     def test_ordering(self):
         assert security_threshold("di") < security_threshold("bb84")
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_tolerance(self, tol):
+        with pytest.raises(DomainError, match="^tolerance"):
+            security_threshold("bb84", tol=tol)
+
 
 class TestFamilyProperties:
     def test_rates_strictly_decreasing(self):

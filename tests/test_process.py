@@ -1,0 +1,102 @@
+"""Behaviour seen only from a fresh interpreter: exit, the module entry point,
+and searches that must end.
+
+Each test starts ``python`` with ``src`` on ``PYTHONPATH``.  A search that
+never ends is caught by the subprocess timeout instead of hanging the suite.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qkdng.channels import NoiseStatistics, noise_root
+from qkdng.keyrates import Q_STAR_BB84, Q_STAR_DI
+from qkdng.photodetection import DetectorKind, DetectorModel
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "bench" / "golden"
+TIMEOUT_S = 20  # each run below takes well under a second when it ends
+CLI = ("-c", "import sys, qkdng.cli; sys.exit(qkdng.cli.main(sys.argv[1:]))")
+
+# registered before qkdng's own handlers, so it runs after them (atexit is LIFO)
+FREEZE_PROBE = (
+    "import atexit, gc\n"
+    "atexit.register(lambda: print('freeze_count', gc.get_freeze_count()))\n"
+    "import {module}\n"
+)
+
+
+def python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+
+
+def freeze_count_at_exit(module: str) -> int:
+    proc = python("-c", FREEZE_PROBE.format(module=module))
+    assert proc.returncode == 0, proc.stderr
+    label, count = proc.stdout.split()
+    assert label == "freeze_count"
+    return int(count)
+
+
+class TestExitFreeze:
+    """``qkdng.cli`` freezes the heap at exit; the library leaves GC alone."""
+
+    def test_cli_import_freezes_heap_at_exit(self):
+        assert freeze_count_at_exit("qkdng.cli") > 0
+
+    def test_library_import_leaves_gc_alone(self):
+        assert freeze_count_at_exit("qkdng") == 0
+
+    def test_cli_scan_output_complete_at_exit(self, tmp_path):
+        out = tmp_path / "fig3.csv"
+        proc = python(*CLI, "scan", "--preset", "fig3", "--out", str(out), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN / "fig3.csv").read_bytes()
+        manifest = out.with_name(out.name + ".manifest.json")
+        assert json.loads(manifest.read_text())["command"] == "scan"
+        assert proc.stdout == f"wrote {out} and {manifest}\n"
+
+
+def test_module_entry_point_runs_eval():
+    proc = python("-m", "qkdng", "eval", "--noise", "thermal", "--detector", "pnrd",
+                  "--T", "1", "--nu", "0.5")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["manifest"]["command"] == "eval"
+    assert doc["region"]["bb84"] == "SecureAndNonGauss"
+
+
+class TestBisectionEnds:
+    """A tolerance finer than the float spacing ends on a one-float bracket."""
+
+    def test_scan_tolerance_below_float_spacing(self, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = python(*CLI, "scan", "--preset", "fig4", "--t-points", "2", "--t-min", "0.5",
+                      "--t-max", "0.6", "--tol", "1e-20", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        t = np.array([float(row[0]) for row in rows])
+        detector = DetectorModel(DetectorKind.PNRD, eta=0.7, dark=0.001)
+        # the security rows replay bisection against the root: it ends on the root itself
+        for column, q_star in ((2, Q_STAR_BB84), (3, Q_STAR_DI)):
+            root = noise_root(NoiseStatistics.THERMAL, t, q_star, 1.0, detector)
+            assert [float(row[column]) for row in rows] == root.tolist()
+        assert all(0.0 < float(row[1]) < 10.0 for row in rows)
+
+    @pytest.mark.parametrize("protocol,q_star", [("bb84", Q_STAR_BB84), ("di", Q_STAR_DI)])
+    def test_security_threshold_tolerance_below_float_spacing(self, protocol, q_star):
+        proc = python("-c", "from qkdng import security_threshold; "
+                            f"print(repr(security_threshold({protocol!r}, tol=1e-20)))")
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) in (q_star, math.nextafter(q_star, 1.0))
