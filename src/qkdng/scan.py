@@ -13,9 +13,9 @@ spacing a bracket ends once it is one float wide instead.  A security row
 decides a midpoint by ``mid <= root``, replaying the bisection without a
 model call.  The witness row calls the model's array function
 (``thermal_fields`` or ``poisson_fields``) once per step on a (1, T) array
-of midpoints; only it gets the optional pre-probe for multiple crossings.  Rounding can leave a bracket a hair wider
-or narrower than its neighbours; each stops at its own width, as a scalar
-loop would.  Single points (``indicator``, ``max_noise``) go through the
+of midpoints; only it gets the optional pre-probe for multiple crossings.
+Rounding can leave a bracket a hair wider or narrower than its neighbours;
+each stops at its own width, as a scalar loop would.  Single points (``indicator``, ``max_noise``) go through the
 same code with one element.
 
 The outcome stays in the shape it is computed in: a ``BoundaryCurve`` holds
