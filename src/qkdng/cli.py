@@ -1,8 +1,10 @@
 """Command line front end: point evaluation, pmf dumps and boundary sweeps.
 
 Every run resolves its full configuration (flags over an optional key=value
-config file over a preset over built-in defaults) and records it in a
-manifest, so results are reproducible without implicit state.
+config file over a preset over each flag's built-in default) and records it
+in a manifest, so results are reproducible without implicit state.  The
+preset and file layers become argparse defaults of the command's flags, so
+argparse does the layering and the type conversion.
 """
 
 from __future__ import annotations
@@ -36,15 +38,17 @@ from .scan import (
 CSV_HEADER = "T,nu_nongauss,nu_bb84,nu_di,capped_nongauss,capped_bb84,capped_di"
 
 # presets bundle the channel recipes used for the headline boundary figures;
-# the poissonian recipe does not fix detector imperfections, so fig5 keeps
-# --eta and --dark mandatory
+# the poissonian recipe does not fix detector imperfections, so fig5 leaves
+# --eta and --dark unset and thus required
 PRESETS = {
     "fig3": {"noise": "thermal", "detector": "pnrd", "eta": 1.0, "dark": 0.0, "p": 1.0},
     "fig4": {"noise": "thermal", "detector": "pnrd", "eta": 0.7, "dark": 0.001, "p": 1.0},
-    "fig5": {"noise": "poisson", "detector": "spad", "p": 1.0},
+    "fig5": {"noise": "poisson", "detector": "spad", "eta": None, "dark": None, "p": 1.0},
 }
 
-_REQUIRED = object()
+# namespace entries that steer the run rather than describe it
+_DISPATCH = ("command", "handler", "preset", "config")
+_FORMATS = ("csv", "json")
 
 # exit's final collections skip frozen objects: numpy's ~22k cost 11-25 ms a run
 atexit.register(gc.freeze)
@@ -70,72 +74,37 @@ def _read_config(path: str | None) -> dict[str, str]:
     return values
 
 
-class _Resolver:
-    """Layered option lookup: explicit flag, config file, preset, default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = _read_config(getattr(args, "config", None))
-        preset = getattr(args, "preset", None)
-        self.preset_values = PRESETS[preset] if preset else {}
-
-    def get(self, name: str, cast, default=_REQUIRED):
-        attr = name.replace("-", "_")
-        value = getattr(self.args, attr, None)
-        if value is None and attr in self.file_values:
-            try:
-                value = cast(self.file_values[attr])
-            except ValueError as exc:
-                raise ConfigurationError(f"--config value for {name}: {exc}") from exc
-        if value is None and attr in self.preset_values:
-            value = self.preset_values[attr]
-        if value is None:
-            if default is _REQUIRED:
-                raise ConfigurationError(f"missing required flag --{name}")
-            return default
-        return value
-
-
-def _resolve_detector(res: _Resolver) -> tuple[NoiseStatistics, DetectorModel, float]:
-    noise_name = res.get("noise", str)
-    detector_name = res.get("detector", str)
+def _criteria(text: str) -> tuple[Criterion, ...]:
     try:
-        statistics = NoiseStatistics(noise_name)
+        return tuple(Criterion(name.strip()) for name in text.split(","))
     except ValueError:
-        raise ConfigurationError(f"--noise must be thermal or poisson, got {noise_name}")
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list drawn from nongauss,bb84,di; got {text}"
+        ) from None
+
+
+def _detector(args: argparse.Namespace) -> DetectorModel:
+    """The detector the channel flags describe, after checking the pairing and --p."""
     try:
-        kind = DetectorKind(detector_name)
-    except ValueError:
-        raise ConfigurationError(f"--detector must be pnrd or spad, got {detector_name}")
-    try:
-        check_pairing(statistics, kind)
+        check_pairing(args.noise, args.detector)
     except ConfigurationError as exc:
         raise ConfigurationError(f"--noise/--detector: {exc}") from exc
-    if res.preset_values and "eta" not in res.preset_values:
-        # a preset without detector numbers insists on explicit values
-        if getattr(res.args, "eta", None) is None and "eta" not in res.file_values:
-            raise ConfigurationError(f"--preset {res.args.preset} requires an explicit --eta")
-        if getattr(res.args, "dark", None) is None and "dark" not in res.file_values:
-            raise ConfigurationError(f"--preset {res.args.preset} requires an explicit --dark")
-    eta = res.get("eta", float, 1.0)
-    dark = res.get("dark", float, 0.0)
-    p = res.get("p", float, 1.0)
+    check_range("--p", args.p, 0.0, 1.0)
     try:
-        detector = DetectorModel(kind=kind, eta=eta, dark=dark)
+        return DetectorModel(kind=args.detector, eta=args.eta, dark=args.dark)
     except DomainError as exc:
         raise ConfigurationError(f"--eta/--dark: {exc}") from exc
-    if not 0.0 <= p <= 1.0:
-        raise ConfigurationError(f"--p must lie in [0, 1], got {p}")
-    return statistics, detector, p
 
 
-def _manifest(command: str, parameters: dict) -> dict:
+def _manifest(args: argparse.Namespace, **extra) -> dict:
+    """The run's record: every resolved flag of the command, plus ``extra``."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _DISPATCH}
     return {
         "tool": "qkdng",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "parameters": parameters,
+        "parameters": {**parameters, **extra},
     }
 
 
@@ -144,13 +113,10 @@ def _json_num(x: float):
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    statistics, detector, p = _resolve_detector(res)
-    t = res.get("T", float)
-    nu = res.get("nu", float)
+    detector = _detector(args)
     try:
-        cfg = ChannelConfig(t=t, p=p)
-        noise = NoiseModel(statistics=statistics, nbar=nu)
+        cfg = ChannelConfig(t=args.T, p=args.p)
+        noise = NoiseModel(statistics=args.noise, nbar=args.nu)
     except DomainError as exc:
         raise ConfigurationError(f"--T/--nu: {exc}") from exc
     assessment = assess(cfg, noise, detector)
@@ -166,16 +132,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "witness": {"passed": assessment.nongauss, "margin": assessment.witness.margin},
         "coincidence_defined": assessment.coincidence_defined,
         "region": {proto.value: label.value for proto, label in regions.items()},
-        "manifest": _manifest("eval", {
-            "noise": statistics.value,
-            "detector": detector.kind.value,
-            "T": t,
-            "nu": nu,
-            "eta": detector.eta,
-            "dark": detector.dark,
-            "p": p,
-            "effective_detector_mapping": EFFECTIVE_DETECTOR_MAPPING,
-        }),
+        "manifest": _manifest(args, effective_detector_mapping=EFFECTIVE_DETECTOR_MAPPING),
     }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -237,36 +194,24 @@ def _diagnostics(curve, phase_s: dict[str, float]) -> dict:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    res = _Resolver(args)
-    statistics, detector, p = _resolve_detector(res)
-    t_min = res.get("t-min", float, 0.02)
-    t_max = res.get("t-max", float, 1.0)
-    t_points = res.get("t-points", int, 96)
-    nu_cap = res.get("nu-cap", float, 10.0)
-    tol = res.get("tol", float, 1e-4)
-    probe_points = res.get("probe-points", int, 0)
-    criteria_raw = res.get("criteria", str, "nongauss,bb84,di")
-    try:
-        criteria = tuple(Criterion(name.strip()) for name in criteria_raw.split(","))
-    except ValueError:
-        raise ConfigurationError(
-            f"--criteria must be a comma list drawn from nongauss,bb84,di; got {criteria_raw}"
-        )
-    if t_points < 1:
-        raise ConfigurationError(f"--t-points must be at least 1, got {t_points}")
-    check_range("--t-min", t_min, 0.0, 1.0)
-    check_range("--t-max", t_max, 0.0, 1.0)  # a one-point grid never reaches t_max
-    grid = tuple(np.linspace(t_min, t_max, t_points))
+    detector = _detector(args)
+    if args.format not in _FORMATS:  # a --config value skips argparse's choices
+        raise ConfigurationError(f"--format must be csv or json, got {args.format}")
+    if args.t_points < 1:
+        raise ConfigurationError(f"--t-points must be at least 1, got {args.t_points}")
+    check_range("--t-min", args.t_min, 0.0, 1.0)
+    check_range("--t-max", args.t_max, 0.0, 1.0)  # a one-point grid never reaches t_max
+    grid = tuple(np.linspace(args.t_min, args.t_max, args.t_points))
     try:
         config = ScanConfig(
             t_grid=grid,
-            statistics=statistics,
+            statistics=args.noise,
             detector=detector,
-            p=p,
-            nu_cap=nu_cap,
-            tol=tol,
-            criteria=criteria,
-            probe_points=probe_points,
+            p=args.p,
+            nu_cap=args.nu_cap,
+            tol=args.tol,
+            criteria=args.criteria,
+            probe_points=args.probe_points,
         )
     except DomainError as exc:
         raise ConfigurationError(
@@ -283,23 +228,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # the manifest's own write comes after, so it cannot time itself
     phase_s = {"resolve": resolved - started, "sweep": swept - resolved,
                "write": time.perf_counter() - swept}
-    manifest = _manifest("scan", {
-        "noise": statistics.value,
-        "detector": detector.kind.value,
-        "eta": detector.eta,
-        "dark": detector.dark,
-        "p": p,
-        "t_min": t_min,
-        "t_max": t_max,
-        "t_points": t_points,
-        "nu_cap": nu_cap,
-        "tol": tol,
-        "criteria": [c.value for c in criteria],
-        "probe_points": probe_points,
-        "effective_detector_mapping": EFFECTIVE_DETECTOR_MAPPING,
-        "format": args.format,
-        "out": str(out),
-    })
+    manifest = _manifest(args, effective_detector_mapping=EFFECTIVE_DETECTOR_MAPPING,
+                         out=str(out))
     manifest["diagnostics"] = diagnostics = _diagnostics(curve, phase_s)
     manifest_path = out.with_name(out.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -315,12 +245,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    l = res.get("l", int)
-    nbar = res.get("nbar", float)
-    t = res.get("T", float)
     try:
-        pmf = photocount_pmf(l, nbar, t)
+        pmf = photocount_pmf(args.l, args.nbar, args.T)
         probs = pmf.probs
     except DomainError as exc:
         raise ConfigurationError(f"--l/--nbar/--T: {exc}") from exc
@@ -328,33 +254,29 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
     for s, prob in enumerate(probs):
         print(f"{s} {_fmt(prob)}")
     print(f"truncation_tail {_fmt(pmf.truncation_tail)}")
-    manifest = _manifest("pmf", {
-        "l": l,
-        "nbar": nbar,
-        "T": t,
-    })
+    manifest = _manifest(args)
     print(f"manifest {json.dumps(manifest, separators=(',', ':'))}")
     return 0
 
 
 def _add_common_channel_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--noise", choices=["thermal", "poisson"], default=None,
-                     help="noise statistics of the channel")
-    sub.add_argument("--detector", choices=["pnrd", "spad"], default=None,
-                     help="detector type (thermal pairs with pnrd, poisson with spad)")
-    sub.add_argument("--eta", type=float, default=None,
-                     help="detector efficiency in [0, 1] (default 1)")
-    sub.add_argument("--dark", type=float, default=None,
-                     help="dark-count rate per gate (default 0)")
-    sub.add_argument("--p", type=float, default=None,
-                     help="Werner weight of the source state (default 1)")
-    sub.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    sub.add_argument("--noise", type=NoiseStatistics,
+                     help="noise statistics of the channel: thermal or poisson")
+    sub.add_argument("--detector", type=DetectorKind,
+                     help="detector type: pnrd (pairs with thermal) or spad (with poisson)")
+    sub.add_argument("--eta", type=float, default=1.0,
+                     help="detector efficiency in [0, 1] (default %(default)s)")
+    sub.add_argument("--dark", type=float, default=0.0,
+                     help="dark-count rate per gate (default %(default)s)")
+    sub.add_argument("--p", type=float, default=1.0,
+                     help="Werner weight of the source state (default %(default)s)")
+    sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="named channel recipe supplying defaults")
-    sub.add_argument("--config", default=None,
-                     help="flat key=value file mirroring the flag names")
+    sub.add_argument("--config", help="flat key=value file mirroring the flag names")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qkdng",
         description="Non-Gaussianity witness and key-rate assessment of noisy "
@@ -365,40 +287,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="assess a single (T, nu) channel point")
     _add_common_channel_flags(ev)
-    ev.add_argument("--T", type=float, default=None, help="coupling transmittance in [0, 1]")
-    ev.add_argument("--nu", type=float, default=None, help="mean photon number of the noise")
+    ev.add_argument("--T", type=float, help="coupling transmittance in [0, 1]")
+    ev.add_argument("--nu", type=float, help="mean photon number of the noise")
     ev.set_defaults(handler=_cmd_eval)
 
     sc = sub.add_parser("scan", help="sweep T and find per-criterion noise boundaries")
     _add_common_channel_flags(sc)
-    sc.add_argument("--t-min", type=float, default=None, help="first grid transmittance (default 0.02)")
-    sc.add_argument("--t-max", type=float, default=None, help="last grid transmittance (default 1.0)")
-    sc.add_argument("--t-points", type=int, default=None, help="grid size (default 96)")
-    sc.add_argument("--nu-cap", type=float, default=None, help="largest noise mean searched (default 10)")
-    sc.add_argument("--tol", type=float, default=None, help="bisection tolerance on nu (default 1e-4)")
-    sc.add_argument("--probe-points", type=int, default=None,
-                    help="size of the optional single-crossing pre-probe: 0 (off, "
-                         f"the default) or 3 to {MAX_PROBE_POINTS}")
-    sc.add_argument("--criteria", type=str, default=None,
-                    help="comma list from nongauss,bb84,di (default all)")
+    sc.add_argument("--t-min", type=float, default=0.02,
+                    help="first grid transmittance (default %(default)s)")
+    sc.add_argument("--t-max", type=float, default=1.0,
+                    help="last grid transmittance (default %(default)s)")
+    sc.add_argument("--t-points", type=int, default=96, help="grid size (default %(default)s)")
+    sc.add_argument("--nu-cap", type=float, default=10.0,
+                    help="largest noise mean searched (default %(default)s)")
+    sc.add_argument("--tol", type=float, default=1e-4,
+                    help="bisection tolerance on nu (default %(default)s)")
+    sc.add_argument("--criteria", type=_criteria, default="nongauss,bb84,di",
+                    help="comma list from nongauss,bb84,di (default %(default)s)")
+    sc.add_argument("--probe-points", type=int, default=0,
+                    help="size of the optional single-crossing pre-probe: 0 (off) "
+                         f"or 3 to {MAX_PROBE_POINTS} (default %(default)s)")
+    sc.add_argument("--format", choices=_FORMATS, default="csv",
+                    help="output format (default %(default)s)")
     sc.add_argument("--out", required=True, help="output file path")
-    sc.add_argument("--format", choices=["csv", "json"], default="csv",
-                    help="output format (default csv)")
     sc.set_defaults(handler=_cmd_scan)
 
     pm = sub.add_parser("pmf", help="dump a transmitted-port photocount distribution")
-    pm.add_argument("--l", type=int, default=None, help="incident Fock photon number")
-    pm.add_argument("--nbar", type=float, default=None, help="thermal mean of the noise port")
-    pm.add_argument("--T", type=float, default=None, help="beam-splitter transmittance")
-    pm.add_argument("--config", default=None, help="flat key=value file mirroring the flag names")
+    pm.add_argument("--l", type=int, help="incident Fock photon number")
+    pm.add_argument("--nbar", type=float, help="thermal mean of the noise port")
+    pm.add_argument("--T", type=float, help="beam-splitter transmittance")
+    pm.add_argument("--config", help="flat key=value file mirroring the flag names")
     pm.set_defaults(handler=_cmd_pmf)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
     try:
+        flags = [k for k in vars(args) if k not in _DISPATCH]
+        layers = {**PRESETS.get(getattr(args, "preset", None), {}), **_read_config(args.config)}
+        if layers:
+            # preset and file values become the command's flag defaults: explicit
+            # flags still win, strings go through each flag's type, other keys drop
+            commands[args.command].set_defaults(**{k: layers[k] for k in flags if k in layers})
+            args = parser.parse_args(argv)
+        missing = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is None]
+        if missing:
+            raise ConfigurationError(f"missing required flag {', '.join(missing)}")
         return args.handler(args)
     except (DomainError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -410,3 +346,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -18,7 +18,9 @@ from .errors import DomainError, check_range
 S_MAX = 2.0 * math.sqrt(2.0)  # Tsirelson bound on the CHSH score
 _BELL_SLACK = 1e-9            # round-off allowance when validating a score
 
-# largest QBERs with a positive rate; both rates fall as Q grows along the family
+# Q*: the last float before the computed rate first turns non-positive as Q
+# grows (round-off makes the BB84 rate positive again 7 and 8 ulps above it),
+# so every security decision reads q <= Q*
 Q_STAR_BB84 = 0.1100278644383595
 Q_STAR_DI = 0.07149175884448569
 

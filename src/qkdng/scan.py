@@ -192,26 +192,20 @@ def assess_point(config: ScanConfig, t: float, nu: float) -> LinkAssessment:
     )
 
 
-def _holds(criterion: Criterion, assessment: LinkAssessment) -> bool:
-    if not assessment.coincidence_defined:
-        return False
+def _holds(criterion: Criterion, defined, margin, q):
+    """Whether the criterion holds, on floats or elementwise on arrays.
+
+    The one rule for points and sweeps: the witness needs a positive margin,
+    a protocol ``q <= Q*``; an undefined link satisfies neither.
+    """
     if criterion is Criterion.NONGAUSS:
-        return assessment.witness.passed
-    if criterion is Criterion.BB84:
-        return assessment.rates.bb84 > 0.0
-    return assessment.rates.di_defined and assessment.rates.di > 0.0
+        return defined & (margin > 0.0)
+    return defined & (q <= Q_STAR[criterion])
 
 
 def _evaluate(config: ScanConfig, t, nu) -> LinkFields:
     model = thermal_fields if config.statistics is NoiseStatistics.THERMAL else poisson_fields
     return model(t, nu, config.p, config.detector)
-
-
-def _holds_array(criterion: Criterion, fields: LinkFields) -> np.ndarray:
-    """Elementwise ``_holds`` on the fields of the array models."""
-    if criterion is Criterion.NONGAUSS:
-        return fields.defined & (fields.margin > 0.0)
-    return fields.defined & (fields.q <= Q_STAR[criterion])
 
 
 def indicator(criterion: Criterion | str, t: float, nu: float, config: ScanConfig) -> bool:
@@ -223,7 +217,7 @@ def indicator(criterion: Criterion | str, t: float, nu: float, config: ScanConfi
     t = check_range("coupling transmittance", t, 0.0, 1.0)
     nu = check_range("noise mean", nu, 0.0)
     fields = _evaluate(config, np.float64(t), np.float64(nu))
-    return bool(_holds_array(Criterion(criterion), fields))
+    return bool(_holds(Criterion(criterion), *fields))
 
 
 def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> CriterionBoundary:
@@ -251,7 +245,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     t = np.array(config.t_grid)
 
     def holds(fields: LinkFields) -> np.ndarray:
-        return np.stack([_holds_array(criterion, fields) for criterion in criteria])
+        return np.stack([_holds(criterion, *fields) for criterion in criteria])
 
     base = _evaluate(config, t, np.zeros_like(t))
     at_zero = holds(base)
@@ -264,7 +258,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
     if w is not None and config.probe_points:
         grid = np.linspace(0.0, config.nu_cap, config.probe_points)[:, np.newaxis]
-        flags = _holds_array(Criterion.NONGAUSS, _evaluate(config, t, grid))  # (probe, t)
+        flags = _holds(Criterion.NONGAUSS, *_evaluate(config, t, grid))  # (probe, t)
         # any off-to-on flip means multiple crossings
         warning[w] = at_zero[w] & (~flags[:-1] & flags[1:]).any(axis=0)
         evaluations += 1
@@ -277,7 +271,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     while (active := (hi - lo > config.tol) & (lo < mid) & (mid < hi)).any():
         ok = mid <= root
         if w is not None and active[w].any():
-            ok[w] = _holds_array(Criterion.NONGAUSS, _evaluate(config, t, mid[w:w + 1]))[0]
+            ok[w] = _holds(Criterion.NONGAUSS, *_evaluate(config, t, mid[w:w + 1]))[0]
             evaluations += 1
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
@@ -297,11 +291,12 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
 
 
 def classify_assessment(assessment: LinkAssessment) -> dict[Criterion, RegionLabel]:
-    """Region label per protocol from the witness and security indicators."""
-    nongauss = _holds(Criterion.NONGAUSS, assessment)
+    """Region label per protocol, decided by the sweep's rule on the point."""
+    fields = (assessment.coincidence_defined, assessment.witness.margin, assessment.q)
+    nongauss = _holds(Criterion.NONGAUSS, *fields)
     labels: dict[Criterion, RegionLabel] = {}
     for protocol in PROTOCOLS:
-        secure = _holds(protocol, assessment)
+        secure = _holds(protocol, *fields)
         if secure and nongauss:
             label = RegionLabel.SECURE_AND_NONGAUSS
         elif secure:

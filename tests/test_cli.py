@@ -127,6 +127,74 @@ class TestEval:
         assert params["dark"] == 0.001   # file beats default
 
 
+class TestConfigLayering:
+    """--config values become flag defaults: cast by the flag's type, other keys dropped."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "run.conf"
+        path.write_text(text)
+        return str(path)
+
+    def test_file_value_cast_by_flag_type(self, capsys, tmp_path):
+        out = tmp_path / "curve.csv"
+        config = self.write(tmp_path, "t-points=3\nnu_cap=1\ntol=1e-3\n")
+        code, _, _ = run_cli(capsys, "scan", "--preset", "fig3", "--config", config,
+                             "--out", str(out))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 4
+        params = json.loads((tmp_path / "curve.csv.manifest.json").read_text())["parameters"]
+        assert params["t_points"] == 3 and params["nu_cap"] == 1.0
+
+    def test_uncastable_file_value_names_flag(self, capsys, tmp_path):
+        config = self.write(tmp_path, "eta=abc\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--preset", "fig4", "--config", config, "--T", "0.5", "--nu", "0.1"])
+        assert exit_info.value.code == 2
+        assert "--eta" in capsys.readouterr().err
+
+    def test_file_satisfies_fig5_detector_numbers(self, capsys, tmp_path):
+        config = self.write(tmp_path, "eta=0.7\ndark=0.001\n")
+        code, out, _ = run_cli(capsys, "eval", "--preset", "fig5", "--config", config,
+                               "--T", "0.5", "--nu", "0.1")
+        assert code == 0
+        params = json.loads(out)["manifest"]["parameters"]
+        assert (params["noise"], params["eta"], params["dark"]) == ("poisson", 0.7, 0.001)
+
+    def test_fig5_names_every_missing_flag(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--preset", "fig5", "--T", "0.5", "--nu", "0.1")
+        assert code == 2
+        assert err == "error: missing required flag --eta, --dark\n"
+
+    def test_keys_of_other_commands_ignored(self, capsys, tmp_path):
+        config = self.write(tmp_path, "t_points=3\nnu-cap=1\n")
+        code, out, _ = run_cli(capsys, "eval", "--preset", "fig4", "--config", config,
+                               "--T", "0.5", "--nu", "0.1")
+        assert code == 0
+        params = json.loads(out)["manifest"]["parameters"]
+        assert "t_points" not in params and "nu_cap" not in params
+
+    def test_dispatch_keys_ignored(self, capsys, tmp_path):
+        config = self.write(tmp_path, "handler=x\ncommand=pmf\npreset=fig3\nconfig=none\n")
+        code, out, _ = run_cli(capsys, "eval", "--preset", "fig4", "--config", config,
+                               "--T", "0.5", "--nu", "0.1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["manifest"]["command"] == "eval"
+        assert doc["manifest"]["parameters"]["eta"] == 0.7  # fig4, not fig3
+
+    def test_fig4_scan_manifest_parameters(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "scan", "--preset", "fig4", "--out", "./fig4.csv")[0] == 0
+        params = json.loads((tmp_path / "fig4.csv.manifest.json").read_text())["parameters"]
+        assert params == {
+            "noise": "thermal", "detector": "pnrd", "eta": 0.7, "dark": 0.001, "p": 1.0,
+            "t_min": 0.02, "t_max": 1.0, "t_points": 96, "nu_cap": 10.0, "tol": 0.0001,
+            "criteria": ["nongauss", "bb84", "di"], "probe_points": 0,
+            "effective_detector_mapping": "eta_eff = T*eta; d_eff = dark + eta*(1-T)*nbar",
+            "format": "csv", "out": "fig4.csv",
+        }
+
+
 class TestScan:
     def scan_args(self, out_path, fmt="csv"):
         return [

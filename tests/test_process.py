@@ -68,6 +68,13 @@ class TestExitFreeze:
         assert proc.stdout == f"wrote {out} and {manifest}\n"
 
 
+def test_cli_module_runs_scan(tmp_path):
+    out = tmp_path / "fig3.csv"
+    proc = python("-m", "qkdng.cli", "scan", "--preset", "fig3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / "fig3.csv").read_bytes()
+
+
 def test_module_entry_point_runs_eval():
     proc = python("-m", "qkdng", "eval", "--noise", "thermal", "--detector", "pnrd",
                   "--T", "1", "--nu", "0.5")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import qkdng.scan
 from qkdng.channels import LinkFields, NoiseStatistics
 from qkdng.errors import ConfigurationError, DomainError
-from qkdng.keyrates import Q_STAR_BB84
+from qkdng.keyrates import Q_STAR_BB84, bell_from_qber, key_rates
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import (
     ALL_CRITERIA,
@@ -18,6 +19,7 @@ from qkdng.scan import (
     _holds,
     assess_point,
     classify,
+    classify_assessment,
     indicator,
     max_noise,
     sweep,
@@ -231,16 +233,21 @@ class TestColumns:
         assert curve.capped("bb84").tolist() == [False, False, False, True]
 
 
+def holds_at(criterion, a):
+    """The sweep's decision rule applied to a scalar ``assess`` outcome."""
+    return _holds(criterion, a.coincidence_defined, a.witness.margin, a.q)
+
+
 def scalar_max_noise(criterion, t, config):
     """The per-(t, criterion) scalar bisection on ``assess``: the sweep's oracle."""
 
     def holds(nu):
-        return _holds(criterion, assess_point(config, t, nu))
+        return holds_at(criterion, assess_point(config, t, nu))
 
     base = assess_point(config, t, 0.0)
     if not base.coincidence_defined:
         return CriterionBoundary(0.0, capped=False, undefined=True)
-    if not _holds(criterion, base):
+    if not holds_at(criterion, base):
         return CriterionBoundary(0.0, capped=False, undefined=False)
     warning = False
     if config.probe_points >= 3:
@@ -491,6 +498,15 @@ class TestClassify:
     def test_undefined_point_is_neither(self):
         labels = classify(0.0, 0.0, thermal_config())
         assert labels[Criterion.BB84] is RegionLabel.NEITHER
+
+    def test_point_rule_is_the_sweep_rule_just_past_q_star(self):
+        # 7 ulps above Q*, round-off leaves the computed BB84 rate at +1.1e-16;
+        # a point is judged by q <= Q* as the sweep is, so BB84 fails there
+        q = 0.1100278644383596
+        s = bell_from_qber(q)
+        assert q > Q_STAR_BB84 and key_rates(q, s).bb84 > 0.0
+        point = replace(assess_point(thermal_config(), 1.0, 0.01), q=q, s=s, rates=key_rates(q, s))
+        assert classify_assessment(point)[Criterion.BB84] is RegionLabel.NONGAUSS_ONLY
 
 
 class TestScanConfigValidation:
