@@ -264,11 +264,11 @@ def _add_common_channel_flags(sub: argparse.ArgumentParser) -> None:
                      help="noise statistics of the channel: thermal or poisson")
     sub.add_argument("--detector", type=DetectorKind,
                      help="detector type: pnrd (pairs with thermal) or spad (with poisson)")
-    sub.add_argument("--eta", type=float, default=1.0,
+    sub.add_argument("--eta", type=float, default=DetectorModel.eta,
                      help="detector efficiency in [0, 1] (default %(default)s)")
-    sub.add_argument("--dark", type=float, default=0.0,
+    sub.add_argument("--dark", type=float, default=DetectorModel.dark,
                      help="dark-count rate per gate (default %(default)s)")
-    sub.add_argument("--p", type=float, default=1.0,
+    sub.add_argument("--p", type=float, default=ChannelConfig.p,
                      help="Werner weight of the source state (default %(default)s)")
     sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="named channel recipe supplying defaults")
@@ -298,13 +298,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     sc.add_argument("--t-max", type=float, default=1.0,
                     help="last grid transmittance (default %(default)s)")
     sc.add_argument("--t-points", type=int, default=96, help="grid size (default %(default)s)")
-    sc.add_argument("--nu-cap", type=float, default=10.0,
+    sc.add_argument("--nu-cap", type=float, default=ScanConfig.nu_cap,
                     help="largest noise mean searched (default %(default)s)")
-    sc.add_argument("--tol", type=float, default=1e-4,
+    sc.add_argument("--tol", type=float, default=ScanConfig.tol,
                     help="bisection tolerance on nu (default %(default)s)")
     sc.add_argument("--criteria", type=_criteria, default="nongauss,bb84,di",
                     help="comma list from nongauss,bb84,di (default %(default)s)")
-    sc.add_argument("--probe-points", type=int, default=0,
+    sc.add_argument("--probe-points", type=int, default=ScanConfig.probe_points,
                     help="size of the optional single-crossing pre-probe: 0 (off) "
                          f"or 3 to {MAX_PROBE_POINTS} (default %(default)s)")
     sc.add_argument("--format", choices=_FORMATS, default="csv",

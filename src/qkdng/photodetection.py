@@ -7,16 +7,15 @@ formulas consume, and it has a closed form.  Each signal photon reaches the
 transmitted port with probability ``t`` and each noise photon with
 probability ``1 - t``; the thermal port has no phase reference, so the port
 holds the ``t``-thinned Fock state plus thermal noise of mean
-``m = (1 - t) * nbar``:
+``m = (1 - t) * nbar``.  With g = 1/(1+m), r = m g and a = 1 - t g, its
+generating function is g (a - (r - t g) z)^l / (1 - r z)^(l+1): the thermal
+count g r^s convolved with l copies of the kernel h_0 = a, h_s = t g^2 r^(s-1),
 
-    p(s|l) = sum_{j<=l} C(l,j) t^j (1-t)^(l-j) q(s|j,m),
-    q(s|j,m) = sum_{k<=min(s,j)} C(s,k) C(j,k) m^(s+j-2k) / (1+m)^(s+j+1),
+    p(s|l) = g sum_{n<=min(s,l)} C(l,n) C(s,n) (t g^2)^n a^(l-n) r^(s-n),
 
-where q is the count distribution of ``|j>`` after additive thermal noise.
-Detector efficiency is one more thinning of the same kind, so no infinite
-sum is ever truncated on the way to the detected counts.  The detector
-models read only the probabilities of 0 and 1 counts, which sum to short
-closed forms: with g = 1/(1+m), r = m g and a = 1 - t g,
+a single sum of non-negative terms.  Detector efficiency is one more thinning
+of the same kind, so no infinite sum is ever truncated on the way to the
+detected counts.  The detector models read only the first two terms:
 
     p(0|l) = g a^l,    p(1|l) = g a^(l-1) (r a + l t g^2),    p(1|0) = g r.
 """
@@ -59,22 +58,6 @@ class DetectorModel:
         object.__setattr__(self, "kind", DetectorKind(self.kind))
         check_range("detector efficiency", self.eta, 0.0, 1.0)
         check_range("dark-count rate", self.dark, 0.0)
-
-
-def _count_prob(s: int, l: int, t, m):
-    """p(s|l): ``s`` photons from ``|l>`` thinned by ``t`` plus thermal mean ``m``.
-
-    Elementwise when ``t`` and ``m`` are numpy arrays.
-    """
-    g = 1.0 / (1.0 + m)
-    r = m * g
-    total = 0.0
-    for j in range(l + 1):
-        fock = 0.0  # q(s|j,m), with m^a / (1+m)^b written as r^a g^(b-a)
-        for k in range(min(s, j) + 1):
-            fock += math.comb(s, k) * math.comb(j, k) * r ** (s + j - 2 * k) * g ** (2 * k + 1)
-        total += math.comb(l, j) * t**j * (1.0 - t) ** (l - j) * fock
-    return total
 
 
 def _detected(l: int, t, m, dark: float):
@@ -122,19 +105,30 @@ class PhotocountDistribution:
                 f"tabulating the photocount distribution at noise mean {m:g} takes "
                 f"about {l + rows:.3g} rows, more than {_MAX_ROWS}"
             )
-        r = m / (1.0 + m)
+        g = 1.0 / (1.0 + m)
+        r, a, c = m * g, (1.0 - t + m) * g, t * g * g  # a = 1 - t g without cancellation
+        # chain_k = g h^k / (1 - r z) obeys chain_k = a chain_(k-1) + c z run_(k-1), with
+        # run_k = chain_k / (1 - r z) the running sum run_k[s] = r run_k[s-1] + chain_k[s];
+        # row s thus needs only row s-1 of the l running sums, and p(s|l) = chain_l[s]
+        run = [0.0] * l
+        lead = g  # g r^s, the thermal count alone
         probs = []
         s = 0
         while True:
-            p = _count_prob(s, l, t, m)
+            chain = lead
+            for k in range(l):
+                below, run[k] = run[k], r * run[k] + chain
+                chain = a * chain + c * below
+            p = chain
             probs.append(p)
             if s >= l:
-                # every term of p(s'|l) is C(s',k) r^s' times a constant with k <= l,
+                # every term of p(s'|l) is C(s',n) r^s' times a constant with n <= l,
                 # so for s' >= s the ratio p(s'+1)/p(s') is at most this
                 ratio = r * (s + 1) / (s + 1 - l)
                 tail = p * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
                 if tail <= _TAIL_FLOOR:
                     break
+            lead *= r
             s += 1
         table = np.array(probs)
         table.setflags(write=False)

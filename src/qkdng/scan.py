@@ -15,8 +15,9 @@ model call.  The witness row calls the model's array function
 (``thermal_fields`` or ``poisson_fields``) once per step on a (1, T) array
 of midpoints; only it gets the optional pre-probe for multiple crossings.
 Rounding can leave a bracket a hair wider or narrower than its neighbours;
-each stops at its own width, as a scalar loop would.  Single points (``indicator``, ``max_noise``) go through the
-same code with one element.
+each stops at its own width, as a scalar loop would.  ``max_noise`` is the
+same code with one element; single-point verdicts (``indicator``,
+``classify``) apply the same ``_holds`` rule to the scalar ``assess``.
 
 The outcome stays in the shape it is computed in: a ``BoundaryCurve`` holds
 one ``BoundaryColumn`` per criterion, tuples over the grid made with one
@@ -211,13 +212,12 @@ def _evaluate(config: ScanConfig, t, nu) -> LinkFields:
 def indicator(criterion: Criterion | str, t: float, nu: float, config: ScanConfig) -> bool:
     """True when the criterion holds at (t, nu); undefined links count as False.
 
-    Decided on the array model the sweep uses; its security boundaries are
-    roots of the same Q = Q*, so the two agree up to rounding.
+    Decided by the sweep's rule on the scalar ``assess``, as ``classify`` is;
+    the sweep's security boundaries are roots of the same Q = Q*, so the two
+    agree up to rounding.
     """
-    t = check_range("coupling transmittance", t, 0.0, 1.0)
-    nu = check_range("noise mean", nu, 0.0)
-    fields = _evaluate(config, np.float64(t), np.float64(nu))
-    return bool(_holds(Criterion(criterion), *fields))
+    a = assess_point(config, t, nu)
+    return bool(_holds(Criterion(criterion), a.coincidence_defined, a.witness.margin, a.q))
 
 
 def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> CriterionBoundary:

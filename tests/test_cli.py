@@ -272,6 +272,23 @@ class TestScan:
         assert err.startswith("error:") and "probe_points" in err
         assert not out.exists()
 
+    def test_empty_grid_rejected(self, capsys, tmp_path):
+        out = tmp_path / "empty.csv"
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--t-points", "0",
+                               "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "--t-points" in err
+        assert not out.exists()
+
+    def test_unknown_format_from_config_rejected(self, capsys, tmp_path):
+        out, config = tmp_path / "curve.xml", tmp_path / "run.conf"
+        config.write_text("format=xml\n")
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--config", str(config),
+                               "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "--format" in err
+        assert not out.exists()
+
     def test_manifest_diagnostics(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"
         code, _, err = run_cli(
@@ -480,6 +497,13 @@ class TestPmf:
         assert code == 0
         rows = out.splitlines()
         assert float(rows[1].split()[1]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_long_table(self, capsys):
+        code, out, _ = run_cli(capsys, "pmf", "--l", "1100", "--nbar", "0.1", "--T", "0.5")
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0] == "s p" and rows[-2].startswith("truncation_tail")
+        assert rows[1101].startswith("1100 ")
 
     def test_domain_error_propagates(self, capsys):
         code, _, err = run_cli(capsys, "pmf", "--l", "-1", "--nbar", "0", "--T", "0.5")

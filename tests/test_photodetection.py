@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from qkdng.photodetection import (
     DetectorKind,
     DetectorModel,
     PhotocountDistribution,
-    _count_prob,
     _detected,
     bs_coefficient,
     detect_pmf,
@@ -53,6 +53,17 @@ def pnrd_weights(count, k, det):
     if count == TWO_PLUS:
         return 1.0 - p0 - p1
     raise DomainError(f"count must be 0, 1 or TWO_PLUS, got {count}")
+
+
+def exact_count_prob(s, l, t, m):
+    """p(s|l) as the module's single sum, in exact rational arithmetic."""
+    t, m = Fraction(t), Fraction(m)
+    g = 1 / (1 + m)
+    r, a = m * g, 1 - t * g
+    return g * sum(
+        math.comb(l, n) * math.comb(s, n) * (t * g * g) ** n * a ** (l - n) * r ** (s - n)
+        for n in range(min(s, l) + 1)
+    )
 
 
 def amplitude_sq(l, n, s, t):
@@ -173,6 +184,25 @@ class TestPhotocountPmf:
         assert pmf.truncation_tail <= 1e-16
         assert np.all(pmf.probs >= 0.0)
         assert np.all(pmf.probs <= 1.0)
+
+    @pytest.mark.parametrize("l", range(6))
+    @pytest.mark.parametrize("nbar,t", [
+        (0.0, 0.3), (0.4, 0.5), (2.0, 0.25), (1.0, 1.0), (5.0, 0.0),
+        (1.0, 0.9999),  # a = 1 - t g is 2e-4: computing it as a difference loses digits
+    ])
+    def test_single_sum_oracle(self, l, nbar, t):
+        pmf = photocount_pmf(l, nbar, t)
+        for s, p in enumerate(pmf.probs):
+            exact = exact_count_prob(s, l, pmf.t, pmf.m)
+            assert abs(Fraction(p) - exact) <= 1e-13 * exact
+
+    def test_long_table_normalised_with_exact_mean(self):
+        # no big-integer binomial to overflow, no O(l^2) row to wait for
+        l, nbar, t = 1100, 0.1, 0.5
+        pmf = photocount_pmf(l, nbar, t)
+        assert math.fsum(pmf.probs) + pmf.truncation_tail == pytest.approx(1.0, abs=1e-12)
+        mean = math.fsum(s * p for s, p in enumerate(pmf.probs))
+        assert mean == pytest.approx(t * l + (1.0 - t) * nbar, rel=1e-9)
 
     def test_tail_bounds_the_omitted_mass(self):
         # the l=1 closed form, summed far past the table, is the exact tail
@@ -311,7 +341,7 @@ class TestDetectPmf:
 
 
 class TestDetectedClosedForm:
-    """``_detected``, shared by ``detect_pmf`` and the array model, against ``_count_prob``."""
+    """``_detected``, shared by ``detect_pmf`` and the array model, against the table."""
 
     TS = (0.0, 0.3, 0.8, 1.0)
     MS = (0.0, 0.4, 2.5)
@@ -322,7 +352,8 @@ class TestDetectedClosedForm:
         for t in self.TS:
             for m in self.MS:
                 p0, p1 = _detected(l, t, m, dark)
-                miss, single = _count_prob(0, l, t, m), _count_prob(1, l, t, m)
+                rows = PhotocountDistribution(l, t, m).probs
+                miss, single = rows[0], rows[1] if len(rows) > 1 else 0.0  # l = m = 0: one row
                 assert p0 == pytest.approx(math.exp(-dark) * miss, abs=1e-15)
                 assert p1 == pytest.approx(math.exp(-dark) * (single + dark * miss), abs=1e-15)
 
