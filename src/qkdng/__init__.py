@@ -6,6 +6,8 @@ rate stays positive, and maps the boundary curves of both regions over the
 (transmittance, noise-mean) plane.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channels import (
     ChannelConfig,
     LinkAssessment,
@@ -61,48 +63,6 @@ from .witness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_CRITERIA",
-    "BoundaryColumn",
-    "BoundaryCurve",
-    "BoundaryPoint",
-    "ChannelConfig",
-    "CoincidenceStats",
-    "ConfigurationError",
-    "Criterion",
-    "CriterionBoundary",
-    "DetectionPmf",
-    "DetectorKind",
-    "DetectorModel",
-    "DomainError",
-    "KeyRates",
-    "LinkAssessment",
-    "NoiseModel",
-    "NoiseStatistics",
-    "PhotocountDistribution",
-    "Protocol",
-    "RegionLabel",
-    "S_MAX",
-    "ScanConfig",
-    "WitnessVerdict",
-    "assess",
-    "bell_from_qber",
-    "binary_entropy",
-    "bs_coefficient",
-    "classify",
-    "classify_assessment",
-    "detect_pmf",
-    "dw_rate_bb84",
-    "dw_rate_di",
-    "effective_detector",
-    "indicator",
-    "key_rates",
-    "max_noise",
-    "photocount_pmf",
-    "pnrd_threshold",
-    "poisson_observables",
-    "security_threshold",
-    "spad_threshold",
-    "sweep",
-    "thermal_observables",
-]
+# the public names are those imported above; the submodules they bind are not
+__all__ = sorted(name for name, value in vars().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -27,7 +27,6 @@ from .channels import (
     NoiseModel,
     NoiseStatistics,
     assess,
-    check_pairing,
 )
 from .errors import ConfigurationError, DomainError, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
@@ -84,11 +83,7 @@ def _criteria(text: str) -> tuple[Criterion, ...]:
 
 
 def _detector(args: argparse.Namespace) -> DetectorModel:
-    """The detector the channel flags describe, after checking the pairing and --p."""
-    try:
-        check_pairing(args.noise, args.detector)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"--noise/--detector: {exc}") from exc
+    """The detector the channel flags describe, after checking --p."""
     check_range("--p", args.p, 0.0, 1.0)
     try:
         return DetectorModel(kind=args.detector, eta=args.eta, dark=args.dark)
@@ -263,7 +258,7 @@ def _add_common_channel_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--noise", type=NoiseStatistics,
                      help="noise statistics of the channel: thermal or poisson")
     sub.add_argument("--detector", type=DetectorKind,
-                     help="detector type: pnrd (pairs with thermal) or spad (with poisson)")
+                     help="detector type: pnrd or spad (either noise statistics)")
     sub.add_argument("--eta", type=float, default=DetectorModel.eta,
                      help="detector efficiency in [0, 1] (default %(default)s)")
     sub.add_argument("--dark", type=float, default=DetectorModel.dark,

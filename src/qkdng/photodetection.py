@@ -15,9 +15,11 @@ count g r^s convolved with l copies of the kernel h_0 = a, h_s = t g^2 r^(s-1),
 
 a single sum of non-negative terms.  Detector efficiency is one more thinning
 of the same kind, so no infinite sum is ever truncated on the way to the
-detected counts.  The detector models read only the first two terms:
+detected counts.  The detector models read only the first two terms and the
+click probability, each a sum of non-negative terms:
 
-    p(0|l) = g a^l,    p(1|l) = g a^(l-1) (r a + l t g^2),    p(1|0) = g r.
+    p(0|l) = g a^l,    p(1|l) = g a^(l-1) (r a + l t g^2),    p(1|0) = g r,
+    1 - p(0|l) = r + t g^2 (1 + a + ... + a^(l-1)).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .errors import ConfigurationError, DomainError, check_range
 _EXACT_LIMIT = 20   # largest index evaluated with exact integer factorials
 _TAIL_FLOOR = 1e-17  # tabulated tail mass left out, below double round-off on 1
 _MAX_ROWS = 10**6    # longest photocount table worth building for output
+_MAX_WORK = 2 * 10**7  # row updates of one table, l per row: about 3 s
 
 
 class DetectorKind(str, Enum):
@@ -61,23 +64,29 @@ class DetectorModel:
 
 
 def _detected(l: int, t, m, dark: float):
-    """(p0, p1) of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
+    """(p0, p1, c) of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
 
     The closed forms p(0|l) and p(1|l) of the module docstring, folded with
-    Poissonian dark counts of mean ``dark``: p0 = e^-dark p(0|l) and
-    p1 = e^-dark (p(1|l) + dark p(0|l)).  Arithmetic only, so elementwise
-    when ``t`` and ``m`` are numpy arrays.
+    Poissonian dark counts of mean ``dark``: p0 = e^-dark p(0|l),
+    p1 = e^-dark (p(1|l) + dark p(0|l)) and the click probability
+    c = 1 - p0 = (1 - e^-dark) + e^-dark (1 - p(0|l)), never by subtraction.
+    Elementwise when ``t``, ``m`` or ``dark`` are numpy arrays.
     """
     g = 1.0 / (1.0 + m)
     r = m * g
     if l == 0:
-        miss, single = g, g * r
+        miss, single, hit = g, g * r, r
     else:
-        a = 1.0 - t * g
-        miss = g * a**l
-        single = g * a ** (l - 1) * (r * a + l * t * g * g)
-    damp = math.exp(-dark)
-    return damp * miss, damp * (single + dark * miss)
+        a = ((1.0 - t) + m) * g  # 1 - t g without cancellation
+        tg2 = t * g * g
+        geo = 1.0  # 1 + a + ... + a^(l-1), by Horner: 1 - g a^l = r + t g^2 geo
+        for _ in range(l - 1):
+            geo = 1.0 + a * geo
+        lead = g * a ** (l - 1)
+        miss, single, hit = lead * a, lead * (r * a + l * tg2), r + tg2 * geo
+    xp = np if isinstance(dark, np.ndarray) else math  # Poisson noise folds into dark
+    damp = xp.exp(-dark)
+    return damp * miss, damp * (single + dark * miss), -xp.expm1(-dark) + damp * hit
 
 
 @dataclass(frozen=True)
@@ -100,10 +109,12 @@ class PhotocountDistribution:
         l, t, m = self.incident_l, self.t, self.m
         # rows the geometric factor r^s needs to fall below the floor
         rows = math.log(_TAIL_FLOOR) / math.log1p(-1.0 / (1.0 + m)) if m > 0.0 else 0.0
-        if l + rows > _MAX_ROWS:
+        # each row updates l running sums: the work grows as l (l + rows)
+        if l + rows > _MAX_ROWS or l * (l + rows) > _MAX_WORK:
             raise DomainError(
-                f"tabulating the photocount distribution at noise mean {m:g} takes "
-                f"about {l + rows:.3g} rows, more than {_MAX_ROWS}"
+                f"tabulating the photocount distribution of |{l}> at noise mean {m:g} "
+                f"takes about {l + rows:.3g} rows of {l} updates; the limits are "
+                f"{_MAX_ROWS} rows and {_MAX_WORK:.0e} updates"
             )
         g = 1.0 / (1.0 + m)
         r, a, c = m * g, (1.0 - t + m) * g, t * g * g  # a = 1 - t g without cancellation
@@ -221,5 +232,5 @@ def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
     """
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("detect_pmf coarse-grains onto PNRD outcomes")
-    p0, p1 = _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)
-    return DetectionPmf(p0=p0, p1=p1, p_two_plus=1.0 - p0 - p1)
+    p0, p1, click = _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)
+    return DetectionPmf(p0=p0, p1=p1, p_two_plus=click - p1)

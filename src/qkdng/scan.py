@@ -41,7 +41,6 @@ from .channels import (
     NoiseModel,
     NoiseStatistics,
     assess,
-    check_pairing,
     noise_root,
     poisson_fields,
     thermal_fields,
@@ -87,7 +86,6 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
-        check_pairing(self.statistics, self.detector.kind)
         check_range("Werner weight", self.p, 0.0, 1.0)
         probe = self.probe_points
         if isinstance(probe, bool) or not isinstance(probe, int) or not (

@@ -39,35 +39,48 @@ class WitnessVerdict:
     margin: float
 
 
-def spad_threshold(p_e: float) -> float:
-    """Largest Gaussian-compatible success probability at SPAD error rate ``p_e``."""
+def _bound(kind: DetectorKind, p_e, scale, sqrt):
+    """The threshold on P_s at error rate ``scale``^2 ``p_e``, divided by ``scale``.
+
+    SPAD: (1/2) sqrt(P_e / (8 + P_e)) (2 + P_e + sqrt(P_e (8 + P_e))); PNRD:
+    sqrt(P_e) - P_e.  Each square root pulls out one factor of ``scale``, so
+    ``p_e`` may be O(1) where P_e itself is subnormal.  ``sqrt`` is
+    ``math.sqrt`` or ``np.sqrt``.
+    """
+    if kind is DetectorKind.SPAD:
+        u = scale * scale * p_e  # P_e
+        return 0.5 * sqrt(p_e / (8.0 + u)) * (2.0 + u + scale * sqrt(p_e * (8.0 + u)))
+    return sqrt(p_e) - scale * p_e
+
+
+def _check_p_e(p_e: float) -> float:
     if not 0.0 <= p_e <= 1.0:
         raise DomainError(f"p_e must lie in [0, 1], got {p_e}")
-    root = math.sqrt(p_e * (8.0 + p_e))
-    return 0.5 * math.sqrt(p_e / (8.0 + p_e)) * (2.0 + p_e + root)
+    return p_e
+
+
+def spad_threshold(p_e: float) -> float:
+    """Largest Gaussian-compatible success probability at SPAD error rate ``p_e``."""
+    return _bound(DetectorKind.SPAD, _check_p_e(p_e), 1.0, math.sqrt)
 
 
 def pnrd_threshold(p_e: float) -> float:
     """Largest Gaussian-compatible success probability at PNRD error rate ``p_e``."""
-    if not 0.0 <= p_e <= 1.0:
-        raise DomainError(f"p_e must lie in [0, 1], got {p_e}")
-    return math.sqrt(p_e) - p_e
+    return _bound(DetectorKind.PNRD, _check_p_e(p_e), 1.0, math.sqrt)
 
 
-def evaluate(kind: DetectorKind, stats: CoincidenceStats) -> WitnessVerdict:
-    """Apply the witness matching the detector type; passes only for margin > 0."""
-    kind = DetectorKind(kind)
-    if kind is DetectorKind.SPAD:
-        threshold = spad_threshold(stats.p_e)
-    else:
-        threshold = pnrd_threshold(stats.p_e)
-    margin = stats.p_s - threshold
+def evaluate(kind: DetectorKind, stats: CoincidenceStats, scale: float = 1.0) -> WitnessVerdict:
+    """Apply the witness matching the detector type; passes only for margin > 0.
+
+    ``stats`` may hold P_s and P_e divided by ``scale``^2.  The margin
+    P_s - threshold(P_e) is then computed as scale (scale p_s - threshold/scale),
+    with threshold/scale taken from p_e, so its sign survives where P_s and
+    P_e underflow.
+    """
+    margin = scale * (scale * stats.p_s - _bound(DetectorKind(kind), stats.p_e, scale, math.sqrt))
     return WitnessVerdict(passed=margin > 0.0, margin=margin)
 
 
-def witness_margin(kind: DetectorKind, p_s: np.ndarray, p_e: np.ndarray) -> np.ndarray:
-    """Elementwise ``evaluate(kind, CoincidenceStats(p_s, p_e)).margin``, unchecked."""
-    if kind is DetectorKind.SPAD:
-        root = np.sqrt(p_e * (8.0 + p_e))
-        return p_s - 0.5 * np.sqrt(p_e / (8.0 + p_e)) * (2.0 + p_e + root)
-    return p_s - (np.sqrt(p_e) - p_e)
+def witness_margin(kind: DetectorKind, p_s, p_e, scale=1.0):
+    """Elementwise ``evaluate(kind, CoincidenceStats(p_s, p_e), scale).margin``, unchecked."""
+    return scale * (scale * p_s - _bound(kind, p_e, scale, np.sqrt))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -8,7 +9,8 @@ from qkdng.channels import (
     ChannelConfig,
     NoiseModel,
     NoiseStatistics,
-    _poisson_terms,
+    _counts,
+    _terms,
     assess,
     effective_detector,
     poisson_fields,
@@ -16,7 +18,8 @@ from qkdng.channels import (
     thermal_observables,
 )
 from qkdng.errors import ConfigurationError, DomainError
-from qkdng.photodetection import DetectorKind, DetectorModel
+from qkdng.photodetection import DetectorKind, DetectorModel, PhotocountDistribution
+from qkdng.witness import pnrd_threshold, spad_threshold
 
 PERFECT_PNRD = DetectorModel(DetectorKind.PNRD)
 PERFECT_SPAD = DetectorModel(DetectorKind.SPAD)
@@ -32,6 +35,46 @@ def poisson(t, nbar, p=1.0, det=PERFECT_SPAD):
     return poisson_observables(
         ChannelConfig(t=t, p=p), NoiseModel(NoiseStatistics.POISSON, nbar), det
     )
+
+
+def thermal_spad_oracle(t, nbar, p, det):
+    """(Q, P_s, P_e) from no-click probabilities summed over the photocount table.
+
+    q_l = e^-dark sum_s p(s|l) (1 - eta)^s: each transmitted photon is missed
+    with probability 1 - eta, and no dark count fires.
+    """
+    q0, q1 = (
+        math.exp(-det.dark) * math.fsum(
+            prob * (1.0 - det.eta) ** s
+            for s, prob in enumerate(PhotocountDistribution(l, t, (1.0 - t) * nbar).probs)
+        )
+        for l in (0, 1)
+    )
+    c0, c1 = 1.0 - q0, 1.0 - q1
+    norm = (q0 * c1 + q1 * c0) ** 2
+    return 0.5 - p * (q0 - q1) ** 2 / (2.0 * norm), norm / 4.0, q0 * q1 * c0 * c1
+
+
+def poisson_pnrd_oracle(t, nbar, p, det):
+    """(Q, P_s, P_e) from detected counts summed as binomial signal plus Poisson noise."""
+    eta, d = t * det.eta, det.dark + det.eta * (1.0 - t) * nbar
+
+    def count(s, l):  # k of l photons detected, s - k noise counts
+        return sum(
+            math.comb(l, k) * eta**k * (1.0 - eta) ** (l - k)
+            * math.exp(-d) * d ** (s - k) / math.factorial(s - k)
+            for k in range(min(s, l) + 1)
+        )
+
+    rho = count(1, 0) * count(0, 1) / (count(1, 1) * count(0, 0))
+    q = 0.5 * (1.0 - p) + 2.0 * p * rho / (1.0 + rho) ** 2
+    return q, count(1, 1) ** 2, 1.0 - count(0, 1) - count(1, 1)
+
+
+CROSS_POINTS = [  # (t, nbar, eta, dark, p)
+    (0.5, 0.1, 1.0, 0.0, 1.0), (0.8, 0.02, 0.7, 0.001, 1.0), (0.3, 1.5, 0.6, 0.01, 0.9),
+    (0.95, 0.004, 0.9, 1e-5, 0.97), (0.6, 6.0, 0.4, 0.05, 0.8),
+]
 
 
 def exact_poisson_p_e(t, nbar, eta):
@@ -89,9 +132,11 @@ class TestThermalObservables:
         assert lossy.q > ideal.q
         assert lossy.stats.p_s < ideal.stats.p_s
 
-    def test_requires_pnrd(self):
+    def test_requires_thermal_statistics(self):
         with pytest.raises(ConfigurationError):
-            thermal(0.5, 0.5, det=PERFECT_SPAD)
+            thermal_observables(
+                ChannelConfig(t=0.5), NoiseModel(NoiseStatistics.POISSON, 0.5), PERFECT_PNRD
+            )
 
 
 class TestPoissonObservables:
@@ -139,17 +184,19 @@ class TestPoissonObservables:
         exact = exact_poisson_p_e(0.5, nbar, eta)
         assert poisson(0.5, nbar, det=det).stats.p_e == pytest.approx(exact, rel=1e-14, abs=0.0)
         t = np.array([0.5])  # the array twin's terms, as poisson_fields feeds them
-        dark = eta * (1.0 - t) * nbar
-        p_e = _poisson_terms(t * eta, np.exp(-dark), np.expm1(-dark), 1.0)[1]
-        assert p_e[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
+        counts = _counts(t * eta, 0.0, eta * (1.0 - t) * nbar)
+        _, p_e, _, _, scale = _terms(DetectorKind.SPAD, *counts, 1.0)
+        assert (scale * scale * p_e)[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_dead_detector_is_undefined(self):
         out = poisson(0.0, 0.0, det=DetectorModel(DetectorKind.SPAD, eta=0.5, dark=0.0))
         assert not out.coincidence_defined
 
-    def test_requires_spad(self):
+    def test_requires_poisson_statistics(self):
         with pytest.raises(ConfigurationError):
-            poisson(0.5, 0.5, det=PERFECT_PNRD)
+            poisson_observables(
+                ChannelConfig(t=0.5), NoiseModel(NoiseStatistics.THERMAL, 0.5), PERFECT_SPAD
+            )
 
 
 class TestEffectiveDetector:
@@ -185,9 +232,20 @@ class TestAssessDispatch:
         (NoiseStatistics.THERMAL, PERFECT_SPAD),
         (NoiseStatistics.POISSON, PERFECT_PNRD),
     ])
-    def test_rejected_pairings(self, stat, det):
-        with pytest.raises(ConfigurationError, match="supported pairings"):
-            assess(ChannelConfig(t=0.5), NoiseModel(stat, 1.0), det)
+    def test_cross_pairings_match_oracle(self, stat, det):
+        oracle, threshold = (
+            (thermal_spad_oracle, spad_threshold) if stat is NoiseStatistics.THERMAL
+            else (poisson_pnrd_oracle, pnrd_threshold)
+        )
+        for t, nbar, eta, dark, p in CROSS_POINTS:
+            det = replace(det, eta=eta, dark=dark)
+            out = assess(ChannelConfig(t=t, p=p), NoiseModel(stat, nbar), det)
+            q, p_s, p_e = oracle(t, nbar, p, det)
+            assert out.coincidence_defined
+            assert out.q == pytest.approx(q, abs=1e-12)
+            assert out.stats.p_s == pytest.approx(p_s, rel=1e-12)
+            assert out.stats.p_e == pytest.approx(p_e, rel=1e-9, abs=1e-15)
+            assert out.witness.margin == pytest.approx(p_s - threshold(p_e), abs=1e-12)
 
 
 class TestCrossModelConsistency:

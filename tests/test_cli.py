@@ -51,13 +51,41 @@ class TestEval:
         assert doc["q"] == 0.5
         assert doc["region"]["bb84"] == "Neither"
 
-    def test_rejected_pairing(self, capsys):
-        code, _, err = run_cli(
+    def test_cross_pairing_matches_oracle(self, capsys):
+        code, out, _ = run_cli(
             capsys, "eval", "--noise", "thermal", "--detector", "spad",
             "--T", "0.5", "--nu", "0.1",
         )
-        assert code != 0
-        assert "--detector" in err or "--noise" in err
+        assert code == 0
+        doc = json.loads(out)
+        from test_channels import thermal_spad_oracle
+
+        q, p_s, p_e = thermal_spad_oracle(0.5, 0.1, 1.0, DetectorModel(DetectorKind.SPAD))
+        assert doc["q"] == pytest.approx(q, abs=1e-12)
+        assert doc["p_s"] == pytest.approx(p_s, rel=1e-12)
+        assert doc["p_e"] == pytest.approx(p_e, rel=1e-12)
+
+    @pytest.mark.parametrize("noise", ["thermal", "poisson"])
+    @pytest.mark.parametrize("detector", ["pnrd", "spad"])
+    def test_every_pairing_runs(self, capsys, tmp_path, noise, detector):
+        channel = ["--noise", noise, "--detector", detector, "--eta", "0.7", "--dark", "0.001"]
+        code, out, _ = run_cli(capsys, "eval", *channel, "--T", "0.6", "--nu", "0.05")
+        assert code == 0 and json.loads(out)["coincidence_defined"]
+        out = tmp_path / "four.csv"
+        code, _, _ = run_cli(capsys, "scan", *channel, "--t-points", "5", "--out", str(out))
+        assert code == 0 and len(out.read_text().splitlines()) == 6
+
+    def test_underflowed_witness_fails(self, capsys):
+        # P_s and P_e ~ 2e-323: the unscaled threshold rounded to 0 and the witness passed
+        code, out, _ = run_cli(
+            capsys, "eval", "--noise", "poisson", "--detector", "spad",
+            "--T", "0.3", "--nu", "758", "--eta", "0.7", "--dark", "0.001",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["witness"]["passed"] is False
+        assert not doc["witness"]["margin"] > 0.0
+        assert doc["region"]["bb84"] == "Neither"
 
     def test_missing_flag_named(self, capsys):
         code, _, err = run_cli(
@@ -348,6 +376,20 @@ class TestScan:
         assert row[0] == "0.0"
         assert row[1:] == ["", "", "", "", "", ""]
 
+    def test_underflowed_witness_not_capped(self, capsys, tmp_path):
+        # the witness passed again near nu = 758, so a cap there read as a capped boundary
+        out = tmp_path / "band.csv"
+        code, _, _ = run_cli(
+            capsys, "scan", "--preset", "fig5", "--eta", "0.7", "--dark", "0.001",
+            "--nu-cap", "758", "--t-min", "0.3", "--t-max", "0.3", "--t-points", "1",
+            "--out", str(out),
+        )
+        assert code == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[4] == "false"  # capped_nongauss
+        # 0.0106048583984375 under the default cap, within the bisection tolerance
+        assert float(row[1]) == pytest.approx(0.0106048583984375, abs=1e-4)
+
     def test_poisson_huge_cap_is_capped(self, capsys, tmp_path):
         # Q rises to 1/2 - p eta^2 / (2 (2 - eta)^2) = 0.002 as the noise grows:
         # BB84 holds at any noise mean, so the boundary is the cap
@@ -504,6 +546,12 @@ class TestPmf:
         rows = out.splitlines()
         assert rows[0] == "s p" and rows[-2].startswith("truncation_tail")
         assert rows[1101].startswith("1100 ")
+
+    def test_too_much_work_refused(self, capsys):
+        # l (l + rows) row updates, about 25 min at l = 100000: refused before any row
+        code, out, err = run_cli(capsys, "pmf", "--l", "100000", "--nbar", "0.1", "--T", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --l/--nbar/--T:") and "2e+07 updates" in err
 
     def test_domain_error_propagates(self, capsys):
         code, _, err = run_cli(capsys, "pmf", "--l", "-1", "--nbar", "0", "--T", "0.5")

@@ -351,21 +351,46 @@ class TestDetectedClosedForm:
     def test_matches_count_prob(self, l, dark):
         for t in self.TS:
             for m in self.MS:
-                p0, p1 = _detected(l, t, m, dark)
+                p0, p1, click = _detected(l, t, m, dark)
                 rows = PhotocountDistribution(l, t, m).probs
                 miss, single = rows[0], rows[1] if len(rows) > 1 else 0.0  # l = m = 0: one row
                 assert p0 == pytest.approx(math.exp(-dark) * miss, abs=1e-15)
                 assert p1 == pytest.approx(math.exp(-dark) * (single + dark * miss), abs=1e-15)
+                assert click == pytest.approx(1.0 - math.exp(-dark) * miss, abs=1e-15)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("l", range(4))
     def test_array_equals_scalar(self, l):
         # t = 1 with m = 0 makes a = 1 - t g vanish: no division may see it
         t, m = np.meshgrid(self.TS, self.MS)
-        p0, p1 = _detected(l, t, m, 0.001)
+        p0, p1, click = _detected(l, t, m, 0.001)
         for k in np.ndindex(t.shape):
             scalar = _detected(l, float(t[k]), float(m[k]), 0.001)
-            assert (p0[k], p1[k]) == pytest.approx(scalar, abs=1e-15)
+            assert (p0[k], p1[k], click[k]) == pytest.approx(scalar, abs=1e-15)
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_exact_near_unit_coupling(self, l):
+        # t g within 1e-4 of 1: a = 1 - t g by subtraction was l 5e-13 relative off
+        t, m = 0.9999, 1e-4
+        p0, p1, click = _detected(l, t, m, 0.0)
+        tq, mq = Fraction(t), Fraction(m)
+        g = 1 / (1 + mq)
+        r, a = mq * g, 1 - tq * g
+        miss = g * a**l
+        single = g * a ** (l - 1) * (r * a + l * tq * g * g)
+        assert abs(Fraction(p0) - miss) <= 1e-14 * miss
+        assert abs(Fraction(p1) - single) <= 1e-14 * single
+        assert abs(Fraction(click) - (1 - miss)) <= 1e-14 * (1 - miss)
+
+    def test_faint_click_without_cancellation(self):
+        # c = 1 - p0 is ~1e-12 here; 1 - p0 by subtraction keeps ~4 digits
+        t, m, dark = 1e-12, 1e-13, 1e-14
+        _, _, click = _detected(1, t, m, dark)
+        tq, mq, dq = Fraction(t), Fraction(m), Fraction(dark)
+        g = 1 / (1 + mq)
+        damp = sum((-dq) ** k / math.factorial(k) for k in range(6))  # e^-dark to ~1e-84
+        exact = 1 - damp * g * (1 - tq * g)
+        assert abs(Fraction(click) - exact) <= 1e-14 * exact
 
 
 class TestDetectorModel:

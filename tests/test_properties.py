@@ -6,23 +6,24 @@ assumption on points the boundary tests do not visit.  The sweep decides on
 the array twins of the models, which must agree with the scalar ``assess``.
 
 The security boundaries cross once, so the sweep reads them from closed-form
-roots.  Thermal model: Q = (1-p)/2 + 2p rho/(1+rho)^2 rises with rho for
-rho <= 1, and rho/(1-rho) = ((1+d) m + d)(1 + m - t_e)/t_e (t_e = T eta)
-rises with the noise m = (1-T) nu eta reaching the detector.  Poisson model:
-Q = 1/2 - p eta^2/(2 F^2) rises as x = e^(-d_eff) falls, and x falls as the
-noise mean grows.  So Q = Q* has one root in the noise mean, and the root
-property checks the criterion's indicator on both sides of it.
+roots.  PNRD: Q = (1-p)/2 + 2p rho/(1+rho)^2 rises with rho for rho <= 1,
+and rho/(1-rho) rises with the noise reaching the detector: it is
+((1+d) m + d)(1 + m - t_e)/t_e (t_e = T eta) for thermal noise
+m = (1-T) nu eta and d_eff (1 - t_e)/t_e for Poisson noise.  SPAD:
+Q = 1/2 - p (1 - q1/q0)^2/(2 f^2), f = c1 + c0 q1/q0, rises with f.  So
+Q = Q* has one root in the noise mean, and the root property checks the
+criterion's indicator on both sides of it.  Every property runs on all four
+noise/detector pairings; the two original pairings keep their short ids.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdng.channels import (
-    DETECTOR_FOR,
     ChannelConfig,
     NoiseModel,
     NoiseStatistics,
@@ -32,10 +33,16 @@ from qkdng.channels import (
     thermal_fields,
 )
 from qkdng.keyrates import S_MAX
-from qkdng.photodetection import DetectorModel
+from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import PROTOCOLS, Q_STAR, Criterion, ScanConfig, _holds, indicator
 
 ARRAY_MODEL = {NoiseStatistics.THERMAL: thermal_fields, NoiseStatistics.POISSON: poisson_fields}
+PAIRINGS = ("statistics, kind", [
+    pytest.param(NoiseStatistics.THERMAL, DetectorKind.PNRD, id="thermal"),
+    pytest.param(NoiseStatistics.POISSON, DetectorKind.SPAD, id="poisson"),
+    pytest.param(NoiseStatistics.THERMAL, DetectorKind.SPAD, id="thermal-spad"),
+    pytest.param(NoiseStatistics.POISSON, DetectorKind.PNRD, id="poisson-pnrd"),
+])
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
 
 unit = st.floats(0.0, 1.0)
@@ -43,8 +50,8 @@ noise_mean = st.floats(0.0, 50.0)
 dark = st.floats(0.0, 0.2)
 
 
-def link(statistics, t, nu, eta, d, p):
-    det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
+def link(statistics, kind, t, nu, eta, d, p):
+    det = DetectorModel(kind, eta=eta, dark=d)
     return assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
 
 
@@ -58,11 +65,11 @@ def assert_decisions_agree(fields, a):
             assert _holds(criterion, *fields).tolist() == [scalar]
 
 
-@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize(*PAIRINGS)
 @EXAMPLES
 @given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
-def test_qber_range_and_bell_score(statistics, t, nu, eta, d, p):
-    a = link(statistics, t, nu, eta, d, p)
+def test_qber_range_and_bell_score(statistics, kind, t, nu, eta, d, p):
+    a = link(statistics, kind, t, nu, eta, d, p)
     if not a.coincidence_defined:
         assert math.isnan(a.q) and math.isnan(a.s)
         return
@@ -70,30 +77,30 @@ def test_qber_range_and_bell_score(statistics, t, nu, eta, d, p):
     assert a.s == pytest.approx(S_MAX * (1.0 - 2.0 * a.q), abs=1e-12)
 
 
-@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize(*PAIRINGS)
 @EXAMPLES
 @given(t=unit, nu=noise_mean, extra=noise_mean, eta=unit, d=dark, p=unit)
-def test_qber_nondecreasing_in_noise(statistics, t, nu, extra, eta, d, p):
-    quiet = link(statistics, t, nu, eta, d, p)
-    noisy = link(statistics, t, nu + extra, eta, d, p)
+def test_qber_nondecreasing_in_noise(statistics, kind, t, nu, extra, eta, d, p):
+    quiet = link(statistics, kind, t, nu, eta, d, p)
+    noisy = link(statistics, kind, t, nu + extra, eta, d, p)
     if quiet.coincidence_defined and noisy.coincidence_defined:
         assert noisy.q >= quiet.q - 1e-12
 
 
-@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize(*PAIRINGS)
 @EXAMPLES
 @given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
-def test_bb84_rate_bounds_di_rate(statistics, t, nu, eta, d, p):
-    rates = link(statistics, t, nu, eta, d, p).rates
+def test_bb84_rate_bounds_di_rate(statistics, kind, t, nu, eta, d, p):
+    rates = link(statistics, kind, t, nu, eta, d, p).rates
     if rates.di_defined:
         assert rates.bb84 >= rates.di
 
 
-@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize(*PAIRINGS)
 @EXAMPLES
 @given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
-def test_array_model_equals_scalar_model(statistics, t, nu, eta, d, p):
-    det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
+def test_array_model_equals_scalar_model(statistics, kind, t, nu, eta, d, p):
+    det = DetectorModel(kind, eta=eta, dark=d)
     a = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
     fields = ARRAY_MODEL[statistics](np.array([t]), np.array([nu]), p, det)
     assert fields.defined.tolist() == [a.coincidence_defined]
@@ -110,14 +117,14 @@ def test_array_model_equals_scalar_model(statistics, t, nu, eta, d, p):
 def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
     # far past e^(d_eff) overflow: Q still lies in [0, 1/2], grows with the
     # noise mean, and the array model still equals the scalar one
-    statistics = NoiseStatistics.POISSON
-    quiet = link(statistics, t, nu, eta, d, p)
-    noisy = link(statistics, t, nu + extra, eta, d, p)
+    statistics, kind = NoiseStatistics.POISSON, DetectorKind.SPAD
+    quiet = link(statistics, kind, t, nu, eta, d, p)
+    noisy = link(statistics, kind, t, nu + extra, eta, d, p)
     if quiet.coincidence_defined:
         assert 0.0 <= quiet.q <= 0.5
         if noisy.coincidence_defined:
             assert noisy.q >= quiet.q - 1e-12
-    det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
+    det = DetectorModel(kind, eta=eta, dark=d)
     fields = poisson_fields(np.array([t]), np.array([nu]), p, det)
     assert fields.defined.tolist() == [quiet.coincidence_defined]
     if quiet.coincidence_defined:
@@ -126,13 +133,31 @@ def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
     assert_decisions_agree(fields, quiet)
 
 
-@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize(*PAIRINGS)
+@EXAMPLES
+# the Poisson/SPAD band where P_s and P_e underflowed and the witness passed again
+@example(t=0.3, nu=100.0, extra=658.0, eta=0.7, d=0.001)
+@example(t=0.3, nu=100.0, extra=658.5, eta=0.7, d=0.0)
+@given(t=unit, nu=st.floats(0.0, 1e6), extra=st.floats(0.0, 1e6), eta=unit, d=dark)
+def test_witness_never_returns_as_noise_grows(statistics, kind, t, nu, extra, eta, d):
+    quiet = link(statistics, kind, t, nu, eta, d, 1.0)
+    noisy = link(statistics, kind, t, nu + extra, eta, d, 1.0)
+    if not quiet.nongauss:
+        assert not noisy.nongauss
+    assert noisy.witness.passed == (noisy.witness.margin > 0.0)
+    det = DetectorModel(kind, eta=eta, dark=d)
+    fields = ARRAY_MODEL[statistics](np.array([t, t]), np.array([nu, nu + extra]), 1.0, det)
+    witness = _holds(Criterion.NONGAUSS, *fields).tolist()
+    assert witness[1] <= witness[0]
+
+
+@pytest.mark.parametrize(*PAIRINGS)
 @pytest.mark.parametrize("criterion", PROTOCOLS)
 @EXAMPLES
 # below p = 1 - 2 Q* or with much dark noise no link is secure at all
 @given(t=unit, eta=st.floats(0.05, 1.0), d=st.floats(0.0, 0.01), p=st.floats(0.8, 1.0))
-def test_noise_root_separates_secure_from_insecure(statistics, criterion, t, eta, d, p):
-    det = DetectorModel(DETECTOR_FOR[statistics], eta=eta, dark=d)
+def test_noise_root_separates_secure_from_insecure(statistics, kind, criterion, t, eta, d, p):
+    det = DetectorModel(kind, eta=eta, dark=d)
     config = ScanConfig(t_grid=(t,), statistics=statistics, detector=det, p=p, nu_cap=50.0)
     root = float(noise_root(statistics, np.array([t]), Q_STAR[criterion], p, det)[0])
     # an open bracket: the criterion holds at nu = 0 and the root lies below the cap

@@ -6,7 +6,7 @@ import pytest
 
 import qkdng.scan
 from qkdng.channels import LinkFields, NoiseStatistics
-from qkdng.errors import ConfigurationError, DomainError
+from qkdng.errors import DomainError
 from qkdng.keyrates import Q_STAR_BB84, bell_from_qber, key_rates
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import (
@@ -549,9 +549,14 @@ class TestScanConfigValidation:
         with pytest.raises(DomainError, match="Werner weight"):
             thermal_config(p=p)
 
-    def test_unsupported_pairing(self):
-        with pytest.raises(ConfigurationError, match="supported pairings"):
-            thermal_config(det=DetectorModel(DetectorKind.SPAD))
+    def test_cross_pairing_accepted(self):
+        # thermal noise read by a SPAD: the closed-form root agrees with the scalar model
+        config = thermal_config(det=DetectorModel(DetectorKind.SPAD, eta=0.7, dark=0.001),
+                                tol=1e-6)
+        nu = max_noise(Criterion.BB84, 0.5, config)
+        assert not nu.capped and not nu.undefined and nu.nu_star > 0.0
+        assert indicator(Criterion.BB84, 0.5, nu.nu_star, config)
+        assert not indicator(Criterion.BB84, 0.5, nu.nu_star + 2e-6, config)
 
     @pytest.mark.parametrize("probe_points", [-3, 1, 2, 4.0, True, "5", 10**12])
     def test_bad_probe_points(self, probe_points):
