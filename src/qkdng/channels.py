@@ -2,19 +2,20 @@
 
 The link model has two factors, and any noise pairs with any detector.  The
 noise factor gives the detected counts of the empty (l = 0) and the occupied
-(l = 1) polarisation mode: p(0|l), p(1|l) and the click probability
-c_l = 1 - p(0|l), from ``photodetection._detected``.  A single thermal mode
-coupled in at a beam splitter is thinned with the signal,
-``_detected(l, t eta, (1-t) eta nu, dark)``; multimode (Poissonian) noise
-only adds clicks, so it folds into the dark counts,
-``_detected(l, t eta, 0, d_eff)``.  The detector factor (``_terms``) turns
-the counts into the criterion terms: a PNRD reads the 0- and 1-counts
-(``_thermal_terms``), a SPAD only whether it clicked.
+(l = 1) polarisation mode: p(0|l), p(1|l), the click probability
+c_l = 1 - p(0|l) and the probability w_l of two or more counts, from
+``photodetection._detected``.  ``_detector_input`` is
+the one place that says how a noise statistics reaches the detector: a single
+thermal mode coupled in at a beam splitter is thinned with the signal,
+(t eta, (1-t) nu eta, dark); multimode (Poissonian) noise only adds clicks,
+so it folds into the dark counts, (t eta, 0, d_eff).  The detector factor
+(``_terms``) turns the counts into the criterion terms: a PNRD reads the 0-
+and 1-counts (``_thermal_terms``), a SPAD only whether it clicked.
 
 Both factors are arithmetic only, so they work on floats and numpy arrays
-alike.  The scalar twins (``thermal_observables``, ``poisson_observables``)
-check their inputs and build a ``LinkAssessment``; the array twins
-(``thermal_fields``, ``poisson_fields``) serve the sweep.
+alike.  The scalar models (``thermal_observables``, ``poisson_observables``)
+check their inputs and build a ``LinkAssessment``; ``link_fields`` gives the
+sweep the same decisions elementwise, for every pairing.
 """
 
 from __future__ import annotations
@@ -28,18 +29,36 @@ import numpy as np
 
 from .errors import ConfigurationError, check_range
 from .keyrates import KeyRates, bell_from_qber, key_rates
-from .photodetection import DetectorKind, DetectorModel, _detected, detect_pmf, photocount_pmf
+from .photodetection import (
+    DetectorKind, DetectorModel, _dark_counts, _detected, detect_pmf, photocount_pmf,
+)
 from .witness import CoincidenceStats, WitnessVerdict, evaluate, witness_margin
 
 _COINCIDENCE_FLOOR = 1e-30  # below this the normalisation N counts as zero
-
-# documented so run manifests can name the noise-folding convention
-EFFECTIVE_DETECTOR_MAPPING = "eta_eff = T*eta; d_eff = dark + eta*(1-T)*nbar"
 
 
 class NoiseStatistics(str, Enum):
     THERMAL = "thermal"   # single-mode thermal occupation of the noise port
     POISSON = "poisson"   # multimode-thermal limit with Poissonian counts
+
+
+# ``_detector_input`` in words, so each run's manifest names its own mapping
+DETECTOR_INPUT = {
+    NoiseStatistics.THERMAL: "eta_eff = T*eta; thermal mean m_eff = eta*(1-T)*nbar; d_eff = dark",
+    NoiseStatistics.POISSON: "eta_eff = T*eta; d_eff = dark + eta*(1-T)*nbar",
+}
+
+
+def _detector_input(statistics: NoiseStatistics, t, nu, det: DetectorModel):
+    """(t eta, m, dark) that ``_counts`` reads: how the noise reaches the detector.
+
+    Thermal noise is thinned with the signal, once by the coupler and once by
+    the detector; Poisson noise only adds clicks, so it joins the dark
+    counts.  Unchecked and elementwise.
+    """
+    if statistics is NoiseStatistics.THERMAL:
+        return t * det.eta, (1.0 - t) * nu * det.eta, det.dark
+    return t * det.eta, 0.0, det.dark + det.eta * (1.0 - t) * nu
 
 
 @dataclass(frozen=True)
@@ -101,19 +120,21 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _thermal_terms(p00, p10, p01, p11, p: float):
+def _thermal_terms(p00, p10, p01, p11, w1, p: float):
     """Unclamped (P_s, P_e, N, 2 N Q) behind PNRDs, arithmetic only.
 
     From the detected-count probabilities p~(s|l), s, l in {0, 1}, of the
-    occupied (l=1) and empty (l=0) polarisation mode:
+    occupied (l=1) and empty (l=0) polarisation mode, and the occupied mode's
+    probability w1 of two or more counts:
 
         N = (p11 p00 + p10 p01)^2,    2 N Q = 4 p * p11 p00 p01 p10 + (1-p) N,
-        P_s = p11^2,                  P_e = 1 - p01 - p11.
+        P_s = p11^2,                  P_e = w1 = 1 - p01 - p11,
 
-    Elementwise when the probabilities are numpy arrays.
+    P_e summed from non-negative terms, not subtracted.  Elementwise when the
+    probabilities are numpy arrays.
     """
     norm = (p11 * p00 + p10 * p01) ** 2
-    return p11 * p11, 1.0 - p01 - p11, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm
+    return p11 * p11, w1, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm
 
 
 def _no_click_ratio(t, m):
@@ -125,11 +146,17 @@ def _no_click_ratio(t, m):
 
 
 def _counts(t, m, dark):
-    """Noise factor: (p00, p10, c0, p01, p11, c1, q1/q0) of the empty and the occupied mode."""
-    return (*_detected(0, t, m, dark), *_detected(1, t, m, dark), _no_click_ratio(t, m))
+    """Noise factor: ``_detected``'s (p0, p1, c, w) of the empty and the occupied mode, and q1/q0.
+
+    That is (p00, p10, c0, w0, p01, p11, c1, w1, q1/q0), w being the
+    probability of two or more counts.
+    """
+    shared = _dark_counts(dark)
+    return (*_detected(0, t, m, dark, shared), *_detected(1, t, m, dark, shared),
+            _no_click_ratio(t, m))
 
 
-def _terms(kind: DetectorKind, p00, p10, c0, p01, p11, c1, rho, p: float):
+def _terms(kind: DetectorKind, p00, p10, c0, w0, p01, p11, c1, w1, rho, p: float):
     """Detector factor: (P_s, P_e, N, 2 N Q) divided by scale^2, and the scale.
 
     A PNRD reads ``_thermal_terms`` at scale 1.  A SPAD reads the no-click
@@ -142,7 +169,7 @@ def _terms(kind: DetectorKind, p00, p10, c0, p01, p11, c1, rho, p: float):
     and each is divided by q0^2 (q1 = rho q0), so none underflows before q0.
     """
     if kind is DetectorKind.PNRD:
-        return (*_thermal_terms(p00, p10, p01, p11, p), 1.0)
+        return (*_thermal_terms(p00, p10, p01, p11, w1, p), 1.0)
     f = c1 + rho * c0
     p_e = rho * c0 * c1
     return 0.25 * f * f, p_e, f * f, 4.0 * p * p_e + (1.0 - p) * f * f, p00
@@ -167,19 +194,6 @@ def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssess
     )
 
 
-def _link_fields(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkFields:
-    """``_assessment``'s decision fields, elementwise."""
-    k = scale * scale
-    defined = norm >= _COINCIDENCE_FLOOR * k
-    with np.errstate(divide="ignore", invalid="ignore"):  # N = 0 where undefined
-        q = two_nq / (2.0 * norm)
-    return LinkFields(
-        defined=defined,
-        margin=witness_margin(kind, np.clip(p_s, 0.0, 1.0), np.clip(p_e, 0.0, 1.0), scale),
-        q=np.where(defined, np.clip(q, 0.0, 0.5), np.nan),
-    )
-
-
 def thermal_observables(
     cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel
 ) -> LinkAssessment:
@@ -195,10 +209,9 @@ def thermal_observables(
     counts = []
     for l in (0, 1):
         out = detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), pnrd)
-        counts += out.p0, out.p1, out.p1 + out.p_two_plus
-    # thinned as detect_pmf thins: t eta and (1 - t) nbar eta
-    rho = _no_click_ratio(cfg.t * det.eta, (1.0 - cfg.t) * noise.nbar * det.eta)
-    return _assessment(det.kind, *_terms(det.kind, *counts, rho, cfg.p))
+        counts += out.p0, out.p1, out.p1 + out.p_two_plus, out.p_two_plus
+    t_eta, m, _ = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
+    return _assessment(det.kind, *_terms(det.kind, *counts, _no_click_ratio(t_eta, m), cfg.p))
 
 
 def effective_detector(t: float, nbar: float, det: DetectorModel) -> tuple[float, float]:
@@ -207,11 +220,12 @@ def effective_detector(t: float, nbar: float, det: DetectorModel) -> tuple[float
     The coupler transmits the signal with probability ``t``, scaling the
     efficiency, while the (1-t) fraction of the mean noise photon number
     reaches the detector as an extra Poissonian click rate on top of the
-    intrinsic dark counts.
+    intrinsic dark counts: ``_detector_input``'s Poisson branch, checked.
     """
     check_range("coupling transmittance", t, 0.0, 1.0)
     check_range("noise mean", nbar, 0.0)
-    return t * det.eta, det.dark + det.eta * (1.0 - t) * nbar
+    t_eta, _, d_eff = _detector_input(NoiseStatistics.POISSON, t, nbar, det)
+    return t_eta, d_eff
 
 
 def poisson_observables(
@@ -219,31 +233,30 @@ def poisson_observables(
 ) -> LinkAssessment:
     """Q, S, key rates and witness statistics for Poissonian noise.
 
-    The counts are those of ``_counts`` at ``effective_detector``, with no
+    The counts are those of ``_counts`` at ``_detector_input``, with no
     thermal mode; the terms those of ``_terms``.
     """
     if noise.statistics is not NoiseStatistics.POISSON:
         raise ConfigurationError("poisson_observables requires poisson noise statistics")
-    eta, dark = effective_detector(cfg.t, noise.nbar, det)
-    return _assessment(det.kind, *_terms(det.kind, *_counts(eta, 0.0, dark), cfg.p))
+    counts = _counts(*_detector_input(noise.statistics, cfg.t, noise.nbar, det))
+    return _assessment(det.kind, *_terms(det.kind, *counts, cfg.p))
 
 
-def thermal_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
-    """``thermal_observables`` elementwise over broadcast arrays ``t`` and ``nu``.
-
-    Unchecked: the caller guarantees t in [0, 1], nu >= 0 and p in [0, 1].
-    """
-    counts = _counts(t * det.eta, (1.0 - t) * nu * det.eta, det.dark)  # as detect_pmf thins
-    return _link_fields(det.kind, *_terms(det.kind, *counts, p))
-
-
-def poisson_fields(t, nu, p: float, det: DetectorModel) -> LinkFields:
-    """``poisson_observables`` elementwise over broadcast arrays ``t`` and ``nu``.
+def link_fields(statistics: NoiseStatistics, t, nu, p: float, det: DetectorModel) -> LinkFields:
+    """``assess``'s decision fields elementwise over broadcast arrays ``t`` and ``nu``.
 
     Unchecked: the caller guarantees t in [0, 1], nu >= 0 and p in [0, 1].
     """
-    counts = _counts(t * det.eta, 0.0, det.dark + det.eta * (1.0 - t) * nu)
-    return _link_fields(det.kind, *_terms(det.kind, *counts, p))
+    counts = _counts(*_detector_input(statistics, t, nu, det))
+    p_s, p_e, norm, two_nq, scale = _terms(det.kind, *counts, p)
+    defined = norm >= _COINCIDENCE_FLOOR * (scale * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):  # N = 0 where undefined
+        q = two_nq / (2.0 * norm)
+    return LinkFields(
+        defined=defined,
+        margin=witness_margin(det.kind, np.clip(p_s, 0.0, 1.0), np.clip(p_e, 0.0, 1.0), scale),
+        q=np.where(defined, np.clip(q, 0.0, 0.5), np.nan),
+    )
 
 
 def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: DetectorModel):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .channels import (
-    EFFECTIVE_DETECTOR_MAPPING,
+    DETECTOR_INPUT,
     ChannelConfig,
     NoiseModel,
     NoiseStatistics,
@@ -127,7 +127,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "witness": {"passed": assessment.nongauss, "margin": assessment.witness.margin},
         "coincidence_defined": assessment.coincidence_defined,
         "region": {proto.value: label.value for proto, label in regions.items()},
-        "manifest": _manifest(args, effective_detector_mapping=EFFECTIVE_DETECTOR_MAPPING),
+        "manifest": _manifest(args,
+                              effective_detector_mapping=DETECTOR_INPUT[noise.statistics]),
     }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -223,7 +224,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # the manifest's own write comes after, so it cannot time itself
     phase_s = {"resolve": resolved - started, "sweep": swept - resolved,
                "write": time.perf_counter() - swept}
-    manifest = _manifest(args, effective_detector_mapping=EFFECTIVE_DETECTOR_MAPPING,
+    manifest = _manifest(args, effective_detector_mapping=DETECTOR_INPUT[config.statistics],
                          out=str(out))
     manifest["diagnostics"] = diagnostics = _diagnostics(curve, phase_s)
     manifest_path = out.with_name(out.name + ".manifest.json")

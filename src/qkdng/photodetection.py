@@ -15,11 +15,18 @@ count g r^s convolved with l copies of the kernel h_0 = a, h_s = t g^2 r^(s-1),
 
 a single sum of non-negative terms.  Detector efficiency is one more thinning
 of the same kind, so no infinite sum is ever truncated on the way to the
-detected counts.  The detector models read only the first two terms and the
-click probability, each a sum of non-negative terms:
+detected counts.  The detector models read only the first two terms, the
+click probability and the probability of two or more, each a sum of
+non-negative terms:
 
     p(0|l) = g a^l,    p(1|l) = g a^(l-1) (r a + l t g^2),    p(1|0) = g r,
-    1 - p(0|l) = r + t g^2 (1 + a + ... + a^(l-1)).
+    1 - p(0|l) = r + t g^2 (1 + a + ... + a^(l-1)),
+    P(s >= 2) = a^l r^2 + l a^(l-1) t g r (1 + g) + (t g)^2 sum_{j<l} j a^(j-1).
+
+The last reads the kernel as a choice per signal photon: it adds nothing
+with probability a, else one photon plus a thermal-like count g r^k.  With
+no such photon the thermal count must reach 2 (r^2); with one, the two
+thermal-like counts must not both be 0 (1 - g^2 = r (1 + g)); two always do.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,6 +44,8 @@ _EXACT_LIMIT = 20   # largest index evaluated with exact integer factorials
 _TAIL_FLOOR = 1e-17  # tabulated tail mass left out, below double round-off on 1
 _MAX_ROWS = 10**6    # longest photocount table worth building for output
 _MAX_WORK = 2 * 10**7  # row updates of one table, l per row: about 3 s
+# 1/(j+2)! for j = 13 down to 0: P(D >= 2) = e^-d d^2 sum_j d^j/(j+2)!, to 6e-18 at d = 1/2
+_DARK_SERIES = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(14)))
 
 
 class DetectorKind(str, Enum):
@@ -63,30 +72,69 @@ class DetectorModel:
         check_range("dark-count rate", self.dark, 0.0)
 
 
-def _detected(l: int, t, m, dark: float):
-    """(p0, p1, c) of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
+def _dark_series(x):
+    """sum_j x^j/(j+2)!, by Horner: e^-x x^2 times it is P(D >= 2) below x = 1/2."""
+    series = 0.0
+    for coeff in _DARK_SERIES:
+        series = coeff + x * series
+    return series
 
-    The closed forms p(0|l) and p(1|l) of the module docstring, folded with
-    Poissonian dark counts of mean ``dark``: p0 = e^-dark p(0|l),
-    p1 = e^-dark (p(1|l) + dark p(0|l)) and the click probability
-    c = 1 - p0 = (1 - e^-dark) + e^-dark (1 - p(0|l)), never by subtraction.
-    Elementwise when ``t``, ``m`` or ``dark`` are numpy arrays.
+
+@lru_cache(maxsize=16)  # a detector's own rate: every thermal evaluation asks for it again
+def _scalar_dark_counts(dark: float) -> tuple[float, float, float]:
+    damp, lost = math.exp(-dark), -math.expm1(-dark)
+    if dark >= 0.5:
+        return damp, lost, lost - dark * damp
+    return damp, lost, dark * dark * damp * _dark_series(dark)
+
+
+def _dark_counts(dark):
+    """(P(D = 0), P(D >= 1), P(D >= 2)) of Poissonian dark counts D of mean ``dark``.
+
+    Never by subtraction: below d = 1/2, where 1 - e^-d - d e^-d cancels,
+    P(D >= 2) is the series e^-d d^2 sum_j d^j/(j+2)!; above, the
+    subtraction loses at most three bits.  Elementwise when ``dark`` is a numpy
+    array, as Poisson noise makes it.
+    """
+    if not isinstance(dark, np.ndarray):
+        return _scalar_dark_counts(dark)
+    damp, lost = np.exp(-dark), -np.expm1(-dark)
+    x = np.minimum(dark, 0.5)  # the series stays finite where it is not read
+    return damp, lost, np.where(dark < 0.5, x * x * damp * _dark_series(x), lost - dark * damp)
+
+
+def _detected(l: int, t, m, dark, dark_counts=None):
+    """(p0, p1, c, w) of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
+
+    The closed forms p(0|l), p(1|l) and P(s >= 2) of the module docstring,
+    folded with Poissonian dark counts D of mean ``dark``: p0 = e^-dark p(0|l),
+    p1 = e^-dark (p(1|l) + dark p(0|l)), the click probability
+    c = 1 - p0 = (1 - e^-dark) + e^-dark (1 - p(0|l)) and the probability of
+    two or more counts w = P(s >= 2) + p(1|l) P(D >= 1) + p(0|l) P(D >= 2),
+    never by subtraction.  ``dark_counts`` is ``_dark_counts(dark)`` where the
+    caller shares it between modes.  Elementwise when ``t``, ``m`` or ``dark``
+    are numpy arrays.
     """
     g = 1.0 / (1.0 + m)
     r = m * g
     if l == 0:
-        miss, single, hit = g, g * r, r
+        miss, single, hit, two = g, g * r, r, r * r
     else:
         a = ((1.0 - t) + m) * g  # 1 - t g without cancellation
         tg2 = t * g * g
-        geo = 1.0  # 1 + a + ... + a^(l-1), by Horner: 1 - g a^l = r + t g^2 geo
+        # 1 + a + ... + a^(l-1) and its derivative in a, by Horner: 1 - g a^l = r + t g^2 geo
+        geo, slope = 1.0, 0.0
         for _ in range(l - 1):
-            geo = 1.0 + a * geo
-        lead = g * a ** (l - 1)
+            geo, slope = 1.0 + a * geo, geo + a * slope
+        power = a ** (l - 1)
+        lead = g * power
         miss, single, hit = lead * a, lead * (r * a + l * tg2), r + tg2 * geo
-    xp = np if isinstance(dark, np.ndarray) else math  # Poisson noise folds into dark
-    damp = xp.exp(-dark)
-    return damp * miss, damp * (single + dark * miss), -xp.expm1(-dark) + damp * hit
+        two = power * (a * r * r + l * t * g * r * (1.0 + g))
+        if l > 1:
+            two = two + (t * g) ** 2 * slope
+    damp, lost, doubles = _dark_counts(dark) if dark_counts is None else dark_counts
+    return (damp * miss, damp * (single + dark * miss), lost + damp * hit,
+            two + single * lost + miss * doubles)
 
 
 @dataclass(frozen=True)
@@ -107,8 +155,9 @@ class PhotocountDistribution:
     @cached_property
     def _table(self) -> tuple[np.ndarray, float]:
         l, t, m = self.incident_l, self.t, self.m
-        # rows the geometric factor r^s needs to fall below the floor
-        rows = math.log(_TAIL_FLOOR) / math.log1p(-1.0 / (1.0 + m)) if m > 0.0 else 0.0
+        # rows the geometric factor r^s needs to fall below the floor, from
+        # log r = -log(1 + 1/m): log1p(-1/(1 + m)) is log1p(-1.0) below m = 2^-53
+        rows = math.log(_TAIL_FLOOR) / -math.log1p(1.0 / m) if m > 0.0 else 0.0
         # each row updates l running sums: the work grows as l (l + rows)
         if l + rows > _MAX_ROWS or l * (l + rows) > _MAX_WORK:
             raise DomainError(
@@ -232,5 +281,5 @@ def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
     """
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("detect_pmf coarse-grains onto PNRD outcomes")
-    p0, p1, click = _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)
-    return DetectionPmf(p0=p0, p1=p1, p_two_plus=click - p1)
+    p0, p1, _, two_plus = _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)
+    return DetectionPmf(p0=p0, p1=p1, p_two_plus=two_plus)

@@ -11,8 +11,8 @@ Every bracket starts as [0, nu_cap] and halves until it is no wider than
 steps and advance in lock step; under a ``tol`` finer than the float
 spacing a bracket ends once it is one float wide instead.  A security row
 decides a midpoint by ``mid <= root``, replaying the bisection without a
-model call.  The witness row calls the model's array function
-(``thermal_fields`` or ``poisson_fields``) once per step on a (1, T) array
+model call.  The witness row calls ``channels.link_fields``, the model's
+array function for either noise statistics, once per step on a (1, T) array
 of midpoints; only it gets the optional pre-probe for multiple crossings.
 Rounding can leave a bracket a hair wider or narrower than its neighbours;
 each stops at its own width, as a scalar loop would.  ``max_noise`` is the
@@ -41,9 +41,8 @@ from .channels import (
     NoiseModel,
     NoiseStatistics,
     assess,
+    link_fields,
     noise_root,
-    poisson_fields,
-    thermal_fields,
 )
 from .errors import DomainError, check_range
 from .keyrates import Q_STAR_BB84, Q_STAR_DI
@@ -202,11 +201,6 @@ def _holds(criterion: Criterion, defined, margin, q):
     return defined & (q <= Q_STAR[criterion])
 
 
-def _evaluate(config: ScanConfig, t, nu) -> LinkFields:
-    model = thermal_fields if config.statistics is NoiseStatistics.THERMAL else poisson_fields
-    return model(t, nu, config.p, config.detector)
-
-
 def indicator(criterion: Criterion | str, t: float, nu: float, config: ScanConfig) -> bool:
     """True when the criterion holds at (t, nu); undefined links count as False.
 
@@ -240,23 +234,24 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     nu = 0, capped (still holding at ``nu_cap``) or bisected.
     """
     criteria = config.criteria
+    statistics, p, det = config.statistics, config.p, config.detector
     t = np.array(config.t_grid)
 
     def holds(fields: LinkFields) -> np.ndarray:
         return np.stack([_holds(criterion, *fields) for criterion in criteria])
 
-    base = _evaluate(config, t, np.zeros_like(t))
+    base = link_fields(statistics, t, np.zeros_like(t), p, det)
     at_zero = holds(base)
-    capped = at_zero & holds(_evaluate(config, t, np.full_like(t, config.nu_cap)))
+    capped = at_zero & holds(link_fields(statistics, t, np.full_like(t, config.nu_cap), p, det))
     evaluations = 2
     warning = np.zeros_like(at_zero)
     # NaN in the witness row, whose midpoints are decided on the model
-    root = np.stack([noise_root(config.statistics, t, Q_STAR[c], config.p, config.detector)
+    root = np.stack([noise_root(statistics, t, Q_STAR[c], p, det)
                      if c in Q_STAR else np.full_like(t, np.nan) for c in criteria])
     w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
     if w is not None and config.probe_points:
         grid = np.linspace(0.0, config.nu_cap, config.probe_points)[:, np.newaxis]
-        flags = _holds(Criterion.NONGAUSS, *_evaluate(config, t, grid))  # (probe, t)
+        flags = _holds(Criterion.NONGAUSS, *link_fields(statistics, t, grid, p, det))  # (probe, t)
         # any off-to-on flip means multiple crossings
         warning[w] = at_zero[w] & (~flags[:-1] & flags[1:]).any(axis=0)
         evaluations += 1
@@ -269,7 +264,8 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     while (active := (hi - lo > config.tol) & (lo < mid) & (mid < hi)).any():
         ok = mid <= root
         if w is not None and active[w].any():
-            ok[w] = _holds(Criterion.NONGAUSS, *_evaluate(config, t, mid[w:w + 1]))[0]
+            fields = link_fields(statistics, t, mid[w:w + 1], p, det)
+            ok[w] = _holds(Criterion.NONGAUSS, *fields)[0]
             evaluations += 1
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)

@@ -39,14 +39,15 @@ class WitnessVerdict:
     margin: float
 
 
-def _bound(kind: DetectorKind, p_e, scale, sqrt):
+def _bound(kind: DetectorKind, p_e, scale):
     """The threshold on P_s at error rate ``scale``^2 ``p_e``, divided by ``scale``.
 
     SPAD: (1/2) sqrt(P_e / (8 + P_e)) (2 + P_e + sqrt(P_e (8 + P_e))); PNRD:
     sqrt(P_e) - P_e.  Each square root pulls out one factor of ``scale``, so
-    ``p_e`` may be O(1) where P_e itself is subnormal.  ``sqrt`` is
-    ``math.sqrt`` or ``np.sqrt``.
+    ``p_e`` may be O(1) where P_e itself is subnormal.  Elementwise when
+    ``p_e`` is a numpy array.
     """
+    sqrt = np.sqrt if isinstance(p_e, np.ndarray) else math.sqrt
     if kind is DetectorKind.SPAD:
         u = scale * scale * p_e  # P_e
         return 0.5 * sqrt(p_e / (8.0 + u)) * (2.0 + u + scale * sqrt(p_e * (8.0 + u)))
@@ -61,12 +62,12 @@ def _check_p_e(p_e: float) -> float:
 
 def spad_threshold(p_e: float) -> float:
     """Largest Gaussian-compatible success probability at SPAD error rate ``p_e``."""
-    return _bound(DetectorKind.SPAD, _check_p_e(p_e), 1.0, math.sqrt)
+    return _bound(DetectorKind.SPAD, _check_p_e(p_e), 1.0)
 
 
 def pnrd_threshold(p_e: float) -> float:
     """Largest Gaussian-compatible success probability at PNRD error rate ``p_e``."""
-    return _bound(DetectorKind.PNRD, _check_p_e(p_e), 1.0, math.sqrt)
+    return _bound(DetectorKind.PNRD, _check_p_e(p_e), 1.0)
 
 
 def evaluate(kind: DetectorKind, stats: CoincidenceStats, scale: float = 1.0) -> WitnessVerdict:
@@ -77,10 +78,13 @@ def evaluate(kind: DetectorKind, stats: CoincidenceStats, scale: float = 1.0) ->
     with threshold/scale taken from p_e, so its sign survives where P_s and
     P_e underflow.
     """
-    margin = scale * (scale * stats.p_s - _bound(DetectorKind(kind), stats.p_e, scale, math.sqrt))
+    margin = witness_margin(DetectorKind(kind), stats.p_s, stats.p_e, scale)
     return WitnessVerdict(passed=margin > 0.0, margin=margin)
 
 
 def witness_margin(kind: DetectorKind, p_s, p_e, scale=1.0):
-    """Elementwise ``evaluate(kind, CoincidenceStats(p_s, p_e), scale).margin``, unchecked."""
-    return scale * (scale * p_s - _bound(kind, p_e, scale, np.sqrt))
+    """P_s - threshold(P_e) from ``p_s`` and ``p_e`` divided by ``scale``^2, unchecked.
+
+    ``evaluate``'s margin; elementwise when ``p_e`` is a numpy array.
+    """
+    return scale * (scale * p_s - _bound(kind, p_e, scale))

@@ -10,10 +10,11 @@ from qkdng.channels import (
     NoiseModel,
     NoiseStatistics,
     _counts,
+    _detector_input,
     _terms,
     assess,
     effective_detector,
-    poisson_fields,
+    link_fields,
     poisson_observables,
     thermal_observables,
 )
@@ -174,7 +175,8 @@ class TestPoissonObservables:
         det = DetectorModel(DetectorKind.SPAD, eta=2.220446049250313e-16, dark=0.0)
         exact = 0.49949754586451178834
         assert poisson(0.34375, 8.0, det=det).q == pytest.approx(exact, abs=1e-15)
-        fields = poisson_fields(np.array([0.34375]), np.array([8.0]), 1.0, det)
+        fields = link_fields(NoiseStatistics.POISSON, np.array([0.34375]), np.array([8.0]), 1.0,
+                             det)
         assert fields.q[0] == pytest.approx(exact, abs=1e-15)
 
     # d_eff = 3.5e-15 and 5e-16: x - 1 by subtraction is 1.5% and 11% off
@@ -183,8 +185,8 @@ class TestPoissonObservables:
         det = DetectorModel(DetectorKind.SPAD, eta=eta, dark=0.0)
         exact = exact_poisson_p_e(0.5, nbar, eta)
         assert poisson(0.5, nbar, det=det).stats.p_e == pytest.approx(exact, rel=1e-14, abs=0.0)
-        t = np.array([0.5])  # the array twin's terms, as poisson_fields feeds them
-        counts = _counts(t * eta, 0.0, eta * (1.0 - t) * nbar)
+        t = np.array([0.5])  # the terms link_fields computes
+        counts = _counts(*_detector_input(NoiseStatistics.POISSON, t, nbar, det))
         _, p_e, _, _, scale = _terms(DetectorKind.SPAD, *counts, 1.0)
         assert (scale * scale * p_e)[0] == pytest.approx(exact, rel=1e-14, abs=0.0)
 

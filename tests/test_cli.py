@@ -87,6 +87,31 @@ class TestEval:
         assert not doc["witness"]["margin"] > 0.0
         assert doc["region"]["bb84"] == "Neither"
 
+    def test_dead_coupler_error_coincidences_not_cancelled(self, capsys):
+        # T = nu = 0: only dark counts reach the PNRD, so P_e = P(D >= 2) ~ dark^2/2;
+        # 1 - p01 - p11 cancelled to 0 and the witness margin came out +1e-76
+        code, out, _ = run_cli(
+            capsys, "eval", "--noise", "thermal", "--detector", "pnrd",
+            "--T", "0", "--nu", "0", "--eta", "1", "--dark", "1e-38",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["p_e"] == pytest.approx(5e-77, rel=1e-15, abs=0.0)
+        assert doc["witness"]["margin"] == pytest.approx(1e-76 - math.sqrt(5e-77), rel=1e-15,
+                                                         abs=0.0)
+        assert doc["witness"]["passed"] is False and doc["coincidence_defined"] is False
+
+    def test_manifest_names_the_poisson_mapping(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--preset", "fig5", "--eta", "0.7", "--dark", "0.001",
+            "--T", "0.5", "--nu", "0.1",
+        )
+        assert code == 0
+        params = json.loads(out)["manifest"]["parameters"]
+        assert params["effective_detector_mapping"] == (
+            "eta_eff = T*eta; d_eff = dark + eta*(1-T)*nbar"
+        )
+
     def test_missing_flag_named(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "--noise", "thermal", "--detector", "pnrd", "--nu", "0.1"
@@ -218,7 +243,8 @@ class TestConfigLayering:
             "noise": "thermal", "detector": "pnrd", "eta": 0.7, "dark": 0.001, "p": 1.0,
             "t_min": 0.02, "t_max": 1.0, "t_points": 96, "nu_cap": 10.0, "tol": 0.0001,
             "criteria": ["nongauss", "bb84", "di"], "probe_points": 0,
-            "effective_detector_mapping": "eta_eff = T*eta; d_eff = dark + eta*(1-T)*nbar",
+            "effective_detector_mapping":
+                "eta_eff = T*eta; thermal mean m_eff = eta*(1-T)*nbar; d_eff = dark",
             "format": "csv", "out": "fig4.csv",
         }
 
@@ -339,7 +365,7 @@ class TestScan:
         import qkdng.scan
         from test_scan import banded_fields
 
-        monkeypatch.setattr(qkdng.scan, "thermal_fields", banded_fields)
+        monkeypatch.setattr(qkdng.scan, "link_fields", banded_fields)
         out = tmp_path / "banded.csv"
         code, _, err = run_cli(
             capsys, "scan", "--preset", "fig3", "--t-min", "0.5", "--t-points", "1",
@@ -552,6 +578,17 @@ class TestPmf:
         code, out, err = run_cli(capsys, "pmf", "--l", "100000", "--nbar", "0.1", "--T", "0.5")
         assert code == 2 and out == ""
         assert err.startswith("error: --l/--nbar/--T:") and "2e+07 updates" in err
+
+    def test_faint_noise_rows(self, capsys):
+        # (1 - T) nbar = 5e-301: the row estimate raised a ValueError traceback
+        code, out, err = run_cli(capsys, "pmf", "--l", "1", "--nbar", "1e-300", "--T", "0.5")
+        assert code == 0 and err == ""
+        assert out.splitlines()[:4] == ["s p", "0 0.5", "1 0.5", "truncation_tail 5e-301"]
+
+    def test_overwhelming_noise_refused(self, capsys):
+        code, out, err = run_cli(capsys, "pmf", "--l", "1", "--nbar", "1e300", "--T", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --l/--nbar/--T:")
 
     def test_domain_error_propagates(self, capsys):
         code, _, err = run_cli(capsys, "pmf", "--l", "-1", "--nbar", "0", "--T", "0.5")

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from qkdng.photodetection import (
     DetectorKind,
     DetectorModel,
     PhotocountDistribution,
+    _dark_counts,
     _detected,
     bs_coefficient,
     detect_pmf,
@@ -226,6 +228,21 @@ class TestPhotocountPmf:
         with pytest.raises(DomainError):
             pmf.probs
 
+    @pytest.mark.parametrize("nbar", [1e-20, 1e-300, 5e-324])
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_faint_noise_tabulates(self, l, nbar):
+        # 1/(1 + m) rounds to 1 below m = 2^-53: the row estimate took log1p(-1.0)
+        pmf = photocount_pmf(l, nbar, 0.5)
+        assert len(pmf.probs) == l + 1
+        assert math.fsum(pmf.probs) + pmf.truncation_tail == pytest.approx(1.0, abs=1e-15)
+        assert pmf.truncation_tail <= 1e-17
+        for s, p in enumerate(pmf.probs):  # Binomial(l, 1/2): the noise adds nothing visible
+            assert p == pytest.approx(math.comb(l, s) / 2**l, rel=1e-15)
+
+    def test_overwhelming_noise_refused(self):
+        with pytest.raises(DomainError):
+            photocount_pmf(1, 1e300, 0.5).probs
+
     def test_vacuum_input_is_attenuated_thermal(self):
         nbar, t = 2.0, 0.4
         pmf = photocount_pmf(0, nbar, t)
@@ -351,28 +368,29 @@ class TestDetectedClosedForm:
     def test_matches_count_prob(self, l, dark):
         for t in self.TS:
             for m in self.MS:
-                p0, p1, click = _detected(l, t, m, dark)
+                p0, p1, click, two_plus = _detected(l, t, m, dark)
                 rows = PhotocountDistribution(l, t, m).probs
                 miss, single = rows[0], rows[1] if len(rows) > 1 else 0.0  # l = m = 0: one row
                 assert p0 == pytest.approx(math.exp(-dark) * miss, abs=1e-15)
                 assert p1 == pytest.approx(math.exp(-dark) * (single + dark * miss), abs=1e-15)
                 assert click == pytest.approx(1.0 - math.exp(-dark) * miss, abs=1e-15)
+                assert two_plus == pytest.approx(1.0 - p0 - p1, abs=1e-15)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("l", range(4))
     def test_array_equals_scalar(self, l):
         # t = 1 with m = 0 makes a = 1 - t g vanish: no division may see it
         t, m = np.meshgrid(self.TS, self.MS)
-        p0, p1, click = _detected(l, t, m, 0.001)
+        p0, p1, click, two_plus = _detected(l, t, m, 0.001)
         for k in np.ndindex(t.shape):
             scalar = _detected(l, float(t[k]), float(m[k]), 0.001)
-            assert (p0[k], p1[k], click[k]) == pytest.approx(scalar, abs=1e-15)
+            assert (p0[k], p1[k], click[k], two_plus[k]) == pytest.approx(scalar, abs=1e-15)
 
     @pytest.mark.parametrize("l", range(1, 9))
     def test_exact_near_unit_coupling(self, l):
         # t g within 1e-4 of 1: a = 1 - t g by subtraction was l 5e-13 relative off
         t, m = 0.9999, 1e-4
-        p0, p1, click = _detected(l, t, m, 0.0)
+        p0, p1, click, two_plus = _detected(l, t, m, 0.0)
         tq, mq = Fraction(t), Fraction(m)
         g = 1 / (1 + mq)
         r, a = mq * g, 1 - tq * g
@@ -381,16 +399,61 @@ class TestDetectedClosedForm:
         assert abs(Fraction(p0) - miss) <= 1e-14 * miss
         assert abs(Fraction(p1) - single) <= 1e-14 * single
         assert abs(Fraction(click) - (1 - miss)) <= 1e-14 * (1 - miss)
+        two = 1 - miss - single  # ~1e-4 for l = 1: 1 - p0 - p1 in floats keeps ~12 digits
+        assert abs(Fraction(two_plus) - two) <= 1e-14 * two
 
     def test_faint_click_without_cancellation(self):
         # c = 1 - p0 is ~1e-12 here; 1 - p0 by subtraction keeps ~4 digits
         t, m, dark = 1e-12, 1e-13, 1e-14
-        _, _, click = _detected(1, t, m, dark)
+        _, _, click, _ = _detected(1, t, m, dark)
         tq, mq, dq = Fraction(t), Fraction(m), Fraction(dark)
         g = 1 / (1 + mq)
         damp = sum((-dq) ** k / math.factorial(k) for k in range(6))  # e^-dark to ~1e-84
         exact = 1 - damp * g * (1 - tq * g)
         assert abs(Fraction(click) - exact) <= 1e-14 * exact
+
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("t, m", [(0.3, 0.2), (0.9, 1e-3), (0.5, 2.0), (1e-3, 1e-4), (1.0, 0.0)])
+    def test_two_plus_matches_table_tail(self, l, t, m):
+        # with no dark counts w is the table's mass at s >= 2; the table leaves
+        # out at most its truncation tail
+        table = PhotocountDistribution(l, t, m)
+        _, _, _, two_plus = _detected(l, t, m, 0.0)
+        rest = math.fsum(table.probs[2:])
+        assert abs(two_plus - rest) <= table.truncation_tail + 1e-14 * rest
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 4])
+    def test_two_plus_at_a_dead_coupler_is_dark_doubles(self, l):
+        # t = m = 0: the port is empty, so two counts need two dark counts
+        for dark in (1e-38, 1e-9, 0.3):
+            _, _, _, two_plus = _detected(l, 0.0, 0.0, dark)
+            assert two_plus == _dark_counts(dark)[2] > 0.0
+
+
+class TestDarkCounts:
+    DARKS = (1e-300, 1e-38, 1e-10, 1e-3, 0.1, 0.3, 0.49, 0.5, 0.51, 0.7, 2.0, 30.0, 800.0)
+
+    @pytest.mark.parametrize("dark", DARKS)
+    def test_matches_exact_values(self, dark):
+        damp, lost, doubles = _dark_counts(dark)
+        with localcontext() as ctx:
+            ctx.prec = 800  # 1 - (1 + d) e^-d keeps 200 digits at d = 1e-300
+            d = Decimal(dark)
+            exact = (-d).exp(), 1 - (-d).exp(), 1 - (1 + d) * (-d).exp()
+            for value, want in zip((damp, lost, doubles), exact):
+                # within 5e-16 relative, or underflowed below the smallest subnormal
+                assert abs(Decimal(value) - want) <= Decimal("5e-16") * want + Decimal(5e-324)
+
+    def test_no_dark_counts(self):
+        assert _dark_counts(0.0) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_array_equals_scalar(self):
+        darks = np.array(self.DARKS + (0.0, 1e6, 1e300))
+        columns = _dark_counts(darks)
+        for k, dark in enumerate(darks.tolist()):
+            assert tuple(column[k] for column in columns) == _dark_counts(dark)
 
 
 class TestDetectorModel:

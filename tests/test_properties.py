@@ -3,7 +3,8 @@
 Bisection in ``qkdng.scan`` assumes that the QBER never falls as the noise
 mean grows at a fixed coupling; the monotonicity property checks that
 assumption on points the boundary tests do not visit.  The sweep decides on
-the array twins of the models, which must agree with the scalar ``assess``.
+``link_fields``, the models' array entry point, which must agree with the
+scalar ``assess``.
 
 The security boundaries cross once, so the sweep reads them from closed-form
 roots.  PNRD: Q = (1-p)/2 + 2p rho/(1+rho)^2 rises with rho for rho <= 1,
@@ -28,15 +29,13 @@ from qkdng.channels import (
     NoiseModel,
     NoiseStatistics,
     assess,
+    link_fields,
     noise_root,
-    poisson_fields,
-    thermal_fields,
 )
 from qkdng.keyrates import S_MAX
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import PROTOCOLS, Q_STAR, Criterion, ScanConfig, _holds, indicator
 
-ARRAY_MODEL = {NoiseStatistics.THERMAL: thermal_fields, NoiseStatistics.POISSON: poisson_fields}
 PAIRINGS = ("statistics, kind", [
     pytest.param(NoiseStatistics.THERMAL, DetectorKind.PNRD, id="thermal"),
     pytest.param(NoiseStatistics.POISSON, DetectorKind.SPAD, id="poisson"),
@@ -102,7 +101,7 @@ def test_bb84_rate_bounds_di_rate(statistics, kind, t, nu, eta, d, p):
 def test_array_model_equals_scalar_model(statistics, kind, t, nu, eta, d, p):
     det = DetectorModel(kind, eta=eta, dark=d)
     a = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
-    fields = ARRAY_MODEL[statistics](np.array([t]), np.array([nu]), p, det)
+    fields = link_fields(statistics, np.array([t]), np.array([nu]), p, det)
     assert fields.defined.tolist() == [a.coincidence_defined]
     assert fields.margin[0] == pytest.approx(a.witness.margin, abs=1e-12)
     if a.coincidence_defined:
@@ -125,7 +124,7 @@ def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
         if noisy.coincidence_defined:
             assert noisy.q >= quiet.q - 1e-12
     det = DetectorModel(kind, eta=eta, dark=d)
-    fields = poisson_fields(np.array([t]), np.array([nu]), p, det)
+    fields = link_fields(statistics, np.array([t]), np.array([nu]), p, det)
     assert fields.defined.tolist() == [quiet.coincidence_defined]
     if quiet.coincidence_defined:
         assert fields.q[0] == pytest.approx(quiet.q, abs=1e-12)
@@ -146,7 +145,7 @@ def test_witness_never_returns_as_noise_grows(statistics, kind, t, nu, extra, et
         assert not noisy.nongauss
     assert noisy.witness.passed == (noisy.witness.margin > 0.0)
     det = DetectorModel(kind, eta=eta, dark=d)
-    fields = ARRAY_MODEL[statistics](np.array([t, t]), np.array([nu, nu + extra]), 1.0, det)
+    fields = link_fields(statistics, np.array([t, t]), np.array([nu, nu + extra]), 1.0, det)
     witness = _holds(Criterion.NONGAUSS, *fields).tolist()
     assert witness[1] <= witness[0]
 

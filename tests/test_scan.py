@@ -359,15 +359,15 @@ class TestSweepCost:
 
     @staticmethod
     def count_calls(monkeypatch, statistics):
-        name = "thermal_fields" if statistics is NoiseStatistics.THERMAL else "poisson_fields"
-        real = getattr(qkdng.scan, name)
+        real = qkdng.scan.link_fields
         calls = []
 
         def counted(*args):
+            assert args[0] is statistics
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(qkdng.scan, name, counted)
+        monkeypatch.setattr(qkdng.scan, "link_fields", counted)
         return calls
 
     @pytest.mark.parametrize("statistics", list(NoiseStatistics))
@@ -382,7 +382,7 @@ class TestSweepCost:
         assert curve.bisection_steps == steps
         assert len(calls) == curve.evaluations == 2 + steps + (1 if probe_points else 0)
         # each step hands the model the witness row alone
-        assert [np.shape(nu) for _, nu, _, _ in calls[-steps:]] == [(1, points)] * steps
+        assert [np.shape(nu) for _, _, nu, _, _ in calls[-steps:]] == [(1, points)] * steps
 
     @pytest.mark.parametrize("statistics", list(NoiseStatistics))
     def test_security_sweep_evaluates_only_the_ends(self, monkeypatch, statistics):
@@ -411,7 +411,7 @@ def fake_fields(witness, bb84=lambda t, nu: False, di=lambda t, nu: False):
     only BB84 does and 1/2 elsewhere, so ``di`` must imply ``bb84``.
     """
 
-    def fields(t, nu, p, det):
+    def fields(statistics, t, nu, p, det):
         t, nu = np.broadcast_arrays(t, nu)
         q = np.where(di(t, nu), 0.0, np.where(bb84(t, nu), Q_STAR_BB84, 0.5))
         return LinkFields(defined=np.ones(nu.shape, dtype=bool),
@@ -431,7 +431,7 @@ banded_fields = fake_fields(
 
 class TestMonotoneProbe:
     def test_probe_flags_multiple_crossings(self, monkeypatch):
-        monkeypatch.setattr(qkdng.scan, "thermal_fields", banded_fields)
+        monkeypatch.setattr(qkdng.scan, "link_fields", banded_fields)
         config = thermal_config(t_grid=(0.3, 0.6), probe_points=9, tol=1e-4)
         for point in sweep(config).points:
             witness, bb84, di = (point.bounds[c] for c in ALL_CRITERIA)
@@ -444,7 +444,7 @@ class TestMonotoneProbe:
             assert di == CriterionBoundary(0.0, capped=False, undefined=False)
 
     def test_probe_off_flags_nothing(self, monkeypatch):
-        monkeypatch.setattr(qkdng.scan, "thermal_fields", banded_fields)
+        monkeypatch.setattr(qkdng.scan, "link_fields", banded_fields)
         curve = sweep(thermal_config(t_grid=(0.3,)))
         assert not any(b.monotone_warning for b in curve.points[0].bounds.values())
 
@@ -455,7 +455,7 @@ def test_each_bracket_stops_at_its_own_width(monkeypatch):
     def below(t, nu):
         return nu <= t
 
-    monkeypatch.setattr(qkdng.scan, "thermal_fields", fake_fields(below))
+    monkeypatch.setattr(qkdng.scan, "link_fields", fake_fields(below))
     nu_cap = 0.7402473781645857
     config = thermal_config(t_grid=tuple(np.linspace(0.01, 0.73, 50)), nu_cap=nu_cap,
                             tol=nu_cap / 2**6, criteria=(Criterion.NONGAUSS,))
