@@ -1,16 +1,16 @@
 """Werner-state source, noise coupling and detection folded into observables.
 
 The link model has two factors, and any noise pairs with any detector.  The
-noise factor gives the detected counts of the empty (l = 0) and the occupied
-(l = 1) polarisation mode: p(0|l), p(1|l), the click probability
-c_l = 1 - p(0|l) and the probability w_l of two or more counts, from
-``photodetection._detected``.  ``_detector_input`` is
-the one place that says how a noise statistics reaches the detector: a single
-thermal mode coupled in at a beam splitter is thinned with the signal,
-(t eta, (1-t) nu eta, dark); multimode (Poissonian) noise only adds clicks,
-so it folds into the dark counts, (t eta, 0, d_eff).  The detector factor
-(``_terms``) turns the counts into the criterion terms: a PNRD reads the 0-
-and 1-counts (``_thermal_terms``), a SPAD only whether it clicked.
+noise factor (``_counts``) gives one ``DetectionPmf`` record (p0, p1, w) of
+detected counts {0, 1, >=2} for the empty (l = 0) and one for the occupied
+(l = 1) polarisation mode, from ``photodetection._detected``.
+``_detector_input`` is the one place that says how a noise statistics
+reaches the detector: a single thermal mode coupled in at a beam splitter is
+thinned with the signal, (t eta, (1-t) nu eta, dark); multimode (Poissonian)
+noise only adds clicks, so it folds into the dark counts, (t eta, 0, d_eff).
+The detector factor (``_terms``) turns the two records into the criterion
+terms: a PNRD reads the 0- and 1-counts and w1, a SPAD coarse-grains them to
+no click p0 and click c = p1 + w.
 
 Both factors are arithmetic only, so they work on floats and numpy arrays
 alike.  The scalar models (``thermal_observables``, ``poisson_observables``)
@@ -68,7 +68,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
-        check_range("noise mean", self.nbar, 0.0)
+        object.__setattr__(self, "nbar", check_range("noise mean", self.nbar, 0.0))
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class ChannelConfig:
     p: float = 1.0
 
     def __post_init__(self) -> None:
-        check_range("coupling transmittance", self.t, 0.0, 1.0)
-        check_range("Werner weight", self.p, 0.0, 1.0)
+        object.__setattr__(self, "t", check_range("coupling transmittance", self.t, 0.0, 1.0))
+        object.__setattr__(self, "p", check_range("Werner weight", self.p, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -120,23 +120,6 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _thermal_terms(p00, p10, p01, p11, w1, p: float):
-    """Unclamped (P_s, P_e, N, 2 N Q) behind PNRDs, arithmetic only.
-
-    From the detected-count probabilities p~(s|l), s, l in {0, 1}, of the
-    occupied (l=1) and empty (l=0) polarisation mode, and the occupied mode's
-    probability w1 of two or more counts:
-
-        N = (p11 p00 + p10 p01)^2,    2 N Q = 4 p * p11 p00 p01 p10 + (1-p) N,
-        P_s = p11^2,                  P_e = w1 = 1 - p01 - p11,
-
-    P_e summed from non-negative terms, not subtracted.  Elementwise when the
-    probabilities are numpy arrays.
-    """
-    norm = (p11 * p00 + p10 * p01) ** 2
-    return p11 * p11, w1, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm
-
-
 def _no_click_ratio(t, m):
     """q1/q0 = p01/p00 = (1 - t + m)/(1 + m): free of the dark damping e^-dark.
 
@@ -146,30 +129,36 @@ def _no_click_ratio(t, m):
 
 
 def _counts(t, m, dark):
-    """Noise factor: ``_detected``'s (p0, p1, c, w) of the empty and the occupied mode, and q1/q0.
-
-    That is (p00, p10, c0, w0, p01, p11, c1, w1, q1/q0), w being the
-    probability of two or more counts.
-    """
+    """Noise factor: the ``DetectionPmf`` of the empty and the occupied mode, and q1/q0."""
     shared = _dark_counts(dark)
-    return (*_detected(0, t, m, dark, shared), *_detected(1, t, m, dark, shared),
+    return (_detected(0, t, m, dark, shared), _detected(1, t, m, dark, shared),
             _no_click_ratio(t, m))
 
 
-def _terms(kind: DetectorKind, p00, p10, c0, w0, p01, p11, c1, w1, rho, p: float):
+def _terms(kind: DetectorKind, empty, occupied, rho, p: float):
     """Detector factor: (P_s, P_e, N, 2 N Q) divided by scale^2, and the scale.
 
-    A PNRD reads ``_thermal_terms`` at scale 1.  A SPAD reads the no-click
-    probabilities q0 = p00, q1 = p01 and their complements c0, c1:
+    From the counts (p0l, p1l, wl) of the empty (l=0) and the occupied (l=1)
+    mode, wl the probability of two or more, and rho = q1/q0.  A PNRD reads
+    them at scale 1:
+
+        N = (p11 p00 + p10 p01)^2,    2 N Q = 4 p * p11 p00 p01 p10 + (1-p) N,
+        P_s = p11^2,                  P_e = w1.
+
+    A SPAD reads no click q_l = p0l and click c_l = p1l + wl:
 
         P_s = (q0 c1 + q1 c0)^2 / 4,    P_e = q0 q1 c0 c1,    N = (q0 c1 + q1 c0)^2,
         2 N Q = 4 p P_e + (1 - p) N,   i.e.  Q = 1/2 - p (q0 - q1)^2 / (2 N),
 
-    since N - 4 P_e = (q0 - q1)^2.  Every term is a sum of non-negative ones,
-    and each is divided by q0^2 (q1 = rho q0), so none underflows before q0.
+    since N - 4 P_e = (q0 - q1)^2, each divided by q0^2 (q1 = rho q0), so
+    none underflows before q0.  Every term is a sum of non-negative ones.
     """
+    p00, p10, w0 = empty
+    p01, p11, w1 = occupied
     if kind is DetectorKind.PNRD:
-        return (*_thermal_terms(p00, p10, p01, p11, w1, p), 1.0)
+        norm = (p11 * p00 + p10 * p01) ** 2
+        return p11 * p11, w1, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm, 1.0
+    c0, c1 = p10 + w0, p11 + w1
     f = c1 + rho * c0
     p_e = rho * c0 * c1
     return 0.25 * f * f, p_e, f * f, 4.0 * p * p_e + (1.0 - p) * f * f, p00
@@ -199,19 +188,16 @@ def thermal_observables(
 ) -> LinkAssessment:
     """Q, S, key rates and witness statistics for single-mode thermal noise.
 
-    The counts are those of ``detect_pmf`` (a SPAD's no-click event is a
-    PNRD's zero count; its click probability p1 + p_two_plus sums without
-    cancellation), the terms those of ``_terms``.
+    The counts are those of ``detect_pmf``, which a SPAD reads coarser; the
+    terms those of ``_terms``.
     """
     if noise.statistics is not NoiseStatistics.THERMAL:
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
     pnrd = det if det.kind is DetectorKind.PNRD else replace(det, kind=DetectorKind.PNRD)
-    counts = []
-    for l in (0, 1):
-        out = detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), pnrd)
-        counts += out.p0, out.p1, out.p1 + out.p_two_plus, out.p_two_plus
+    empty, occupied = (detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), pnrd) for l in (0, 1))
     t_eta, m, _ = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
-    return _assessment(det.kind, *_terms(det.kind, *counts, _no_click_ratio(t_eta, m), cfg.p))
+    terms = _terms(det.kind, empty, occupied, _no_click_ratio(t_eta, m), cfg.p)
+    return _assessment(det.kind, *terms)
 
 
 def effective_detector(t: float, nbar: float, det: DetectorModel) -> tuple[float, float]:

@@ -211,7 +211,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     except DomainError as exc:
         raise ConfigurationError(
-            f"--t-min/--t-max/--t-points/--nu-cap/--tol/--probe-points: {exc}"
+            f"--t-min/--t-max/--t-points/--nu-cap/--tol/--probe-points/--criteria: {exc}"
         ) from exc
     resolved = time.perf_counter()
     curve = sweep(config)

@@ -21,9 +21,12 @@ def check_range(
     unbounded.
 
     Raises:
-        DomainError: ``value`` is not finite or lies outside the range.
+        DomainError: ``value`` is not a number, not finite or outside the range.
     """
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a number, got {value!r}") from None
     above_lo = value > lo if open_lo else value >= lo
     if not (math.isfinite(value) and above_lo and value <= hi):
         interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"

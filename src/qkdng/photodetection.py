@@ -15,12 +15,12 @@ count g r^s convolved with l copies of the kernel h_0 = a, h_s = t g^2 r^(s-1),
 
 a single sum of non-negative terms.  Detector efficiency is one more thinning
 of the same kind, so no infinite sum is ever truncated on the way to the
-detected counts.  The detector models read only the first two terms, the
-click probability and the probability of two or more, each a sum of
+detected counts.  Both detectors read the same three outcomes {0, 1, >=2}:
+a PNRD tells all three apart, a SPAD only 0 from the rest.  So only the
+first two terms and the probability of two or more are needed, each a sum of
 non-negative terms:
 
     p(0|l) = g a^l,    p(1|l) = g a^(l-1) (r a + l t g^2),    p(1|0) = g r,
-    1 - p(0|l) = r + t g^2 (1 + a + ... + a^(l-1)),
     P(s >= 2) = a^l r^2 + l a^(l-1) t g r (1 + g) + (t g)^2 sum_{j<l} j a^(j-1).
 
 The last reads the kernel as a choice per signal photon: it adds nothing
@@ -32,9 +32,11 @@ thermal-like counts must not both be 0 (1 - g^2 = r (1 + g)); two always do.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,8 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", DetectorKind(self.kind))
-        check_range("detector efficiency", self.eta, 0.0, 1.0)
-        check_range("dark-count rate", self.dark, 0.0)
+        object.__setattr__(self, "eta", check_range("detector efficiency", self.eta, 0.0, 1.0))
+        object.__setattr__(self, "dark", check_range("dark-count rate", self.dark, 0.0))
 
 
 def _dark_series(x):
@@ -103,14 +105,21 @@ def _dark_counts(dark):
     return damp, lost, np.where(dark < 0.5, x * x * damp * _dark_series(x), lost - dark * damp)
 
 
-def _detected(l: int, t, m, dark, dark_counts=None):
-    """(p0, p1, c, w) of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
+class DetectionPmf(NamedTuple):  # unpacks, and holds arrays in the sweep's model
+    """Detected counts {0, 1, >=2} of one mode; a SPAD's click is p1 + p_two_plus."""
+
+    p0: float
+    p1: float
+    p_two_plus: float
+
+
+def _detected(l: int, t, m, dark, dark_counts=None) -> DetectionPmf:
+    """Detected counts of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
 
     The closed forms p(0|l), p(1|l) and P(s >= 2) of the module docstring,
     folded with Poissonian dark counts D of mean ``dark``: p0 = e^-dark p(0|l),
-    p1 = e^-dark (p(1|l) + dark p(0|l)), the click probability
-    c = 1 - p0 = (1 - e^-dark) + e^-dark (1 - p(0|l)) and the probability of
-    two or more counts w = P(s >= 2) + p(1|l) P(D >= 1) + p(0|l) P(D >= 2),
+    p1 = e^-dark (p(1|l) + dark p(0|l)) and the probability of two or more
+    counts p_two_plus = P(s >= 2) + p(1|l) P(D >= 1) + p(0|l) P(D >= 2),
     never by subtraction.  ``dark_counts`` is ``_dark_counts(dark)`` where the
     caller shares it between modes.  Elementwise when ``t``, ``m`` or ``dark``
     are numpy arrays.
@@ -118,23 +127,22 @@ def _detected(l: int, t, m, dark, dark_counts=None):
     g = 1.0 / (1.0 + m)
     r = m * g
     if l == 0:
-        miss, single, hit, two = g, g * r, r, r * r
+        miss, single, two = g, g * r, r * r
     else:
         a = ((1.0 - t) + m) * g  # 1 - t g without cancellation
-        tg2 = t * g * g
-        # 1 + a + ... + a^(l-1) and its derivative in a, by Horner: 1 - g a^l = r + t g^2 geo
-        geo, slope = 1.0, 0.0
-        for _ in range(l - 1):
-            geo, slope = 1.0 + a * geo, geo + a * slope
         power = a ** (l - 1)
         lead = g * power
-        miss, single, hit = lead * a, lead * (r * a + l * tg2), r + tg2 * geo
+        miss, single = lead * a, lead * (r * a + l * (t * g * g))
         two = power * (a * r * r + l * t * g * r * (1.0 + g))
         if l > 1:
+            # sum_{j<l} j a^(j-1), the derivative of 1 + a + ... + a^(l-1), by Horner
+            geo, slope = 1.0, 0.0
+            for _ in range(l - 1):
+                geo, slope = 1.0 + a * geo, geo + a * slope
             two = two + (t * g) ** 2 * slope
     damp, lost, doubles = _dark_counts(dark) if dark_counts is None else dark_counts
-    return (damp * miss, damp * (single + dark * miss), lost + damp * hit,
-            two + single * lost + miss * doubles)
+    return DetectionPmf(damp * miss, damp * (single + dark * miss),
+                        two + single * lost + miss * doubles)
 
 
 @dataclass(frozen=True)
@@ -205,13 +213,15 @@ class PhotocountDistribution:
         return self._table[1]
 
 
-@dataclass(frozen=True)
-class DetectionPmf:
-    """Coarse-grained detected counts {0, 1, >=2} behind an imperfect PNRD."""
-
-    p0: float
-    p1: float
-    p_two_plus: float
+def _fock_index(what: str, value) -> int:
+    """``value`` as a photon number: an integer >= 0, never a float or a bool."""
+    try:
+        index = -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise DomainError(f"{what} must be a nonnegative integer, got {value!r}")
+    return index
 
 
 def _lgf(m: int) -> float:
@@ -231,10 +241,9 @@ def bs_coefficient(l: int, n: int, k: int, s: int, t: float) -> float:
     a binomial constraint fails; indices above 20 switch to log-space
     factorials to avoid overflow.
     """
-    for name, value in (("l", l), ("n", n), ("k", k), ("s", s)):
-        if value < 0:
-            raise DomainError(f"index {name} must be nonnegative, got {value}")
-    check_range("transmittance", t, 0.0, 1.0)
+    l, n, k, s = (_fock_index(f"index {name}", value)
+                  for name, value in (("l", l), ("n", n), ("k", k), ("s", s)))
+    t = check_range("transmittance", t, 0.0, 1.0)
     if k > l or k > s or s - k > n:
         return 0.0
     # k <= min(l, s) and s - k <= n imply s <= l + n, so l + n - s >= 0 here.
@@ -264,11 +273,10 @@ def photocount_pmf(l: int, nbar: float, t: float) -> PhotocountDistribution:
     Raises:
         DomainError: arguments out of range or not finite.
     """
-    if l < 0:
-        raise DomainError(f"incident Fock number must be nonnegative, got {l}")
+    l = _fock_index("incident Fock number", l)
     nbar = check_range("thermal mean", nbar, 0.0)
     t = check_range("transmittance", t, 0.0, 1.0)
-    return PhotocountDistribution(incident_l=int(l), t=t, m=(1.0 - t) * nbar)
+    return PhotocountDistribution(incident_l=l, t=t, m=(1.0 - t) * nbar)
 
 
 def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
@@ -281,5 +289,4 @@ def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
     """
     if det.kind is not DetectorKind.PNRD:
         raise ConfigurationError("detect_pmf coarse-grains onto PNRD outcomes")
-    p0, p1, _, two_plus = _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)
-    return DetectionPmf(p0=p0, p1=p1, p_two_plus=two_plus)
+    return _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)

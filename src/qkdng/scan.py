@@ -85,7 +85,7 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
-        check_range("Werner weight", self.p, 0.0, 1.0)
+        object.__setattr__(self, "p", check_range("Werner weight", self.p, 0.0, 1.0))
         probe = self.probe_points
         if isinstance(probe, bool) or not isinstance(probe, int) or not (
             probe == 0 or 3 <= probe <= MAX_PROBE_POINTS
@@ -102,8 +102,8 @@ class ScanConfig:
             check_range("t_grid value", bad, 0.0, 1.0)  # raises on the first
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("t_grid must be strictly increasing")
-        check_range("nu_cap", self.nu_cap, 0.0, open_lo=True)
-        check_range("tol", self.tol, 0.0, open_lo=True)
+        object.__setattr__(self, "nu_cap", check_range("nu_cap", self.nu_cap, 0.0, open_lo=True))
+        object.__setattr__(self, "tol", check_range("tol", self.tol, 0.0, open_lo=True))
         criteria = tuple(Criterion(c) for c in self.criteria)
         object.__setattr__(self, "criteria", criteria)
         if not criteria or len(set(criteria)) != len(criteria):

@@ -18,8 +18,10 @@ from qkdng.channels import (
     poisson_observables,
     thermal_observables,
 )
-from qkdng.errors import ConfigurationError, DomainError
-from qkdng.photodetection import DetectorKind, DetectorModel, PhotocountDistribution
+from qkdng.errors import ConfigurationError, DomainError, check_range
+from qkdng.photodetection import (
+    DetectorKind, DetectorModel, PhotocountDistribution, detect_pmf, photocount_pmf,
+)
 from qkdng.witness import pnrd_threshold, spad_threshold
 
 PERFECT_PNRD = DetectorModel(DetectorKind.PNRD)
@@ -250,6 +252,32 @@ class TestAssessDispatch:
             assert out.witness.margin == pytest.approx(p_s - threshold(p_e), abs=1e-12)
 
 
+class TestNoiseAndDetectorFactors:
+    """One record per mode from the noise factor, read by either detector."""
+
+    @pytest.mark.parametrize("det", [PERFECT_PNRD, DetectorModel(DetectorKind.PNRD, 0.7, 0.001)])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("nu", [0.0, 1e-300, 0.05, 1e6])
+    def test_thermal_counts_are_detect_pmf(self, det, t, nu):
+        # the array model's thermal counts are the photocount route's, bit for bit
+        empty, occupied, _ = _counts(*_detector_input(NoiseStatistics.THERMAL, t, nu, det))
+        assert empty == detect_pmf(photocount_pmf(0, nu, t), det)
+        assert occupied == detect_pmf(photocount_pmf(1, nu, t), det)
+
+    @pytest.mark.parametrize("eta, dark", [(1.0, 0.0), (0.7, 1e-3), (0.2, 0.3)])
+    @pytest.mark.parametrize("p", [1.0, 0.9])
+    def test_thermal_spad_scalar_equals_arrays(self, eta, dark, p):
+        # both read the click as p1 + w, so margin and Q agree bit for bit
+        det = DetectorModel(DetectorKind.SPAD, eta=eta, dark=dark)
+        rng = np.random.default_rng(13)
+        t, nu = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-6.0, 2.0, 200)
+        fields = link_fields(NoiseStatistics.THERMAL, t, nu, p, det)
+        for k in range(t.size):
+            out = thermal(float(t[k]), float(nu[k]), p=p, det=det)
+            assert fields.margin[k] == out.witness.margin
+            assert fields.q[k] == out.q
+
+
 class TestCrossModelConsistency:
     @pytest.mark.parametrize("t", [0.3, 0.55, 0.9])
     @pytest.mark.parametrize("p", [1.0, 0.92])
@@ -275,6 +303,22 @@ class TestConfigValidation:
     def test_non_finite_noise_mean(self, statistics, nbar):
         with pytest.raises(DomainError, match="noise mean"):
             NoiseModel(statistics, nbar)
+
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    def test_numbers_stored_as_float(self, statistics):
+        cfg = ChannelConfig(t="0.5", p=np.float64(0.9))
+        noise = NoiseModel(statistics, np.float64(0.2))
+        det = DetectorModel(DetectorKind.SPAD, eta=np.float32(0.7), dark=np.float64(1e-3))
+        assert all(type(x) is float for x in (cfg.t, cfg.p, noise.nbar, det.eta, det.dark))
+        out = assess(cfg, noise, det)
+        assert all(type(x) is float for x in (out.q, out.stats.p_s, out.witness.margin))
+
+    @pytest.mark.parametrize("value", ["abc", None, [0.5, 0.6], pytest.param(10**400, id="1e400")])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(DomainError, match="coupling transmittance"):
+            ChannelConfig(t=value)
+        with pytest.raises(DomainError, match="must be a number"):
+            check_range("x", value, 0.0)
 
     def test_string_statistics_coerced(self):
         model = NoiseModel("thermal", 0.5)

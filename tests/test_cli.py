@@ -326,6 +326,14 @@ class TestScan:
         assert err.startswith("error:") and "probe_points" in err
         assert not out.exists()
 
+    def test_duplicate_criteria_name_the_flag(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--criteria", "bb84,bb84",
+                               "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "--criteria" in err and "criteria must" in err
+        assert not out.exists()
+
     def test_empty_grid_rejected(self, capsys, tmp_path):
         out = tmp_path / "empty.csv"
         code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--t-points", "0",

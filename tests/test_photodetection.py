@@ -107,6 +107,17 @@ class TestBsCoefficient:
         with pytest.raises(DomainError):
             bs_coefficient(1, 1, 0, 1, 1.5)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True])
+    def test_non_integer_indices(self, position, bad):
+        args = [1, 1, 1, 1]
+        args[position] = bad
+        with pytest.raises(DomainError, match="must be a nonnegative integer"):
+            bs_coefficient(*args, 0.5)
+
+    def test_numpy_integer_indices(self):
+        assert bs_coefficient(*map(np.int64, (1, 0, 1, 1)), 0.25) == 0.5
+
     @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
     @pytest.mark.parametrize("l", [0, 1])
     def test_unitarity_small(self, l, t):
@@ -261,6 +272,17 @@ class TestPhotocountPmf:
             with pytest.raises(DomainError):
                 photocount_pmf(1, nbar, t)
 
+    @pytest.mark.parametrize("l", [1.5, 1.0, True, "1", None])
+    def test_fock_number_must_be_an_integer(self, l):
+        # int(1.5) would quietly tabulate |1>
+        with pytest.raises(DomainError, match="incident Fock number"):
+            photocount_pmf(l, 0.1, 0.5)
+
+    def test_numpy_integer_fock_number(self):
+        pmf = photocount_pmf(np.int64(2), 0.1, 0.5)
+        assert type(pmf.incident_l) is int
+        assert np.array_equal(pmf.probs, photocount_pmf(2, 0.1, 0.5).probs)
+
 
 class TestSpadWeights:
     def test_vacuum_sees_only_dark_counts(self):
@@ -368,12 +390,12 @@ class TestDetectedClosedForm:
     def test_matches_count_prob(self, l, dark):
         for t in self.TS:
             for m in self.MS:
-                p0, p1, click, two_plus = _detected(l, t, m, dark)
+                p0, p1, two_plus = _detected(l, t, m, dark)
                 rows = PhotocountDistribution(l, t, m).probs
                 miss, single = rows[0], rows[1] if len(rows) > 1 else 0.0  # l = m = 0: one row
                 assert p0 == pytest.approx(math.exp(-dark) * miss, abs=1e-15)
                 assert p1 == pytest.approx(math.exp(-dark) * (single + dark * miss), abs=1e-15)
-                assert click == pytest.approx(1.0 - math.exp(-dark) * miss, abs=1e-15)
+                assert p1 + two_plus == pytest.approx(1.0 - math.exp(-dark) * miss, abs=1e-15)
                 assert two_plus == pytest.approx(1.0 - p0 - p1, abs=1e-15)
 
     @pytest.mark.filterwarnings("error")
@@ -381,16 +403,16 @@ class TestDetectedClosedForm:
     def test_array_equals_scalar(self, l):
         # t = 1 with m = 0 makes a = 1 - t g vanish: no division may see it
         t, m = np.meshgrid(self.TS, self.MS)
-        p0, p1, click, two_plus = _detected(l, t, m, 0.001)
+        p0, p1, two_plus = _detected(l, t, m, 0.001)
         for k in np.ndindex(t.shape):
             scalar = _detected(l, float(t[k]), float(m[k]), 0.001)
-            assert (p0[k], p1[k], click[k], two_plus[k]) == pytest.approx(scalar, abs=1e-15)
+            assert (p0[k], p1[k], two_plus[k]) == pytest.approx(scalar, abs=1e-15)
 
     @pytest.mark.parametrize("l", range(1, 9))
     def test_exact_near_unit_coupling(self, l):
         # t g within 1e-4 of 1: a = 1 - t g by subtraction was l 5e-13 relative off
         t, m = 0.9999, 1e-4
-        p0, p1, click, two_plus = _detected(l, t, m, 0.0)
+        p0, p1, two_plus = _detected(l, t, m, 0.0)
         tq, mq = Fraction(t), Fraction(m)
         g = 1 / (1 + mq)
         r, a = mq * g, 1 - tq * g
@@ -398,19 +420,19 @@ class TestDetectedClosedForm:
         single = g * a ** (l - 1) * (r * a + l * tq * g * g)
         assert abs(Fraction(p0) - miss) <= 1e-14 * miss
         assert abs(Fraction(p1) - single) <= 1e-14 * single
-        assert abs(Fraction(click) - (1 - miss)) <= 1e-14 * (1 - miss)
+        assert abs(Fraction(p1 + two_plus) - (1 - miss)) <= 1e-14 * (1 - miss)
         two = 1 - miss - single  # ~1e-4 for l = 1: 1 - p0 - p1 in floats keeps ~12 digits
         assert abs(Fraction(two_plus) - two) <= 1e-14 * two
 
     def test_faint_click_without_cancellation(self):
-        # c = 1 - p0 is ~1e-12 here; 1 - p0 by subtraction keeps ~4 digits
+        # the click c = p1 + w is ~1e-12 here; 1 - p0 by subtraction keeps ~4 digits
         t, m, dark = 1e-12, 1e-13, 1e-14
-        _, _, click, _ = _detected(1, t, m, dark)
+        _, p1, two_plus = _detected(1, t, m, dark)
         tq, mq, dq = Fraction(t), Fraction(m), Fraction(dark)
         g = 1 / (1 + mq)
         damp = sum((-dq) ** k / math.factorial(k) for k in range(6))  # e^-dark to ~1e-84
         exact = 1 - damp * g * (1 - tq * g)
-        assert abs(Fraction(click) - exact) <= 1e-14 * exact
+        assert abs(Fraction(p1 + two_plus) - exact) <= 1e-14 * exact
 
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 8])
@@ -419,7 +441,7 @@ class TestDetectedClosedForm:
         # with no dark counts w is the table's mass at s >= 2; the table leaves
         # out at most its truncation tail
         table = PhotocountDistribution(l, t, m)
-        _, _, _, two_plus = _detected(l, t, m, 0.0)
+        _, _, two_plus = _detected(l, t, m, 0.0)
         rest = math.fsum(table.probs[2:])
         assert abs(two_plus - rest) <= table.truncation_tail + 1e-14 * rest
 
@@ -427,7 +449,7 @@ class TestDetectedClosedForm:
     def test_two_plus_at_a_dead_coupler_is_dark_doubles(self, l):
         # t = m = 0: the port is empty, so two counts need two dark counts
         for dark in (1e-38, 1e-9, 0.3):
-            _, _, _, two_plus = _detected(l, 0.0, 0.0, dark)
+            _, _, two_plus = _detected(l, 0.0, 0.0, dark)
             assert two_plus == _dark_counts(dark)[2] > 0.0
 
 

@@ -558,6 +558,15 @@ class TestScanConfigValidation:
         assert indicator(Criterion.BB84, 0.5, nu.nu_star, config)
         assert not indicator(Criterion.BB84, 0.5, nu.nu_star + 2e-6, config)
 
+    def test_numbers_stored_as_float(self):
+        config = thermal_config(p=np.float64(0.9), nu_cap="2", tol=np.float32(1e-3))
+        assert all(type(x) is float for x in (config.p, config.nu_cap, config.tol))
+
+    @pytest.mark.parametrize("field", ["p", "nu_cap", "tol"])
+    def test_non_number_rejected(self, field):
+        with pytest.raises(DomainError, match="must be a number"):
+            thermal_config(**{field: "abc"})
+
     @pytest.mark.parametrize("probe_points", [-3, 1, 2, 4.0, True, "5", 10**12])
     def test_bad_probe_points(self, probe_points):
         # 10**12 must be refused here, before a probe grid of that size exists
