@@ -21,7 +21,7 @@ sweep the same decisions elementwise, for every pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -156,7 +156,8 @@ def _terms(kind: DetectorKind, empty, occupied, rho, p: float):
     p00, p10, w0 = empty
     p01, p11, w1 = occupied
     if kind is DetectorKind.PNRD:
-        norm = (p11 * p00 + p10 * p01) ** 2
+        n = p11 * p00 + p10 * p01
+        norm = n * n  # not ** 2: on a float that is libm pow, on an array an exact square
         return p11 * p11, w1, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm, 1.0
     c0, c1 = p10 + w0, p11 + w1
     f = c1 + rho * c0
@@ -193,8 +194,7 @@ def thermal_observables(
     """
     if noise.statistics is not NoiseStatistics.THERMAL:
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
-    pnrd = det if det.kind is DetectorKind.PNRD else replace(det, kind=DetectorKind.PNRD)
-    empty, occupied = (detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), pnrd) for l in (0, 1))
+    empty, occupied = (detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), det) for l in (0, 1))
     t_eta, m, _ = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
     terms = _terms(det.kind, empty, occupied, _no_click_ratio(t_eta, m), cfg.p)
     return _assessment(det.kind, *terms)

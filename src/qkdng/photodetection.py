@@ -1,4 +1,4 @@
-"""Beam-splitter photocount statistics and their coarse-graining by a PNRD.
+"""Beam-splitter photocount statistics and their coarse-graining by a detector.
 
 Everything here is diagonal in the Fock basis: the signal/noise mixing enters
 only through the photon number distribution it leaves in the transmitted
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, check_range
+from .errors import DomainError, check_range
 
 _EXACT_LIMIT = 20   # largest index evaluated with exact integer factorials
 _TAIL_FLOOR = 1e-17  # tabulated tail mass left out, below double round-off on 1
@@ -280,13 +280,13 @@ def photocount_pmf(l: int, nbar: float, t: float) -> PhotocountDistribution:
 
 
 def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
-    """Coarse-grain a photocount distribution through an imperfect PNRD.
+    """Coarse-grain a photocount distribution onto the detected counts {0, 1, >=2}.
 
     Efficiency ``eta`` thins the port once more, mapping (t, m) to
     (t eta, eta m); Poissonian dark counts of mean d then give
     p0 = e^-d p~0 and p1 = e^-d (p~1 + d p~0).  With a perfect detector this
     is the identity coarse-graining (0 -> 0, 1 -> 1, rest -> two-or-more).
+    The record is the same for either detector kind: a PNRD reads all three
+    outcomes, a SPAD no click p0 and click p1 + p_two_plus.
     """
-    if det.kind is not DetectorKind.PNRD:
-        raise ConfigurationError("detect_pmf coarse-grains onto PNRD outcomes")
     return _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)

@@ -11,9 +11,11 @@ Every bracket starts as [0, nu_cap] and halves until it is no wider than
 steps and advance in lock step; under a ``tol`` finer than the float
 spacing a bracket ends once it is one float wide instead.  A security row
 decides a midpoint by ``mid <= root``, replaying the bisection without a
-model call.  The witness row calls ``channels.link_fields``, the model's
-array function for either noise statistics, once per step on a (1, T) array
-of midpoints; only it gets the optional pre-probe for multiple crossings.
+model call.  ``channels.link_fields``, the model's array function for
+either noise statistics, opens every bracket in one call: its (nu, T) array
+holds nu = 0 and nu = nu_cap, and in between the witness's optional
+pre-probe for multiple crossings.  After that the witness row calls it once
+per step on a (1, T) array of midpoints, so a sweep costs 1 + steps calls.
 Rounding can leave a bracket a hair wider or narrower than its neighbours;
 each stops at its own width, as a scalar loop would.  ``max_noise`` is the
 same code with one element; single-point verdicts (``indicator``,
@@ -37,7 +39,6 @@ import numpy as np
 from .channels import (
     ChannelConfig,
     LinkAssessment,
-    LinkFields,
     NoiseModel,
     NoiseStatistics,
     assess,
@@ -148,7 +149,7 @@ class BoundaryCurve:
     ``columns[i]`` belongs to ``criteria[i]``.  Columns hold Python floats and
     bools, so curves compare with ``==``.  ``bisection_steps`` counts the
     lock-step halvings and ``evaluations`` the calls of the model's array
-    function.
+    function: one opening call plus one per witness step.
     """
 
     criteria: tuple[Criterion, ...]
@@ -226,35 +227,32 @@ def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> Crite
 def sweep(config: ScanConfig) -> BoundaryCurve:
     """One boundary per (criterion, grid transmittance), as columns over the grid.
 
-    All (t, criterion) brackets advance together: the noise means 0 and
-    ``nu_cap`` are evaluated once per t and shared by the criteria; after
-    that only the witness costs evaluations, one for the optional pre-probe
-    and one per step while one of its brackets is open.  A boundary is, in
-    order of precedence: undefined (no coincidences at nu = 0), failing at
-    nu = 0, capped (still holding at ``nu_cap``) or bisected.
+    All (t, criterion) brackets advance together.  One opening evaluation
+    on a (nu, t) array decides every bracket's ends for all criteria: the
+    noise means 0 and ``nu_cap``, with the optional pre-probe's grid between
+    them.  After that only the witness costs evaluations, one per step while
+    one of its brackets is open, so a sweep costs ``1 + steps``.  A boundary
+    is, in order of precedence: undefined (no coincidences at nu = 0),
+    failing at nu = 0, capped (still holding at ``nu_cap``) or bisected.
     """
     criteria = config.criteria
     statistics, p, det = config.statistics, config.p, config.detector
     t = np.array(config.t_grid)
-
-    def holds(fields: LinkFields) -> np.ndarray:
-        return np.stack([_holds(criterion, *fields) for criterion in criteria])
-
-    base = link_fields(statistics, t, np.zeros_like(t), p, det)
-    at_zero = holds(base)
-    capped = at_zero & holds(link_fields(statistics, t, np.full_like(t, config.nu_cap), p, det))
-    evaluations = 2
+    w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
+    probe = w is not None and config.probe_points
+    nus = (np.linspace(0.0, config.nu_cap, config.probe_points) if probe
+           else np.array([0.0, config.nu_cap]))
+    opening = link_fields(statistics, t, nus[:, np.newaxis], p, det)
+    flags = np.stack([_holds(criterion, *opening) for criterion in criteria])  # (c, nu, t)
+    at_zero = flags[:, 0]
+    capped = at_zero & flags[:, -1]
+    evaluations = 1
     warning = np.zeros_like(at_zero)
+    if probe:  # any off-to-on flip of the witness means multiple crossings
+        warning[w] = at_zero[w] & (~flags[w, :-1] & flags[w, 1:]).any(axis=0)
     # NaN in the witness row, whose midpoints are decided on the model
     root = np.stack([noise_root(statistics, t, Q_STAR[c], p, det)
                      if c in Q_STAR else np.full_like(t, np.nan) for c in criteria])
-    w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
-    if w is not None and config.probe_points:
-        grid = np.linspace(0.0, config.nu_cap, config.probe_points)[:, np.newaxis]
-        flags = _holds(Criterion.NONGAUSS, *link_fields(statistics, t, grid, p, det))  # (probe, t)
-        # any off-to-on flip means multiple crossings
-        warning[w] = at_zero[w] & (~flags[:-1] & flags[1:]).any(axis=0)
-        evaluations += 1
     # holds at lo, fails at hi; brackets decided without bisection start closed
     lo = np.zeros(at_zero.shape)
     hi = np.where(at_zero & ~capped, config.nu_cap, 0.0)
@@ -272,7 +270,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
         mid = 0.5 * (lo + hi)
         steps += 1
     nu_star = np.where(capped, config.nu_cap, lo)
-    undefined = np.broadcast_to(~base.defined, at_zero.shape)
+    undefined = np.broadcast_to(~opening.defined[0], at_zero.shape)
     columns = tuple(
         BoundaryColumn(*map(tuple, fields))
         for fields in zip(nu_star.tolist(), capped.tolist(), undefined.tolist(),

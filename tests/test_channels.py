@@ -277,6 +277,16 @@ class TestNoiseAndDetectorFactors:
             assert fields.margin[k] == out.witness.margin
             assert fields.q[k] == out.q
 
+    def test_thermal_pnrd_scalar_equals_arrays(self):
+        # N is squared as n * n: ``** 2`` on a float is libm pow, which rounds
+        # this point's Q one ulp away from the array model's exact square
+        det = DetectorModel(DetectorKind.PNRD, eta=0.16, dark=0.0)
+        out = thermal(0.45, 3.0074, det=det)
+        fields = link_fields(NoiseStatistics.THERMAL, np.array([0.45]), np.array([3.0074]),
+                             1.0, det)
+        assert out.q == float.fromhex("0x1.faa2307e487aap-2") == fields.q[0]
+        assert out.witness.margin == fields.margin[0]
+
 
 class TestCrossModelConsistency:
     @pytest.mark.parametrize("t", [0.3, 0.55, 0.9])

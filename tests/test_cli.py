@@ -360,9 +360,9 @@ class TestScan:
         )
         assert code == 0 and err == ""
         diag = json.loads((tmp_path / "diag.csv.manifest.json").read_text())["diagnostics"]
-        # ceil(log2(1 / 1e-3)) = 10 steps, plus nu = 0, nu = nu_cap and the probe
+        # ceil(log2(1 / 1e-3)) = 10 steps, plus one opening call for both ends and the probe
         assert diag["bisection_steps"] == 10
-        assert diag["evaluations"] == 13
+        assert diag["evaluations"] == 11
         assert diag["boundaries"] == 15
         assert diag["undefined"] == 3    # T = 0, every criterion
         assert diag["capped"] >= 1       # T = 1 decouples the noise

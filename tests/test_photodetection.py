@@ -373,10 +373,13 @@ class TestDetectPmf:
             assert out.p0 == pytest.approx(by_hand0, abs=1e-14)
             assert out.p1 == pytest.approx(by_hand1, abs=1e-14)
 
-    def test_kind_check(self):
-        pmf = photocount_pmf(0, 0.1, 0.5)
-        with pytest.raises(ConfigurationError):
-            detect_pmf(pmf, DetectorModel(DetectorKind.SPAD))
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    @pytest.mark.parametrize("eta,dark", [(1.0, 0.0), (0.7, 0.001), (0.2, 0.3)])
+    def test_either_detector_gets_the_same_record(self, l, eta, dark):
+        # a SPAD reads the PNRD's outcomes coarser, so both get one record
+        pmf = photocount_pmf(l, 1.3, 0.6)
+        spad = detect_pmf(pmf, DetectorModel(DetectorKind.SPAD, eta=eta, dark=dark))
+        assert spad == detect_pmf(pmf, DetectorModel(DetectorKind.PNRD, eta=eta, dark=dark))
 
 
 class TestDetectedClosedForm:

@@ -351,10 +351,10 @@ def test_unread_security_roots_stay_quiet(statistics, eta, dark, p):
 
 
 class TestSweepCost:
-    """Each bisection step is one witness evaluation, whatever the grid size.
+    """One opening evaluation, then one per bisection step, whatever the grid size.
 
-    Security boundaries come from the closed-form roots and cost no
-    evaluation after nu = 0 and nu = nu_cap.
+    The opening call decides nu = 0, nu = nu_cap and the optional pre-probe;
+    security boundaries come from the closed-form roots and cost nothing more.
     """
 
     @staticmethod
@@ -380,9 +380,13 @@ class TestSweepCost:
         curve = sweep(config)
         steps = math.ceil(math.log2(config.nu_cap / config.tol))  # 11
         assert curve.bisection_steps == steps
-        assert len(calls) == curve.evaluations == 2 + steps + (1 if probe_points else 0)
+        assert len(calls) == curve.evaluations == 1 + steps
+        # the opening call holds every noise mean as a row, the probe's between the ends
+        rows = probe_points or 2
+        assert np.shape(calls[0][2]) == (rows, 1)
+        assert calls[0][2][[0, -1], 0].tolist() == [0.0, config.nu_cap]
         # each step hands the model the witness row alone
-        assert [np.shape(nu) for _, _, nu, _, _ in calls[-steps:]] == [(1, points)] * steps
+        assert [np.shape(nu) for _, _, nu, _, _ in calls[1:]] == [(1, points)] * steps
 
     @pytest.mark.parametrize("statistics", list(NoiseStatistics))
     def test_security_sweep_evaluates_only_the_ends(self, monkeypatch, statistics):
@@ -393,7 +397,8 @@ class TestSweepCost:
         assert curve.bisection_steps == math.ceil(math.log2(config.nu_cap / config.tol))
         assert any(0.0 < nu < config.nu_cap for column in curve.columns
                    for nu in column.nu_star)  # open brackets were bisected
-        assert len(calls) == curve.evaluations == 2
+        assert len(calls) == curve.evaluations == 1
+        assert np.shape(calls[0][2]) == (2, 1)  # no witness, so no probe
 
     def test_no_bisection_without_an_open_bracket(self, monkeypatch):
         # every boundary is undefined, dead or capped: nothing left to halve
@@ -401,7 +406,25 @@ class TestSweepCost:
         curve = sweep(oracle_config(NoiseStatistics.THERMAL, t_grid=(0.0, 1.0),
                                     criteria=(Criterion.BB84,)))
         assert curve.bisection_steps == 0
-        assert len(calls) == curve.evaluations == 2
+        assert len(calls) == curve.evaluations == 1
+
+
+@pytest.mark.parametrize("statistics", list(NoiseStatistics))
+@pytest.mark.parametrize("kind", list(DetectorKind))
+def test_probe_leaves_boundaries_alone(statistics, kind):
+    # the probe only adds rows to the opening call: every pairing's
+    # boundaries, caps and undefined points are those of an unprobed sweep
+    config = ScanConfig(t_grid=tuple(np.linspace(0.0, 1.0, 41)), statistics=statistics,
+                        detector=DetectorModel(kind, eta=0.7), nu_cap=3.0, tol=1e-4)
+    plain, probed = sweep(config), sweep(replace(config, probe_points=9))
+    assert probed.evaluations == plain.evaluations
+    for before, after in zip(plain.columns, probed.columns):
+        assert after.nu_star == before.nu_star
+        assert after.capped == before.capped
+        assert after.undefined == before.undefined
+    witness = plain.column(Criterion.NONGAUSS)
+    assert witness.undefined[0]  # T = 0 without dark counts has no coincidences
+    assert any(0.0 < nu < config.nu_cap for nu in witness.nu_star)  # and some are bisected
 
 
 def fake_fields(witness, bb84=lambda t, nu: False, di=lambda t, nu: False):
