@@ -14,7 +14,6 @@ from .channels import (
     NoiseModel,
     NoiseStatistics,
     assess,
-    effective_detector,
     poisson_observables,
     thermal_observables,
 )

@@ -200,20 +200,6 @@ def thermal_observables(
     return _assessment(det.kind, *terms)
 
 
-def effective_detector(t: float, nbar: float, det: DetectorModel) -> tuple[float, float]:
-    """Fold coupling loss and multimode noise into (eta_eff, d_eff).
-
-    The coupler transmits the signal with probability ``t``, scaling the
-    efficiency, while the (1-t) fraction of the mean noise photon number
-    reaches the detector as an extra Poissonian click rate on top of the
-    intrinsic dark counts: ``_detector_input``'s Poisson branch, checked.
-    """
-    check_range("coupling transmittance", t, 0.0, 1.0)
-    check_range("noise mean", nbar, 0.0)
-    t_eta, _, d_eff = _detector_input(NoiseStatistics.POISSON, t, nbar, det)
-    return t_eta, d_eff
-
-
 def poisson_observables(
     cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel
 ) -> LinkAssessment:

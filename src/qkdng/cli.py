@@ -30,9 +30,7 @@ from .channels import (
 )
 from .errors import ConfigurationError, DomainError, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
-from .scan import (
-    ALL_CRITERIA, MAX_PROBE_POINTS, Criterion, ScanConfig, classify_assessment, sweep,
-)
+from .scan import ALL_CRITERIA, Criterion, ScanConfig, classify_assessment, sweep
 
 CSV_HEADER = "T,nu_nongauss,nu_bb84,nu_di,capped_nongauss,capped_bb84,capped_di"
 
@@ -207,11 +205,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             nu_cap=args.nu_cap,
             tol=args.tol,
             criteria=args.criteria,
-            probe_points=args.probe_points,
         )
     except DomainError as exc:
         raise ConfigurationError(
-            f"--t-min/--t-max/--t-points/--nu-cap/--tol/--probe-points/--criteria: {exc}"
+            f"--t-min/--t-max/--t-points/--nu-cap/--tol/--criteria: {exc}"
         ) from exc
     resolved = time.perf_counter()
     curve = sweep(config)
@@ -300,9 +297,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                     help="bisection tolerance on nu (default %(default)s)")
     sc.add_argument("--criteria", type=_criteria, default="nongauss,bb84,di",
                     help="comma list from nongauss,bb84,di (default %(default)s)")
-    sc.add_argument("--probe-points", type=int, default=ScanConfig.probe_points,
-                    help="size of the optional single-crossing pre-probe: 0 (off) "
-                         f"or 3 to {MAX_PROBE_POINTS} (default %(default)s)")
     sc.add_argument("--format", choices=_FORMATS, default="csv",
                     help="output format (default %(default)s)")
     sc.add_argument("--out", required=True, help="output file path")

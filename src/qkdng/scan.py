@@ -13,9 +13,12 @@ spacing a bracket ends once it is one float wide instead.  A security row
 decides a midpoint by ``mid <= root``, replaying the bisection without a
 model call.  ``channels.link_fields``, the model's array function for
 either noise statistics, opens every bracket in one call: its (nu, T) array
-holds nu = 0 and nu = nu_cap, and in between the witness's optional
-pre-probe for multiple crossings.  After that the witness row calls it once
-per step on a (1, T) array of midpoints, so a sweep costs 1 + steps calls.
+holds nu = 0 and nu = nu_cap and, when the witness is scanned, the
+witness bisection's first two levels of midpoints between them.  Those five
+rows take the witness's first two decisions and check it for a second
+crossing on every sweep.  From the third step on the witness row calls the
+model once per step on a (1, T) array of midpoints, so a sweep costs
+1 + steps - 2 calls.
 Rounding can leave a bracket a hair wider or narrower than its neighbours;
 each stops at its own width, as a scalar loop would.  ``max_noise`` is the
 same code with one element; single-point verdicts (``indicator``,
@@ -67,9 +70,6 @@ ALL_CRITERIA = (Criterion.NONGAUSS, Criterion.BB84, Criterion.DI)
 PROTOCOLS = (Criterion.BB84, Criterion.DI)
 Q_STAR = {Criterion.BB84: Q_STAR_BB84, Criterion.DI: Q_STAR_DI}
 
-# a pre-probe is a coarse check; its arrays grow with probe_points times the grid
-MAX_PROBE_POINTS = 1000
-
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -82,19 +82,12 @@ class ScanConfig:
     nu_cap: float = 10.0
     tol: float = 1e-4
     criteria: tuple[Criterion, ...] = ALL_CRITERIA
-    probe_points: int = 0  # 3 to MAX_PROBE_POINTS enables the single-crossing pre-probe
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
+        if not isinstance(self.detector, DetectorModel):
+            raise DomainError(f"detector must be a DetectorModel, got {self.detector!r}")
         object.__setattr__(self, "p", check_range("Werner weight", self.p, 0.0, 1.0))
-        probe = self.probe_points
-        if isinstance(probe, bool) or not isinstance(probe, int) or not (
-            probe == 0 or 3 <= probe <= MAX_PROBE_POINTS
-        ):
-            raise DomainError(
-                f"probe_points must be 0 (off) or an integer in [3, {MAX_PROBE_POINTS}], "
-                f"got {probe!r}"
-            )
         grid = tuple(float(t) for t in self.t_grid)
         object.__setattr__(self, "t_grid", grid)
         if not grid:
@@ -105,6 +98,8 @@ class ScanConfig:
             raise DomainError("t_grid must be strictly increasing")
         object.__setattr__(self, "nu_cap", check_range("nu_cap", self.nu_cap, 0.0, open_lo=True))
         object.__setattr__(self, "tol", check_range("tol", self.tol, 0.0, open_lo=True))
+        if isinstance(self.criteria, str):
+            raise DomainError(f"criteria must be a sequence of criteria, got {self.criteria!r}")
         criteria = tuple(Criterion(c) for c in self.criteria)
         object.__setattr__(self, "criteria", criteria)
         if not criteria or len(set(criteria)) != len(criteria):
@@ -217,8 +212,8 @@ def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> Crite
     """Largest noise mean at or below ``nu_cap`` where the criterion holds.
 
     A one-point ``sweep``: bisection to interval width ``tol``, returning the
-    last point known to satisfy the criterion.  For the witness, a pre-probe
-    (``probe_points`` >= 3) reports a second crossing on the record.
+    last point known to satisfy the criterion.  For the witness, the record's
+    ``monotone_warning`` reports a second crossing seen in the opening rows.
     """
     curve = sweep(replace(config, t_grid=(t,), criteria=(Criterion(criterion),)))
     return CriterionBoundary(*(values[0] for values in curve.columns[0]))
@@ -229,39 +224,49 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
 
     All (t, criterion) brackets advance together.  One opening evaluation
     on a (nu, t) array decides every bracket's ends for all criteria: the
-    noise means 0 and ``nu_cap``, with the optional pre-probe's grid between
-    them.  After that only the witness costs evaluations, one per step while
-    one of its brackets is open, so a sweep costs ``1 + steps``.  A boundary
-    is, in order of precedence: undefined (no coincidences at nu = 0),
-    failing at nu = 0, capped (still holding at ``nu_cap``) or bisected.
+    noise means 0 and ``nu_cap``.  When the witness is scanned, its rows
+    also hold the witness bisection's first two levels of midpoints, which
+    decide its first two steps and, by any off-to-on flip across the five
+    rows, set ``monotone_warning``.  After that only the witness costs
+    evaluations, one per step while one of its brackets is open, so a sweep
+    costs ``1 + steps - 2``.  A boundary is, in order of precedence:
+    undefined (no coincidences at nu = 0), failing at nu = 0, capped (still
+    holding at ``nu_cap``) or bisected.
     """
     criteria = config.criteria
     statistics, p, det = config.statistics, config.p, config.detector
+    cap = config.nu_cap
     t = np.array(config.t_grid)
     w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
-    probe = w is not None and config.probe_points
-    nus = (np.linspace(0.0, config.nu_cap, config.probe_points) if probe
-           else np.array([0.0, config.nu_cap]))
+    # the floats the loop's 0.5 * (lo + hi) forms in its first two steps; where
+    # half + cap overflows the loop stops that bracket, and the row stays finite
+    half = 0.5 * cap
+    nus = np.array([0.0, cap] if w is None
+                   else [0.0, 0.5 * half, half, min(0.5 * (half + cap), cap), cap])
     opening = link_fields(statistics, t, nus[:, np.newaxis], p, det)
     flags = np.stack([_holds(criterion, *opening) for criterion in criteria])  # (c, nu, t)
     at_zero = flags[:, 0]
     capped = at_zero & flags[:, -1]
     evaluations = 1
     warning = np.zeros_like(at_zero)
-    if probe:  # any off-to-on flip of the witness means multiple crossings
+    if w is not None:  # any off-to-on flip of the witness means multiple crossings
         warning[w] = at_zero[w] & (~flags[w, :-1] & flags[w, 1:]).any(axis=0)
+        # its decisions at the first midpoint (row 2) and then at row 3 or row 1
+        opened = (flags[w, 2], np.where(flags[w, 2], flags[w, 3], flags[w, 1]))
     # NaN in the witness row, whose midpoints are decided on the model
     root = np.stack([noise_root(statistics, t, Q_STAR[c], p, det)
                      if c in Q_STAR else np.full_like(t, np.nan) for c in criteria])
     # holds at lo, fails at hi; brackets decided without bisection start closed
     lo = np.zeros(at_zero.shape)
-    hi = np.where(at_zero & ~capped, config.nu_cap, 0.0)
+    hi = np.where(at_zero & ~capped, cap, 0.0)
     steps = 0
     mid = 0.5 * (lo + hi)
     # a bracket one float wide has no midpoint inside it, however wide tol allows
     while (active := (hi - lo > config.tol) & (lo < mid) & (mid < hi)).any():
         ok = mid <= root
-        if w is not None and active[w].any():
+        if w is not None and steps < 2:
+            ok[w] = opened[steps]
+        elif w is not None and active[w].any():
             fields = link_fields(statistics, t, mid[w:w + 1], p, det)
             ok[w] = _holds(Criterion.NONGAUSS, *fields)[0]
             evaluations += 1
@@ -269,7 +274,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
         hi = np.where(active & ~ok, mid, hi)
         mid = 0.5 * (lo + hi)
         steps += 1
-    nu_star = np.where(capped, config.nu_cap, lo)
+    nu_star = np.where(capped, cap, lo)
     undefined = np.broadcast_to(~opening.defined[0], at_zero.shape)
     columns = tuple(
         BoundaryColumn(*map(tuple, fields))

@@ -13,7 +13,6 @@ from qkdng.channels import (
     _detector_input,
     _terms,
     assess,
-    effective_detector,
     link_fields,
     poisson_observables,
     thermal_observables,
@@ -204,18 +203,21 @@ class TestPoissonObservables:
 
 
 class TestEffectiveDetector:
+    """Poisson noise reaches the detector as (t eta, no thermal mode, dark + eta (1-t) nu)."""
+
     def test_unit_transmittance_adds_nothing(self):
         det = DetectorModel(DetectorKind.SPAD, eta=0.7, dark=0.001)
-        assert effective_detector(1.0, 5.0, det) == (0.7, 0.001)
+        assert _detector_input(NoiseStatistics.POISSON, 1.0, 5.0, det) == (0.7, 0.0, 0.001)
 
     def test_pure_loss(self):
         det = DetectorModel(DetectorKind.SPAD, eta=1.0, dark=0.0)
-        assert effective_detector(0.5, 0.0, det) == (0.5, 0.0)
+        assert _detector_input(NoiseStatistics.POISSON, 0.5, 0.0, det) == (0.5, 0.0, 0.0)
 
     def test_noise_folds_into_dark_rate(self):
         det = DetectorModel(DetectorKind.SPAD, eta=0.5, dark=0.01)
-        eta_eff, d_eff = effective_detector(0.5, 0.2, det)
+        eta_eff, m, d_eff = _detector_input(NoiseStatistics.POISSON, 0.5, 0.2, det)
         assert eta_eff == pytest.approx(0.25, abs=1e-15)
+        assert m == 0.0
         assert d_eff == pytest.approx(0.06, abs=1e-15)
 
 

@@ -242,7 +242,7 @@ class TestConfigLayering:
         assert params == {
             "noise": "thermal", "detector": "pnrd", "eta": 0.7, "dark": 0.001, "p": 1.0,
             "t_min": 0.02, "t_max": 1.0, "t_points": 96, "nu_cap": 10.0, "tol": 0.0001,
-            "criteria": ["nongauss", "bb84", "di"], "probe_points": 0,
+            "criteria": ["nongauss", "bb84", "di"],
             "effective_detector_mapping":
                 "eta_eff = T*eta; thermal mean m_eff = eta*(1-T)*nbar; d_eff = dark",
             "format": "csv", "out": "fig4.csv",
@@ -305,25 +305,26 @@ class TestScan:
         assert {"nu_star", "capped", "undefined", "monotone_warning"} <= set(bound)
 
     def test_probe_points_recorded(self, capsys, tmp_path):
+        # the single-crossing check needs no flag: every scan records its outcome
         out = tmp_path / "probed.csv"
         code, _, _ = run_cli(
             capsys, "scan", "--preset", "fig3", "--t-min", "0.5", "--t-points", "1",
-            "--nu-cap", "1", "--tol", "1e-3", "--probe-points", "5",
-            "--out", str(out),
+            "--nu-cap", "1", "--tol", "1e-3", "--out", str(out),
         )
         assert code == 0
         manifest = json.loads((tmp_path / "probed.csv.manifest.json").read_text())
-        assert manifest["parameters"]["probe_points"] == 5
+        assert "probe_points" not in manifest["parameters"]
+        assert manifest["diagnostics"]["monotone_warning"] == 0
 
     @pytest.mark.parametrize("probe_points", ["-3", "2", "1000000000000"])
     def test_bad_probe_points_rejected(self, capsys, tmp_path, probe_points):
+        # the flag is gone: argparse refuses it, whatever its value
         out = tmp_path / "probed.csv"
-        code, _, err = run_cli(
-            capsys, "scan", "--preset", "fig3", "--t-points", "4",
-            "--probe-points", probe_points, "--out", str(out),
-        )
-        assert code == 2
-        assert err.startswith("error:") and "probe_points" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scan", "--preset", "fig3", "--t-points", "4",
+                  "--probe-points", probe_points, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --probe-points" in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_criteria_name_the_flag(self, capsys, tmp_path):
@@ -355,14 +356,14 @@ class TestScan:
         out = tmp_path / "diag.csv"
         code, _, err = run_cli(
             capsys, "scan", "--preset", "fig3", "--t-min", "0", "--t-max", "1",
-            "--t-points", "5", "--nu-cap", "1", "--tol", "1e-3", "--probe-points", "5",
+            "--t-points", "5", "--nu-cap", "1", "--tol", "1e-3",
             "--out", str(out),
         )
         assert code == 0 and err == ""
         diag = json.loads((tmp_path / "diag.csv.manifest.json").read_text())["diagnostics"]
-        # ceil(log2(1 / 1e-3)) = 10 steps, plus one opening call for both ends and the probe
+        # ceil(log2(1 / 1e-3)) = 10 steps; one opening call decides the first two
         assert diag["bisection_steps"] == 10
-        assert diag["evaluations"] == 11
+        assert diag["evaluations"] == 9
         assert diag["boundaries"] == 15
         assert diag["undefined"] == 3    # T = 0, every criterion
         assert diag["capped"] >= 1       # T = 1 decouples the noise
@@ -371,13 +372,14 @@ class TestScan:
 
     def test_monotone_warning_reported(self, capsys, tmp_path, monkeypatch):
         import qkdng.scan
-        from test_scan import banded_fields
+        from test_scan import notched_fields
 
-        monkeypatch.setattr(qkdng.scan, "link_fields", banded_fields)
+        # the witness holds at 0 and nu_cap but not at nu_cap / 2; no flag asks for the check
+        monkeypatch.setattr(qkdng.scan, "link_fields", notched_fields)
         out = tmp_path / "banded.csv"
         code, _, err = run_cli(
             capsys, "scan", "--preset", "fig3", "--t-min", "0.5", "--t-points", "1",
-            "--nu-cap", "2", "--probe-points", "9", "--out", str(out),
+            "--nu-cap", "2", "--out", str(out),
         )
         assert code == 0
         assert err.startswith("warning: 1 of 3 boundaries") and err.count("\n") == 1

@@ -5,8 +5,9 @@ before any optimisation; a change that moves one boundary decision shows up
 here.  The flags are those of the benchmark's reference scans (fig5 fixes
 no detector numbers, so it takes those of fig4).  The files under
 ``tests/golden`` cover what those four do not: the two cross pairings
-(thermal noise on a SPAD, Poisson noise on a PNRD) and a probed scan written
-as JSON.
+(thermal noise on a SPAD, Poisson noise on a PNRD) and a scan written as
+JSON (``fig4-probe``, whose ``monotone_warning`` fields are those of the
+single-crossing check every witness scan runs).
 """
 
 from pathlib import Path
@@ -25,8 +26,7 @@ SCANS = {
     "bench/golden/fig5-dense.csv": ["--preset", "fig5", *LOSSY, "--t-points", "960"],
     "tests/golden/thermal-spad.csv": ["--noise", "thermal", "--detector", "spad", *LOSSY],
     "tests/golden/poisson-pnrd.csv": ["--noise", "poisson", "--detector", "pnrd", *LOSSY],
-    "tests/golden/fig4-probe.json": ["--preset", "fig4", "--probe-points", "9",
-                                     "--format", "json"],
+    "tests/golden/fig4-probe.json": ["--preset", "fig4", "--format", "json"],
 }
 
 

@@ -101,6 +101,14 @@ class TestBisectionEnds:
             assert [float(row[column]) for row in rows] == root.tolist()
         assert all(0.0 < float(row[1]) < 10.0 for row in rows)
 
+    def test_scan_at_the_largest_cap_stays_quiet(self, tmp_path):
+        # 0.5 * (nu_cap/2 + nu_cap) overflows: no opening row may hand the model inf
+        out = tmp_path / "x.csv"
+        proc = python("-W", "error", *CLI, "scan", "--preset", "fig4", "--nu-cap", "1.7e308",
+                      "--t-points", "5", "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert out.read_text().splitlines()[-1] == "1.0,1.7e+308,1.7e+308,1.7e+308,true,true,true"
+
     @pytest.mark.parametrize("protocol,q_star", [("bb84", Q_STAR_BB84), ("di", Q_STAR_DI)])
     def test_security_threshold_tolerance_below_float_spacing(self, protocol, q_star):
         proc = python("-c", "from qkdng import security_threshold; "

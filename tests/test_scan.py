@@ -104,10 +104,13 @@ class TestMaxNoise:
         assert bound.nu_star == pytest.approx(fine_last, abs=2e-4)
 
     def test_probe_does_not_disturb_result(self):
-        plain = max_noise(Criterion.BB84, 0.6, thermal_config())
-        probed = max_noise(Criterion.BB84, 0.6, thermal_config(probe_points=9))
-        assert probed.nu_star == plain.nu_star
-        assert not probed.monotone_warning
+        # the witness's first two decisions come from the opening rows: the
+        # boundary is still the one a plain scalar bisection finds
+        config = thermal_config()
+        bound = max_noise(Criterion.NONGAUSS, 0.6, config)
+        assert 0.0 < bound.nu_star < config.nu_cap
+        assert bound == scalar_max_noise(Criterion.NONGAUSS, 0.6, config)
+        assert not bound.monotone_warning
 
     def test_boundary_sits_at_security_threshold(self):
         # at the BB84 boundary the QBER must equal the protocol threshold
@@ -163,7 +166,7 @@ class TestSweep:
 
 # records the per-record sweep built before results became columns, as
 # (nu_star, capped, undefined, monotone_warning) per criterion in DI, NONGAUSS,
-# BB84 order, on t_grid (0, 0.3, 0.8, 1) with eta 0.7, nu_cap 3, tol 1e-4, 5 probes
+# BB84 order, on t_grid (0, 0.3, 0.8, 1) with eta 0.7, nu_cap 3, tol 1e-4
 RECORDED = {
     (NoiseStatistics.THERMAL, 0.0): (
         [(0.0, False, True, False)] * 3,
@@ -193,7 +196,7 @@ class TestColumns:
         return ScanConfig(
             t_grid=(0.0, 0.3, 0.8, 1.0), statistics=statistics,
             detector=DetectorModel(kind, eta=0.7, dark=dark), nu_cap=3.0, tol=1e-4,
-            criteria=(Criterion.DI, Criterion.NONGAUSS, Criterion.BB84), probe_points=5,
+            criteria=(Criterion.DI, Criterion.NONGAUSS, Criterion.BB84),
         )
 
     @pytest.mark.parametrize("statistics,dark", list(RECORDED))
@@ -238,6 +241,12 @@ def holds_at(criterion, a):
     return _holds(criterion, a.coincidence_defined, a.witness.margin, a.q)
 
 
+def opening_rows(nu_cap):
+    """0, the scalar bisection's first two levels of midpoints, and ``nu_cap``."""
+    half = 0.5 * (0.0 + nu_cap)
+    return 0.0, 0.5 * (0.0 + half), half, min(0.5 * (half + nu_cap), nu_cap), nu_cap
+
+
 def scalar_max_noise(criterion, t, config):
     """The per-(t, criterion) scalar bisection on ``assess``: the sweep's oracle."""
 
@@ -250,9 +259,8 @@ def scalar_max_noise(criterion, t, config):
     if not holds_at(criterion, base):
         return CriterionBoundary(0.0, capped=False, undefined=False)
     warning = False
-    if config.probe_points >= 3:
-        flags = [holds(nu) for nu in np.linspace(0.0, config.nu_cap, config.probe_points)]
-        pattern = "".join("1" if flag else "0" for flag in flags)
+    if criterion is Criterion.NONGAUSS:  # an off-to-on flip across the opening rows
+        pattern = "".join("1" if holds(nu) else "0" for nu in opening_rows(config.nu_cap))
         warning = "01" in pattern
     if holds(config.nu_cap):
         return CriterionBoundary(
@@ -285,7 +293,7 @@ class TestSweepOracle:
         {},
         {"dark": 0.001},
         {"p": 0.5},  # dead channel: no key at nu = 0
-        {"p": 0.97, "probe_points": 9},
+        {"p": 0.97},
         {"criteria": (Criterion.DI, Criterion.NONGAUSS)},
         {"criteria": (Criterion.NONGAUSS, Criterion.DI)},
         {"criteria": (Criterion.BB84,), "nu_cap": 0.7, "tol": 3e-5},
@@ -316,7 +324,7 @@ class TestSweepOracle:
     @pytest.mark.parametrize("criterion", list(Criterion))
     @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
     def test_max_noise_equals_scalar_bisection(self, criterion, t):
-        config = oracle_config(NoiseStatistics.THERMAL, probe_points=5)
+        config = oracle_config(NoiseStatistics.THERMAL)
         assert max_noise(criterion, t, config) == scalar_max_noise(criterion, t, config)
 
 
@@ -325,7 +333,7 @@ class TestSweepOracle:
         # e^(d_eff) would overflow from nu ~ 1000; the model is written in
         # e^(-d_eff) and decides without a warning: at T = 0.5 nothing holds
         config = oracle_config(NoiseStatistics.POISSON, t_grid=(0.5, 1.0), nu_cap=1000.0,
-                               tol=1e-3, probe_points=50)
+                               tol=1e-3)
         assert not indicator(Criterion.BB84, 0.5, 900.0, config)
         low, decoupled = sweep(config).points
         assert all(0.0 < b.nu_star < 10.0 and not b.monotone_warning
@@ -351,10 +359,11 @@ def test_unread_security_roots_stay_quiet(statistics, eta, dark, p):
 
 
 class TestSweepCost:
-    """One opening evaluation, then one per bisection step, whatever the grid size.
+    """One opening evaluation, then one per witness step from the third, whatever the grid size.
 
-    The opening call decides nu = 0, nu = nu_cap and the optional pre-probe;
-    security boundaries come from the closed-form roots and cost nothing more.
+    The opening call decides nu = 0, nu = nu_cap and, when the witness is
+    scanned, its first two bisection levels; security boundaries come from
+    the closed-form roots and cost nothing more.
     """
 
     @staticmethod
@@ -372,33 +381,66 @@ class TestSweepCost:
 
     @pytest.mark.parametrize("statistics", list(NoiseStatistics))
     @pytest.mark.parametrize("points", [1, 7, 40])
-    @pytest.mark.parametrize("probe_points", [0, 9])
-    def test_evaluations_per_sweep(self, monkeypatch, statistics, points, probe_points):
+    # nu_cap 2 * 10**decades: at 2e9 the witness already fails at both first-level rows
+    @pytest.mark.parametrize("decades", [0, 9])
+    def test_evaluations_per_sweep(self, monkeypatch, statistics, points, decades):
         calls = self.count_calls(monkeypatch, statistics)
         config = oracle_config(statistics, t_grid=tuple(np.linspace(0.3, 0.9, points)),
-                               nu_cap=2.0, tol=1e-3, probe_points=probe_points)
+                               nu_cap=2.0 * 10**decades, tol=1e-3)
         curve = sweep(config)
-        steps = math.ceil(math.log2(config.nu_cap / config.tol))  # 11
+        steps = math.ceil(math.log2(config.nu_cap / config.tol))  # 11 or 41
         assert curve.bisection_steps == steps
-        assert len(calls) == curve.evaluations == 1 + steps
-        # the opening call holds every noise mean as a row, the probe's between the ends
-        rows = probe_points or 2
-        assert np.shape(calls[0][2]) == (rows, 1)
-        assert calls[0][2][[0, -1], 0].tolist() == [0.0, config.nu_cap]
-        # each step hands the model the witness row alone
-        assert [np.shape(nu) for _, _, nu, _, _ in calls[1:]] == [(1, points)] * steps
+        # the opening call decides the first two steps
+        assert len(calls) == curve.evaluations == 1 + steps - 2
+        assert np.shape(calls[0][2]) == (5, 1)
+        assert calls[0][2][:, 0].tolist() == list(opening_rows(config.nu_cap))
+        # each later step hands the model the witness row alone
+        assert [np.shape(nu) for _, _, nu, _, _ in calls[1:]] == [(1, points)] * (steps - 2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu_cap", [0.3, 1e6, 1.7e308])
+    def test_opening_rows_are_the_loop_midpoints(self, monkeypatch, nu_cap):
+        # the loop's own arithmetic, 0.5 * (lo + hi) on float64 arrays; at
+        # 1.7e308 the upper second-level midpoint overflows and its row is nu_cap
+        with np.errstate(over="ignore"):
+            half = 0.5 * (np.zeros(1) + nu_cap)
+            lower, upper = 0.5 * (0.0 + half), 0.5 * (half + nu_cap)
+        finite = bool(np.isfinite(upper[0]))
+        calls = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
+        sweep(thermal_config(t_grid=(0.5, 0.9), nu_cap=nu_cap, criteria=(Criterion.NONGAUSS,)))
+        rows = calls[0][2][:, 0].tolist()
+        assert [x.hex() for x in rows] == [x.hex() for x in (
+            0.0, lower[0], half[0], upper[0] if finite else nu_cap, nu_cap)]
+
+    @pytest.mark.parametrize("nu_cap", [0.3, 1e6, 1.7e308])
+    def test_rows_decide_the_first_two_steps(self, monkeypatch, nu_cap):
+        # a witness that fails from c on, with c in each gap between the rows:
+        # the sweep takes its first two decisions from the rows and still ends
+        # where a scalar bisection on the predicate ends
+        tol = nu_cap / 2**6
+        for c in (0.1 * nu_cap, 0.3 * nu_cap, 0.6 * nu_cap, 0.9 * nu_cap):
+            if c > 0.5 * nu_cap and not math.isfinite(0.5 * nu_cap + nu_cap):
+                continue  # the loop's own 0.5 * (lo + hi) overflows there
+            monkeypatch.setattr(qkdng.scan, "link_fields",
+                                fake_fields(lambda t, nu, c=c: nu <= c))
+            bound = max_noise(Criterion.NONGAUSS, 0.5,
+                              thermal_config(nu_cap=nu_cap, tol=tol))
+            lo, hi = 0.0, nu_cap
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if mid <= c else (lo, mid)
+            assert bound == CriterionBoundary(lo, capped=False, undefined=False)
 
     @pytest.mark.parametrize("statistics", list(NoiseStatistics))
     def test_security_sweep_evaluates_only_the_ends(self, monkeypatch, statistics):
         calls = self.count_calls(monkeypatch, statistics)
-        config = oracle_config(statistics, criteria=(Criterion.BB84, Criterion.DI),
-                               probe_points=9)
+        config = oracle_config(statistics, criteria=(Criterion.BB84, Criterion.DI))
         curve = sweep(config)
         assert curve.bisection_steps == math.ceil(math.log2(config.nu_cap / config.tol))
         assert any(0.0 < nu < config.nu_cap for column in curve.columns
                    for nu in column.nu_star)  # open brackets were bisected
         assert len(calls) == curve.evaluations == 1
-        assert np.shape(calls[0][2]) == (2, 1)  # no witness, so no probe
+        assert calls[0][2][:, 0].tolist() == [0.0, config.nu_cap]  # no witness rows
 
     def test_no_bisection_without_an_open_bracket(self, monkeypatch):
         # every boundary is undefined, dead or capped: nothing left to halve
@@ -412,17 +454,16 @@ class TestSweepCost:
 @pytest.mark.parametrize("statistics", list(NoiseStatistics))
 @pytest.mark.parametrize("kind", list(DetectorKind))
 def test_probe_leaves_boundaries_alone(statistics, kind):
-    # the probe only adds rows to the opening call: every pairing's
-    # boundaries, caps and undefined points are those of an unprobed sweep
+    # the opening rows decide the witness's first two steps and check it for
+    # a second crossing: every pairing's boundaries, caps, undefined points
+    # and warnings are those of the scalar bisection
     config = ScanConfig(t_grid=tuple(np.linspace(0.0, 1.0, 41)), statistics=statistics,
                         detector=DetectorModel(kind, eta=0.7), nu_cap=3.0, tol=1e-4)
-    plain, probed = sweep(config), sweep(replace(config, probe_points=9))
-    assert probed.evaluations == plain.evaluations
-    for before, after in zip(plain.columns, probed.columns):
-        assert after.nu_star == before.nu_star
-        assert after.capped == before.capped
-        assert after.undefined == before.undefined
-    witness = plain.column(Criterion.NONGAUSS)
+    curve = sweep(config)
+    for point in curve.points:
+        for criterion, bound in point.bounds.items():
+            assert bound == scalar_max_noise(criterion, point.t, config)
+    witness = curve.column(Criterion.NONGAUSS)
     assert witness.undefined[0]  # T = 0 without dark counts has no coincidences
     assert any(0.0 < nu < config.nu_cap for nu in witness.nu_star)  # and some are bisected
 
@@ -443,33 +484,55 @@ def fake_fields(witness, bb84=lambda t, nu: False, di=lambda t, nu: False):
     return fields
 
 
-# several crossings: the witness holds on [0, 0.5] and [1, 1.5], BB84 on
-# [0, 0.5] and from 1 on, DI from 1.9 on
+# several crossings: the witness holds on [0, 0.3] and [0.9, 1.5], BB84 on
+# [0, 0.5] and from 1 on, DI from 1.9 on; with nu_cap 2 the opening rows
+# 0, 0.5, 1, 1.5, 2 see the witness off at 0.5 and on again at 1
+def banded_bb84(t, nu):
+    return (nu <= 0.5) | (nu >= 1.0)
+
+
 banded_fields = fake_fields(
-    lambda t, nu: (nu <= 0.5) | ((nu >= 1.0) & (nu <= 1.5)),
-    lambda t, nu: (nu <= 0.5) | (nu >= 1.0),
+    lambda t, nu: (nu <= 0.3) | ((nu >= 0.9) & (nu <= 1.5)),
+    banded_bb84,
     lambda t, nu: nu >= 1.9,
 )
 
+# with nu_cap 2, the witness fails only around nu_cap / 2
+notched_fields = fake_fields(lambda t, nu: np.abs(nu - 1.0) > 0.25)
+
 
 class TestMonotoneProbe:
+    """Every witness sweep checks its opening rows for an off-to-on flip."""
+
     def test_probe_flags_multiple_crossings(self, monkeypatch):
         monkeypatch.setattr(qkdng.scan, "link_fields", banded_fields)
-        config = thermal_config(t_grid=(0.3, 0.6), probe_points=9, tol=1e-4)
+        config = thermal_config(t_grid=(0.3, 0.6), tol=1e-4)
         for point in sweep(config).points:
             witness, bb84, di = (point.bounds[c] for c in ALL_CRITERIA)
             assert witness.monotone_warning and not witness.capped
             assert witness.nu_star == pytest.approx(1.5, abs=1e-4)
-            # the probe checks the witness only: Q rises with nu, so a security
+            # the check reads the witness only: Q rises with nu, so a security
             # boundary crosses once
             assert not bb84.monotone_warning and bb84.capped
-            # failing at nu = 0 outranks both the probe and the cap
+            # failing at nu = 0 outranks both the check and the cap
             assert di == CriterionBoundary(0.0, capped=False, undefined=False)
 
     def test_probe_off_flags_nothing(self, monkeypatch):
-        monkeypatch.setattr(qkdng.scan, "link_fields", banded_fields)
-        curve = sweep(thermal_config(t_grid=(0.3,)))
-        assert not any(b.monotone_warning for b in curve.points[0].bounds.values())
+        # a witness that crosses once is not flagged, and a sweep without the
+        # witness checks nothing, though the faked BB84 flips on at nu = 1
+        monkeypatch.setattr(qkdng.scan, "link_fields",
+                            fake_fields(lambda t, nu: nu <= 0.7, banded_bb84))
+        for criteria in (ALL_CRITERIA, (Criterion.BB84,)):
+            curve = sweep(thermal_config(t_grid=(0.3,), criteria=criteria))
+            assert not any(b.monotone_warning for b in curve.points[0].bounds.values())
+
+    def test_check_runs_by_default(self, monkeypatch):
+        # the witness holds at 0 and at nu_cap but not at nu_cap / 2: a plain
+        # sweep caps it and flags the boundary
+        monkeypatch.setattr(qkdng.scan, "link_fields", notched_fields)
+        bound = max_noise(Criterion.NONGAUSS, 0.5, thermal_config())
+        assert bound == CriterionBoundary(2.0, capped=True, undefined=False,
+                                          monotone_warning=True)
 
 
 def test_each_bracket_stops_at_its_own_width(monkeypatch):
@@ -592,10 +655,17 @@ class TestScanConfigValidation:
 
     @pytest.mark.parametrize("probe_points", [-3, 1, 2, 4.0, True, "5", 10**12])
     def test_bad_probe_points(self, probe_points):
-        # 10**12 must be refused here, before a probe grid of that size exists
-        with pytest.raises(DomainError, match="probe_points"):
+        # the single-crossing check runs on every sweep: its old size option is refused
+        with pytest.raises(TypeError, match="probe_points"):
             thermal_config(probe_points=probe_points)
 
-    @pytest.mark.parametrize("probe_points", [0, 3, 9])
-    def test_good_probe_points(self, probe_points):
-        assert thermal_config(probe_points=probe_points).probe_points == probe_points
+    @pytest.mark.parametrize("detector", ["pnrd", DetectorKind.PNRD, None],
+                             ids=["str", "kind", "none"])
+    def test_detector_must_be_a_model(self, detector):
+        with pytest.raises(DomainError, match="^detector must be a DetectorModel"):
+            thermal_config(det=detector)
+
+    @pytest.mark.parametrize("criteria", ["nongauss", "bb84"])
+    def test_bare_string_criteria(self, criteria):
+        with pytest.raises(DomainError, match="^criteria must be"):
+            thermal_config(criteria=criteria)
