@@ -83,8 +83,7 @@ class ChannelConfig:
         object.__setattr__(self, "p", check_range("Werner weight", self.p, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class LinkAssessment:
+class LinkAssessment(NamedTuple):
     """Everything the security and witness decisions consume at one point.
 
     When no coincidences can occur (``coincidence_defined`` False) the QBER
@@ -104,7 +103,7 @@ class LinkAssessment:
         return self.coincidence_defined and self.witness.passed
 
 
-class LinkFields(NamedTuple):  # not a dataclass: ten times cheaper to create at import
+class LinkFields(NamedTuple):
     """Array twin of ``LinkAssessment``: the fields the scan decisions read.
 
     Elementwise over broadcast (t, nu) arrays.  Where ``defined`` is False,

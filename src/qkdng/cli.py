@@ -326,8 +326,9 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             raise ConfigurationError(f"missing required flag {', '.join(missing)}")
         return args.handler(args)
-    except (DomainError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, ConfigurationError, MemoryError) as exc:
+        # MemoryError: a grid too large to allocate; a bare one has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

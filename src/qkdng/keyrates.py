@@ -10,8 +10,8 @@ S = 2*sqrt(2)*(1 - 2*Q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, check_range
 
@@ -30,8 +30,7 @@ class Protocol(str, Enum):
     DI = "di"
 
 
-@dataclass(frozen=True)
-class KeyRates:
+class KeyRates(NamedTuple):
     """Rate lower bounds for both protocols at one channel point.
 
     ``di`` is the sentinel 0.0 with ``di_defined`` False when the CHSH score

@@ -106,8 +106,7 @@ class ScanConfig:
             raise DomainError("criteria must be a nonempty set without duplicates")
 
 
-@dataclass(frozen=True)
-class CriterionBoundary:
+class CriterionBoundary(NamedTuple):
     """Largest tolerable noise mean for one criterion at one transmittance.
 
     ``capped`` means the criterion still held at ``nu_cap`` so the true
@@ -122,8 +121,7 @@ class CriterionBoundary:
     monotone_warning: bool = False
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     t: float
     bounds: dict[Criterion, CriterionBoundary]
 
@@ -238,11 +236,10 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     cap = config.nu_cap
     t = np.array(config.t_grid)
     w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
-    # the floats the loop's 0.5 * (lo + hi) forms in its first two steps; where
-    # half + cap overflows the loop stops that bracket, and the row stays finite
+    # the floats the loop's midpoints take in its first two steps
     half = 0.5 * cap
     nus = np.array([0.0, cap] if w is None
-                   else [0.0, 0.5 * half, half, min(0.5 * (half + cap), cap), cap])
+                   else [0.0, 0.5 * half, half, 0.5 * half + 0.5 * cap, cap])
     opening = link_fields(statistics, t, nus[:, np.newaxis], p, det)
     flags = np.stack([_holds(criterion, *opening) for criterion in criteria])  # (c, nu, t)
     at_zero = flags[:, 0]
@@ -260,7 +257,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     lo = np.zeros(at_zero.shape)
     hi = np.where(at_zero & ~capped, cap, 0.0)
     steps = 0
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi  # not 0.5 * (lo + hi): that sum overflows near the float limit
     # a bracket one float wide has no midpoint inside it, however wide tol allows
     while (active := (hi - lo > config.tol) & (lo < mid) & (mid < hi)).any():
         ok = mid <= root
@@ -272,7 +269,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
             evaluations += 1
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         steps += 1
     nu_star = np.where(capped, cap, lo)
     undefined = np.broadcast_to(~opening.defined[0], at_zero.shape)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_range
 from .photodetection import DetectorKind
 
 
@@ -31,8 +32,7 @@ class CoincidenceStats:
             raise DomainError(f"p_e must lie in [0, 1], got {self.p_e}")
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(NamedTuple):
     """Outcome of a witness test; ``margin`` is P_s minus the threshold."""
 
     passed: bool
@@ -73,11 +73,12 @@ def pnrd_threshold(p_e: float) -> float:
 def evaluate(kind: DetectorKind, stats: CoincidenceStats, scale: float = 1.0) -> WitnessVerdict:
     """Apply the witness matching the detector type; passes only for margin > 0.
 
-    ``stats`` may hold P_s and P_e divided by ``scale``^2.  The margin
-    P_s - threshold(P_e) is then computed as scale (scale p_s - threshold/scale),
-    with threshold/scale taken from p_e, so its sign survives where P_s and
-    P_e underflow.
+    ``stats`` may hold P_s and P_e divided by ``scale``^2, ``scale`` in [0, 1]
+    (else ``DomainError``).  The margin P_s - threshold(P_e) is then computed as
+    scale (scale p_s - threshold/scale), with threshold/scale taken from p_e,
+    so its sign survives where P_s and P_e underflow.
     """
+    scale = check_range("witness scale", scale, 0.0, 1.0)
     margin = witness_margin(DetectorKind(kind), stats.p_s, stats.p_e, scale)
     return WitnessVerdict(passed=margin > 0.0, margin=margin)
 

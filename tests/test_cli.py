@@ -343,6 +343,24 @@ class TestScan:
         assert err.startswith("error:") and "--t-points" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,)",
+         "Unable to allocate 745. GiB"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_unallocatable_grid_rejected(self, capsys, tmp_path, monkeypatch, message, shown):
+        # numpy raises a MemoryError for a grid it cannot allocate; nothing is allocated here
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("qkdng.cli.np.linspace", refuse)
+        out = tmp_path / "huge.csv"
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig4", "--t-points", "100000000000",
+                               "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and shown in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_format_from_config_rejected(self, capsys, tmp_path):
         out, config = tmp_path / "curve.xml", tmp_path / "run.conf"
         config.write_text("format=xml\n")

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,8 +242,17 @@ def holds_at(criterion, a):
 
 def opening_rows(nu_cap):
     """0, the scalar bisection's first two levels of midpoints, and ``nu_cap``."""
-    half = 0.5 * (0.0 + nu_cap)
-    return 0.0, 0.5 * (0.0 + half), half, min(0.5 * (half + nu_cap), nu_cap), nu_cap
+    half = 0.5 * 0.0 + 0.5 * nu_cap
+    return 0.0, 0.5 * 0.0 + 0.5 * half, half, 0.5 * half + 0.5 * nu_cap, nu_cap
+
+
+def bisect(holds, nu_cap, tol):
+    """Last point known to hold of a scalar bisection on [0, nu_cap], the sweep's midpoints."""
+    lo, hi = 0.0, nu_cap
+    while hi - lo > tol:
+        mid = 0.5 * lo + 0.5 * hi
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
 
 
 def scalar_max_noise(criterion, t, config):
@@ -266,13 +274,7 @@ def scalar_max_noise(criterion, t, config):
         return CriterionBoundary(
             config.nu_cap, capped=True, undefined=False, monotone_warning=warning
         )
-    lo, hi = 0.0, config.nu_cap
-    while hi - lo > config.tol:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo = bisect(holds, config.nu_cap, config.tol)
     return CriterionBoundary(lo, capped=False, undefined=False, monotone_warning=warning)
 
 
@@ -400,17 +402,15 @@ class TestSweepCost:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("nu_cap", [0.3, 1e6, 1.7e308])
     def test_opening_rows_are_the_loop_midpoints(self, monkeypatch, nu_cap):
-        # the loop's own arithmetic, 0.5 * (lo + hi) on float64 arrays; at
-        # 1.7e308 the upper second-level midpoint overflows and its row is nu_cap
-        with np.errstate(over="ignore"):
-            half = 0.5 * (np.zeros(1) + nu_cap)
-            lower, upper = 0.5 * (0.0 + half), 0.5 * (half + nu_cap)
-        finite = bool(np.isfinite(upper[0]))
+        # the loop's own arithmetic, 0.5 * lo + 0.5 * hi on float64 arrays; it
+        # stays finite at 1.7e308, where 0.5 * (lo + hi) would overflow
+        half = 0.5 * np.zeros(1) + 0.5 * nu_cap
+        lower, upper = 0.5 * 0.0 + 0.5 * half, 0.5 * half + 0.5 * nu_cap
         calls = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
         sweep(thermal_config(t_grid=(0.5, 0.9), nu_cap=nu_cap, criteria=(Criterion.NONGAUSS,)))
         rows = calls[0][2][:, 0].tolist()
         assert [x.hex() for x in rows] == [x.hex() for x in (
-            0.0, lower[0], half[0], upper[0] if finite else nu_cap, nu_cap)]
+            0.0, lower[0], half[0], upper[0], nu_cap)]
 
     @pytest.mark.parametrize("nu_cap", [0.3, 1e6, 1.7e308])
     def test_rows_decide_the_first_two_steps(self, monkeypatch, nu_cap):
@@ -419,17 +419,26 @@ class TestSweepCost:
         # where a scalar bisection on the predicate ends
         tol = nu_cap / 2**6
         for c in (0.1 * nu_cap, 0.3 * nu_cap, 0.6 * nu_cap, 0.9 * nu_cap):
-            if c > 0.5 * nu_cap and not math.isfinite(0.5 * nu_cap + nu_cap):
-                continue  # the loop's own 0.5 * (lo + hi) overflows there
             monkeypatch.setattr(qkdng.scan, "link_fields",
                                 fake_fields(lambda t, nu, c=c: nu <= c))
             bound = max_noise(Criterion.NONGAUSS, 0.5,
                               thermal_config(nu_cap=nu_cap, tol=tol))
-            lo, hi = 0.0, nu_cap
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if mid <= c else (lo, mid)
+            lo = bisect(lambda nu, c=c: nu <= c, nu_cap, tol)
             assert bound == CriterionBoundary(lo, capped=False, undefined=False)
+
+    @pytest.mark.filterwarnings("error")
+    def test_midpoints_near_the_float_limit(self, monkeypatch):
+        # a witness holding up to 1e308 under nu_cap 1.7e308: once lo passes
+        # nu_cap / 2, the sum lo + hi overflows, its halves do not
+        nu_cap, tol = 1.7e308, 1.7e308 / 2**40
+        monkeypatch.setattr(qkdng.scan, "link_fields", fake_fields(lambda t, nu: nu <= 1e308))
+        config = thermal_config(t_grid=(0.3, 0.6), nu_cap=nu_cap, tol=tol,
+                                criteria=(Criterion.NONGAUSS,))
+        lo = bisect(lambda nu: nu <= 1e308, nu_cap, tol)
+        assert 1e308 - tol <= lo <= 1e308
+        for point in sweep(config).points:
+            assert point.bounds[Criterion.NONGAUSS] == CriterionBoundary(
+                lo, capped=False, undefined=False)
 
     @pytest.mark.parametrize("statistics", list(NoiseStatistics))
     def test_security_sweep_evaluates_only_the_ends(self, monkeypatch, statistics):
@@ -591,7 +600,7 @@ class TestClassify:
         q = 0.1100278644383596
         s = bell_from_qber(q)
         assert q > Q_STAR_BB84 and key_rates(q, s).bb84 > 0.0
-        point = replace(assess_point(thermal_config(), 1.0, 0.01), q=q, s=s, rates=key_rates(q, s))
+        point = assess_point(thermal_config(), 1.0, 0.01)._replace(q=q, s=s, rates=key_rates(q, s))
         assert classify_assessment(point)[Criterion.BB84] is RegionLabel.NONGAUSS_ONLY
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,15 @@ class TestEvaluate:
             CoincidenceStats(p_s=-0.1, p_e=0.0)
         with pytest.raises(DomainError):
             CoincidenceStats(p_s=0.0, p_e=1.1)
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    @pytest.mark.parametrize("scale", [-1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_scale_outside_unit_interval_rejected(self, kind, scale):
+        # at scale -1 this PNRD point passed (margin +0.426); at scale 1 it fails
+        with pytest.raises(DomainError, match="scale"):
+            evaluate(kind, CoincidenceStats(p_s=0.01, p_e=0.1), scale=scale)
+
+    def test_zero_scale_accepted(self):
+        # a SPAD whose q0 underflowed: nothing certifies non-Gaussianity
+        verdict = evaluate(DetectorKind.SPAD, CoincidenceStats(p_s=0.25, p_e=0.0), scale=0.0)
+        assert not verdict.passed and verdict.margin == 0.0
