@@ -15,7 +15,10 @@ import gc
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
+from dataclasses import replace
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +33,14 @@ from .channels import (
 )
 from .errors import ConfigurationError, DomainError, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
-from .scan import ALL_CRITERIA, Criterion, ScanConfig, classify_assessment, sweep
+from .scan import (
+    ALL_CRITERIA, BoundaryCurve, Criterion, ScanConfig, classify_assessment, sweep,
+)
 
 CSV_HEADER = "T,nu_nongauss,nu_bb84,nu_di,capped_nongauss,capped_bb84,capped_di"
+# grid transmittances swept and written at a time: a scan's memory does not grow
+# with the grid beyond the grid itself
+CHUNK_T = 4096
 
 # presets bundle the channel recipes used for the headline boundary figures;
 # the poissonian recipe does not fix detector imperfections, so fig5 leaves
@@ -137,53 +145,63 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_fields(curve, criterion: Criterion) -> tuple[list[str], list[str]]:
-    """The nu and capped CSV columns of one criterion; empty where not scanned."""
-    if criterion not in curve.criteria:
-        blank = [""] * len(curve.t_grid)
-        return blank, blank
-    column = curve.column(criterion)
-    # empty sentinel at undefined points: plotting tools show a gap, not a false zero
-    nu = ["" if undefined else repr(nu_star)
-          for nu_star, undefined in zip(column.nu_star, column.undefined)]
-    capped = ["" if undefined else "true" if flag else "false"
-              for flag, undefined in zip(column.capped, column.undefined)]
-    return nu, capped
+def _sweeps(config: ScanConfig, diagnostics: dict) -> Iterator[BoundaryCurve]:
+    """``sweep`` over ``CHUNK_T`` grid transmittances at a time, each chunk tallied.
+
+    Every T is independent, so the chunks give the whole grid's boundaries;
+    ``diagnostics`` sums their search cost, outcome counts and sweep time.
+    """
+    for i in range(0, len(config.t_grid), CHUNK_T):
+        started = time.perf_counter()
+        curve = sweep(replace(config, t_grid=config.t_grid[i:i + CHUNK_T]))
+        diagnostics["phase_s"]["sweep"] += time.perf_counter() - started
+        diagnostics["sweeps"] += 1
+        diagnostics["bisection_steps"] = max(diagnostics["bisection_steps"], curve.bisection_steps)
+        diagnostics["evaluations"] += curve.evaluations
+        diagnostics["boundaries"] += len(curve.criteria) * len(curve.t_grid)
+        for outcome in ("capped", "undefined", "monotone_warning"):
+            diagnostics[outcome] += sum(sum(getattr(column, outcome)) for column in curve.columns)
+        yield curve
 
 
-def _csv_text(curve) -> str:
-    nu_fields, capped_fields = zip(*(_csv_fields(curve, c) for c in ALL_CRITERIA))
-    rows = zip(map(repr, curve.t_grid), *nu_fields, *capped_fields)
-    return "\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n"
+def _csv_lines(curves: Iterable[BoundaryCurve]) -> Iterator[str]:
+    """The CSV, one row at a time.
+
+    Empty cells where a boundary is undefined or its criterion not scanned:
+    plotting tools show a gap, not a false zero.
+    """
+    yield CSV_HEADER + "\n"
+    for curve in curves:
+        # (nu_star, capped, undefined) of each CSV criterion; an unscanned one prints as undefined
+        columns = [curve.column(c)[:3] if c in curve.criteria
+                   else (repeat(0.0), repeat(False), repeat(True)) for c in ALL_CRITERIA]
+        for t, nu0, cap0, und0, nu1, cap1, und1, nu2, cap2, und2 in zip(
+            curve.t_grid, *columns[0], *columns[1], *columns[2]
+        ):
+            yield (f"{t!r},{'' if und0 else repr(nu0)},{'' if und1 else repr(nu1)},"
+                   f"{'' if und2 else repr(nu2)},{'' if und0 else 'true' if cap0 else 'false'},"
+                   f"{'' if und1 else 'true' if cap1 else 'false'},"
+                   f"{'' if und2 else 'true' if cap2 else 'false'}\n")
 
 
-def _curve_doc(curve) -> dict:
-    names = [c.value for c in curve.criteria]
-    points = [{"T": t, "bounds": {}} for t in curve.t_grid]
-    for name, column in zip(names, curve.columns):
-        for point, nu_star, capped, undefined, warning in zip(points, *column):
-            point["bounds"][name] = {
-                "nu_star": None if undefined else nu_star,
-                "capped": capped,
-                "undefined": undefined,
-                "monotone_warning": warning,
-            }
-    return {"criteria": names, "points": points}
-
-
-def _diagnostics(curve, phase_s: dict[str, float]) -> dict:
-    """What the scan did: search cost, boundary outcome counts, phase times, versions."""
-    return {
-        "bisection_steps": curve.bisection_steps,
-        "evaluations": curve.evaluations,
-        "boundaries": len(curve.criteria) * len(curve.t_grid),
-        "capped": sum(sum(column.capped) for column in curve.columns),
-        "undefined": sum(sum(column.undefined) for column in curve.columns),
-        "monotone_warning": sum(sum(column.monotone_warning) for column in curve.columns),
-        "phase_s": phase_s,
-        "python": "{}.{}.{}".format(*sys.version_info[:3]),
-        "numpy": np.__version__,
-    }
+def _json_lines(
+    criteria: tuple[Criterion, ...], curves: Iterable[BoundaryCurve]
+) -> Iterator[str]:
+    """``json.dumps(doc, indent=2) + "\\n"`` of the scan document, one point at a time."""
+    names = [c.value for c in criteria]
+    # the document around its points, laid out by json itself
+    head, tail = json.dumps({"criteria": names, "points": [None]}, indent=2).split("null")
+    separator = head
+    for curve in curves:
+        for t, *bounds in zip(curve.t_grid, *(zip(*column) for column in curve.columns)):
+            point = {"T": t, "bounds": {
+                name: {"nu_star": None if undefined else nu_star, "capped": capped,
+                       "undefined": undefined, "monotone_warning": warning}
+                for name, (nu_star, capped, undefined, warning) in zip(names, bounds)
+            }}
+            yield separator + json.dumps(point, indent=2).replace("\n", "\n    ")
+            separator = ",\n    "
+    yield tail + "\n"
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -195,10 +213,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--t-points must be at least 1, got {args.t_points}")
     check_range("--t-min", args.t_min, 0.0, 1.0)
     check_range("--t-max", args.t_max, 0.0, 1.0)  # a one-point grid never reaches t_max
-    grid = tuple(np.linspace(args.t_min, args.t_max, args.t_points))
     try:
         config = ScanConfig(
-            t_grid=grid,
+            t_grid=np.linspace(args.t_min, args.t_max, args.t_points).tolist(),
             statistics=args.noise,
             detector=detector,
             p=args.p,
@@ -210,20 +227,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--t-min/--t-max/--t-points/--nu-cap/--tol/--criteria: {exc}"
         ) from exc
-    resolved = time.perf_counter()
-    curve = sweep(config)
-    swept = time.perf_counter()
+    phase_s = {"resolve": time.perf_counter() - started, "sweep": 0.0, "write": 0.0}
+    diagnostics = {"sweeps": 0, "bisection_steps": 0, "evaluations": 0, "boundaries": 0,
+                   "capped": 0, "undefined": 0, "monotone_warning": 0, "phase_s": phase_s,
+                   "python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__}
+    curves = _sweeps(config, diagnostics)  # lazy: each chunk is swept as its rows are written
+    lines = _csv_lines(curves) if args.format == "csv" else _json_lines(config.criteria, curves)
     out = Path(args.out)
-    if args.format == "csv":
-        out.write_text(_csv_text(curve))
-    else:
-        out.write_text(json.dumps(_curve_doc(curve), indent=2) + "\n")
+    writing = time.perf_counter()
+    fh = out.open("w")
+    try:
+        with fh:
+            fh.writelines(lines)
+    except BaseException:
+        out.unlink(missing_ok=True)  # a partial file must not pass for a finished scan
+        raise
     # the manifest's own write comes after, so it cannot time itself
-    phase_s = {"resolve": resolved - started, "sweep": swept - resolved,
-               "write": time.perf_counter() - swept}
+    phase_s["write"] = time.perf_counter() - writing - phase_s["sweep"]
     manifest = _manifest(args, effective_detector_mapping=DETECTOR_INPUT[config.statistics],
                          out=str(out))
-    manifest["diagnostics"] = diagnostics = _diagnostics(curve, phase_s)
+    manifest["diagnostics"] = diagnostics
     manifest_path = out.with_name(out.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     if diagnostics["monotone_warning"]:

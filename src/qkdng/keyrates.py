@@ -43,32 +43,47 @@ class KeyRates(NamedTuple):
     di_defined: bool
 
 
-def binary_entropy(q: float) -> float:
-    """Shannon entropy of a bit with bias ``q``, in bits."""
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"entropy argument must lie in [0, 1], got {q}")
+def _entropy(q: float) -> float:
+    """``binary_entropy`` of a ``q`` already known to lie in [0, 1], unchecked."""
     if q == 0.0 or q == 1.0:
         return 0.0  # continuous limit, 0*log(0) := 0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
+def binary_entropy(q: float) -> float:
+    """Shannon entropy of a bit with bias ``q``, in bits."""
+    return _entropy(check_range("entropy argument", q, 0.0, 1.0))
+
+
 def bell_from_qber(qber: float) -> float:
     """CHSH score of the depolarized Bell pair at error rate ``qber``."""
-    if not 0.0 <= qber <= 0.5:
-        raise DomainError(
-            f"qber must lie in [0, 1/2] in the correlated regime, got {qber}"
-        )
+    qber = check_range("qber (correlated regime)", qber, 0.0, 0.5)
     return S_MAX * (1.0 - 2.0 * qber)
 
 
-def _check_qber(qber: float) -> None:
-    if not 0.0 <= qber <= 1.0:
-        raise DomainError(f"qber must lie in [0, 1], got {qber}")
+def _rate_inputs(qber: float, s: float) -> tuple[float, float]:
+    """The rate functions' (qber, CHSH score) as floats, each checked once."""
+    return (check_range("qber", qber, 0.0, 1.0),
+            check_range("CHSH score", s, 0.0, S_MAX + _BELL_SLACK))
 
 
-def _check_bell(s: float) -> None:
-    if not 0.0 <= s <= S_MAX + _BELL_SLACK:
-        raise DomainError(f"CHSH score must lie in [0, 2*sqrt(2)], got {s}")
+def _bb84(qber: float, s: float) -> float:
+    """``dw_rate_bb84`` on inputs already checked."""
+    phase = qber + s / S_MAX
+    if not -1e-12 <= phase <= 1.0 + 1e-12:
+        raise DomainError(f"phase-error entropy argument {phase} outside [0, 1]")
+    phase = min(max(phase, 0.0), 1.0)
+    return 1.0 - _entropy(qber) - _entropy(phase)
+
+
+def _di(qber: float, s: float) -> tuple[float, bool]:
+    """``dw_rate_di`` on inputs already checked."""
+    if s <= 2.0:
+        return 0.0, False
+    # min() strips round-off above the Tsirelson bound before the entropy call
+    excess = min((s / 2.0) ** 2 - 1.0, 1.0)
+    eve_arg = (1.0 + math.sqrt(excess)) / 2.0
+    return 1.0 - _entropy(qber) - _entropy(eve_arg), True
 
 
 def dw_rate_bb84(qber: float, s: float) -> float:
@@ -77,13 +92,7 @@ def dw_rate_bb84(qber: float, s: float) -> float:
     Along the correlation family this reduces to 1 - 2*h(Q), since the
     phase-error argument Q + S/(2*sqrt(2)) collapses to 1 - Q.
     """
-    _check_qber(qber)
-    _check_bell(s)
-    phase = qber + s / S_MAX
-    if not -1e-12 <= phase <= 1.0 + 1e-12:
-        raise DomainError(f"phase-error entropy argument {phase} outside [0, 1]")
-    phase = min(max(phase, 0.0), 1.0)
-    return 1.0 - binary_entropy(qber) - binary_entropy(phase)
+    return _bb84(*_rate_inputs(qber, s))
 
 
 def dw_rate_di(qber: float, s: float) -> tuple[float, bool]:
@@ -93,24 +102,14 @@ def dw_rate_di(qber: float, s: float) -> tuple[float, bool]:
     saturates and no security claim exists, so ``defined`` is False and the
     rate slot carries the sentinel 0.0.
     """
-    _check_qber(qber)
-    _check_bell(s)
-    if s <= 2.0:
-        return 0.0, False
-    # min() strips round-off above the Tsirelson bound before the entropy call
-    excess = min((s / 2.0) ** 2 - 1.0, 1.0)
-    eve_arg = (1.0 + math.sqrt(excess)) / 2.0
-    return 1.0 - binary_entropy(qber) - binary_entropy(eve_arg), True
+    return _di(*_rate_inputs(qber, s))
 
 
 def key_rates(qber: float, s: float) -> KeyRates:
     """Both rate bounds bundled, with the DI-undefined sentinel applied."""
-    di, defined = dw_rate_di(qber, s)
-    return KeyRates(
-        bb84=dw_rate_bb84(qber, s),
-        di=di if defined else 0.0,
-        di_defined=defined,
-    )
+    qber, s = _rate_inputs(qber, s)
+    di, defined = _di(qber, s)
+    return KeyRates(bb84=_bb84(qber, s), di=di, di_defined=defined)
 
 
 def security_threshold(protocol: Protocol | str, tol: float = 1e-6) -> float:

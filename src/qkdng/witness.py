@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, check_range
+from .errors import check_range
 from .photodetection import DetectorKind
 
 
@@ -26,10 +26,8 @@ class CoincidenceStats:
     p_e: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_s <= 1.0:
-            raise DomainError(f"p_s must lie in [0, 1], got {self.p_s}")
-        if not 0.0 <= self.p_e <= 1.0:
-            raise DomainError(f"p_e must lie in [0, 1], got {self.p_e}")
+        object.__setattr__(self, "p_s", check_range("p_s", self.p_s, 0.0, 1.0))
+        object.__setattr__(self, "p_e", check_range("p_e", self.p_e, 0.0, 1.0))
 
 
 class WitnessVerdict(NamedTuple):
@@ -54,20 +52,14 @@ def _bound(kind: DetectorKind, p_e, scale):
     return sqrt(p_e) - scale * p_e
 
 
-def _check_p_e(p_e: float) -> float:
-    if not 0.0 <= p_e <= 1.0:
-        raise DomainError(f"p_e must lie in [0, 1], got {p_e}")
-    return p_e
-
-
 def spad_threshold(p_e: float) -> float:
     """Largest Gaussian-compatible success probability at SPAD error rate ``p_e``."""
-    return _bound(DetectorKind.SPAD, _check_p_e(p_e), 1.0)
+    return _bound(DetectorKind.SPAD, check_range("p_e", p_e, 0.0, 1.0), 1.0)
 
 
 def pnrd_threshold(p_e: float) -> float:
     """Largest Gaussian-compatible success probability at PNRD error rate ``p_e``."""
-    return _bound(DetectorKind.PNRD, _check_p_e(p_e), 1.0)
+    return _bound(DetectorKind.PNRD, check_range("p_e", p_e, 0.0, 1.0), 1.0)
 
 
 def evaluate(kind: DetectorKind, stats: CoincidenceStats, scale: float = 1.0) -> WitnessVerdict:

@@ -18,10 +18,11 @@ from qkdng.channels import (
     thermal_observables,
 )
 from qkdng.errors import ConfigurationError, DomainError, check_range
+from qkdng.keyrates import bell_from_qber, binary_entropy, dw_rate_bb84, dw_rate_di, key_rates
 from qkdng.photodetection import (
     DetectorKind, DetectorModel, PhotocountDistribution, detect_pmf, photocount_pmf,
 )
-from qkdng.witness import pnrd_threshold, spad_threshold
+from qkdng.witness import CoincidenceStats, pnrd_threshold, spad_threshold
 
 PERFECT_PNRD = DetectorModel(DetectorKind.PNRD)
 PERFECT_SPAD = DetectorModel(DetectorKind.SPAD)
@@ -331,6 +332,26 @@ class TestConfigValidation:
             ChannelConfig(t=value)
         with pytest.raises(DomainError, match="must be a number"):
             check_range("x", value, 0.0)
+
+    # each public entry point with one argument left open, and a number it accepts there
+    ENTRY_POINTS = {
+        "CoincidenceStats": (lambda x: CoincidenceStats(x, 0.0), 0.1),
+        "binary_entropy": (binary_entropy, 0.1),
+        "bell_from_qber": (bell_from_qber, 0.1),
+        "dw_rate_bb84": (lambda x: dw_rate_bb84(x, 2.0), 0.1),
+        "dw_rate_di": (lambda x: dw_rate_di(0.05, x), 2.5),
+        "key_rates": (lambda x: key_rates(0.05, x), 2.5),
+        "pnrd_threshold": (pnrd_threshold, 0.1),
+        "spad_threshold": (spad_threshold, 0.1),
+    }
+
+    @pytest.mark.parametrize("value", ["abc", None, [0.5, 0.6]])
+    @pytest.mark.parametrize("call,number", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_entry_points_reject_non_numbers(self, call, number, value):
+        # these compared the raw argument and raised TypeError on a non-number
+        with pytest.raises(DomainError, match="must be a number"):
+            call(value)
+        assert call(str(number)) == call(number)  # a numeric string reads as check_range reads it
 
     def test_string_statistics_coerced(self):
         model = NoiseModel("thermal", 0.5)

@@ -1,10 +1,13 @@
 import json
 import math
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkdng.cli
 import qkdng.scan
 from qkdng.channels import NoiseStatistics
 from qkdng.cli import CSV_HEADER, main
@@ -568,6 +571,65 @@ class TestColumnarOutput:
         assert set(phase_s) == {"resolve", "sweep", "write"}
         assert all(isinstance(v, float) and math.isfinite(v) and v >= 0.0
                    for v in phase_s.values())
+
+
+class TestChunkedScan:
+    """A grid swept ``CHUNK_T`` transmittances at a time gives the one-sweep output."""
+
+    CHANNELS = {
+        "fig4": (["--preset", "fig4"], "thermal", "pnrd"),
+        "fig5": (["--preset", "fig5", "--eta", "0.7", "--dark", "0.001"], "poisson", "spad"),
+    }
+
+    def scan(self, capsys, tmp_path, flags, fmt):
+        out = tmp_path / f"scan.{fmt}"
+        code, _, err = run_cli(capsys, "scan", *flags, "--t-points", "50", "--format", fmt,
+                               "--out", str(out))
+        assert code == 0, err
+        return out.read_bytes(), json.loads(Path(f"{out}.manifest.json").read_text())["diagnostics"]
+
+    @pytest.mark.parametrize("chunk,sweeps", [(1, 50), (7, 8)])
+    @pytest.mark.parametrize("preset", CHANNELS)
+    def test_chunks_give_the_single_sweep_bytes(self, capsys, tmp_path, monkeypatch, preset,
+                                                chunk, sweeps):
+        flags, statistics, detector = self.CHANNELS[preset]
+        config = ScanConfig(
+            t_grid=np.linspace(0.02, 1.0, 50).tolist(), statistics=statistics,
+            detector=DetectorModel(detector, eta=0.7, dark=0.001),
+        )
+        chunks = [sweep(replace(config, t_grid=config.t_grid[i:i + chunk]))
+                  for i in range(0, 50, chunk)]
+        for fmt in ("csv", "json"):
+            with monkeypatch.context() as patch:
+                whole, whole_diag = self.scan(capsys, tmp_path, flags, fmt)
+                patch.setattr(qkdng.cli, "CHUNK_T", chunk)
+                data, diag = self.scan(capsys, tmp_path, flags, fmt)
+            assert data == whole
+            assert (whole_diag["sweeps"], diag["sweeps"]) == (1, sweeps)
+            assert diag["evaluations"] == sum(curve.evaluations for curve in chunks)
+            assert diag["bisection_steps"] == max(curve.bisection_steps for curve in chunks)
+            for outcome in ("boundaries", "capped", "undefined", "monotone_warning"):
+                assert diag[outcome] == whole_diag[outcome]
+            assert set(diag["phase_s"]) == {"resolve", "sweep", "write"}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_chunk_leaves_no_file(self, capsys, tmp_path, monkeypatch, fmt):
+        out = tmp_path / f"scan.{fmt}"
+        calls = []
+
+        def fail_second(config):
+            calls.append(out.exists())
+            if len(calls) == 2:
+                raise MemoryError("second chunk")
+            return sweep(config)
+
+        monkeypatch.setattr(qkdng.cli, "CHUNK_T", 7)
+        monkeypatch.setattr(qkdng.cli, "sweep", fail_second)
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig4", "--t-points", "50",
+                               "--format", fmt, "--out", str(out))
+        assert code != 0 and "second chunk" in err
+        assert calls == [True, True]  # the output was open when the chunk failed
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPmf:

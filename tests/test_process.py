@@ -1,5 +1,5 @@
 """Behaviour seen only from a fresh interpreter: exit, the module entry point,
-and searches that must end.
+searches that must end and a scan's peak memory.
 
 Each test starts ``python`` with ``src`` on ``PYTHONPATH``.  A search that
 never ends is caught by the subprocess timeout instead of hanging the suite.
@@ -21,7 +21,7 @@ from qkdng.photodetection import DetectorKind, DetectorModel
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "bench" / "golden"
-TIMEOUT_S = 20  # each run below takes well under a second when it ends
+TIMEOUT_S = 20  # each run below ends within a few seconds (the memory gates), most well under one
 CLI = ("-c", "import sys, qkdng.cli; sys.exit(qkdng.cli.main(sys.argv[1:]))")
 
 # registered before qkdng's own handlers, so it runs after them (atexit is LIFO)
@@ -29,6 +29,14 @@ FREEZE_PROBE = (
     "import atexit, gc\n"
     "atexit.register(lambda: print('freeze_count', gc.get_freeze_count()))\n"
     "import {module}\n"
+)
+
+# runs its arguments as one child and prints that child's exit code and peak RSS,
+# so RUSAGE_CHILDREN sees no other process (ru_maxrss is in KiB, bytes on macOS)
+RSS_PROBE = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.call([sys.executable, *sys.argv[1:]])\n"
+    "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
 )
 
 
@@ -115,3 +123,32 @@ class TestBisectionEnds:
                             f"print(repr(security_threshold({protocol!r}, tol=1e-20)))")
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) in (q_star, math.nextafter(q_star, 1.0))
+
+
+class TestScanMemory:
+    """A scan sweeps and writes the grid in chunks: beyond the validated grid
+    itself (~32 B per point), its memory does not grow with the grid."""
+
+    # a scan that held the whole grid's results needed 307 MB (CSV) and 276 MB (JSON)
+    # on a 2-vCPU VM with Python 3.11 and numpy 2.4
+    PEAK_MB = 80
+
+    @pytest.mark.parametrize("fmt,points", [("csv", 300_000), ("json", 50_000)])
+    def test_large_grid_peak_rss(self, tmp_path, fmt, points):
+        out = tmp_path / f"scan.{fmt}"
+        proc = python("-c", RSS_PROBE, *CLI, "scan", "--preset", "fig5", "--eta", "0.7",
+                      "--dark", "0.001", "--t-points", str(points), "--format", fmt,
+                      "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        code, max_rss = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0, proc.stderr
+        peak_mb = max_rss / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < self.PEAK_MB
+        with out.open() as fh:
+            if fmt == "csv":
+                assert sum(1 for _ in fh) == points + 1  # the header and one row per T
+            else:
+                assert sum(line.startswith('      "T": ') for line in fh) == points
+        with out.open("rb") as fh:
+            fh.seek(-8, os.SEEK_END)
+            assert fh.read().endswith(b"\n" if fmt == "csv" else b"\n  ]\n}\n")
