@@ -2,14 +2,14 @@
 
 Every run resolves its full configuration (flags over an optional key=value
 config file over a preset over each flag's built-in default) and records it
-in a manifest, so results are reproducible without implicit state.  The
-preset and file layers become argparse defaults of the command's flags, so
-argparse does the layering and the type conversion.
+in a manifest, so results are reproducible without implicit state.  Each
+command's flags are declared once, in ``_COMMANDS``.  ``_read`` resolves a
+well-formed command line from that table alone; argparse, built from the same
+table, judges every other line and writes --help and --version.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import json
@@ -20,6 +20,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,12 +84,14 @@ def _criteria(text: str) -> tuple[Criterion, ...]:
     try:
         return tuple(Criterion(name.strip()) for name in text.split(","))
     except ValueError:
+        import argparse  # only to report the error; a well-formed line never loads it
+
         raise argparse.ArgumentTypeError(
             f"must be a comma list drawn from nongauss,bb84,di; got {text}"
         ) from None
 
 
-def _detector(args: argparse.Namespace) -> DetectorModel:
+def _detector(args: SimpleNamespace) -> DetectorModel:
     """The detector the channel flags describe, after checking --p."""
     check_range("--p", args.p, 0.0, 1.0)
     try:
@@ -97,7 +100,7 @@ def _detector(args: argparse.Namespace) -> DetectorModel:
         raise ConfigurationError(f"--eta/--dark: {exc}") from exc
 
 
-def _manifest(args: argparse.Namespace, **extra) -> dict:
+def _manifest(args: SimpleNamespace, **extra) -> dict:
     """The run's record: every resolved flag of the command, plus ``extra``."""
     parameters = {k: v for k, v in vars(args).items() if k not in _DISPATCH}
     return {
@@ -113,7 +116,7 @@ def _json_num(x: float):
     return None if x != x else x  # NaN marks undefined quantities; JSON gets null
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: SimpleNamespace) -> int:
     detector = _detector(args)
     try:
         cfg = ChannelConfig(t=args.T, p=args.p)
@@ -151,9 +154,12 @@ def _sweeps(config: ScanConfig, diagnostics: dict) -> Iterator[BoundaryCurve]:
     Every T is independent, so the chunks give the whole grid's boundaries;
     ``diagnostics`` sums their search cost, outcome counts and sweep time.
     """
-    for i in range(0, len(config.t_grid), CHUNK_T):
+    grid = config.t_grid
+    for i in range(0, len(grid), CHUNK_T):
         started = time.perf_counter()
-        curve = sweep(replace(config, t_grid=config.t_grid[i:i + CHUNK_T]))
+        # a one-chunk grid is swept as validated; replace re-checks every slice
+        chunk = config if len(grid) <= CHUNK_T else replace(config, t_grid=grid[i:i + CHUNK_T])
+        curve = sweep(chunk)
         diagnostics["phase_s"]["sweep"] += time.perf_counter() - started
         diagnostics["sweeps"] += 1
         diagnostics["bisection_steps"] = max(diagnostics["bisection_steps"], curve.bisection_steps)
@@ -204,10 +210,10 @@ def _json_lines(
     yield tail + "\n"
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     detector = _detector(args)
-    if args.format not in _FORMATS:  # a --config value skips argparse's choices
+    if args.format not in _FORMATS:  # a --config value skips the flag's choices
         raise ConfigurationError(f"--format must be csv or json, got {args.format}")
     if args.t_points < 1:
         raise ConfigurationError(f"--t-points must be at least 1, got {args.t_points}")
@@ -260,7 +266,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pmf(args: argparse.Namespace) -> int:
+def _cmd_pmf(args: SimpleNamespace) -> int:
     try:
         pmf = photocount_pmf(args.l, args.nbar, args.T)
         probs = pmf.probs
@@ -275,24 +281,111 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_channel_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--noise", type=NoiseStatistics,
-                     help="noise statistics of the channel: thermal or poisson")
-    sub.add_argument("--detector", type=DetectorKind,
-                     help="detector type: pnrd or spad (either noise statistics)")
-    sub.add_argument("--eta", type=float, default=DetectorModel.eta,
-                     help="detector efficiency in [0, 1] (default %(default)s)")
-    sub.add_argument("--dark", type=float, default=DetectorModel.dark,
-                     help="dark-count rate per gate (default %(default)s)")
-    sub.add_argument("--p", type=float, default=ChannelConfig.p,
-                     help="Werner weight of the source state (default %(default)s)")
-    sub.add_argument("--preset", choices=sorted(PRESETS),
-                     help="named channel recipe supplying defaults")
-    sub.add_argument("--config", help="flat key=value file mirroring the flag names")
+# every flag, declared once: (option string, add_argument keywords) rows in
+# --help order.  _parsers builds argparse from them and _read reads them directly.
+_CHANNEL_FLAGS = (
+    ("--noise", dict(type=NoiseStatistics,
+                     help="noise statistics of the channel: thermal or poisson")),
+    ("--detector", dict(type=DetectorKind,
+                        help="detector type: pnrd or spad (either noise statistics)")),
+    ("--eta", dict(type=float, default=DetectorModel.eta,
+                   help="detector efficiency in [0, 1] (default %(default)s)")),
+    ("--dark", dict(type=float, default=DetectorModel.dark,
+                    help="dark-count rate per gate (default %(default)s)")),
+    ("--p", dict(type=float, default=ChannelConfig.p,
+                 help="Werner weight of the source state (default %(default)s)")),
+    ("--preset", dict(choices=sorted(PRESETS), help="named channel recipe supplying defaults")),
+    ("--config", dict(help="flat key=value file mirroring the flag names")),
+)
+
+# command: (help, handler, flag rows)
+_COMMANDS = {
+    "eval": ("assess a single (T, nu) channel point", _cmd_eval, (
+        *_CHANNEL_FLAGS,
+        ("--T", dict(type=float, help="coupling transmittance in [0, 1]")),
+        ("--nu", dict(type=float, help="mean photon number of the noise")),
+    )),
+    "scan": ("sweep T and find per-criterion noise boundaries", _cmd_scan, (
+        *_CHANNEL_FLAGS,
+        ("--t-min", dict(type=float, default=0.02,
+                         help="first grid transmittance (default %(default)s)")),
+        ("--t-max", dict(type=float, default=1.0,
+                         help="last grid transmittance (default %(default)s)")),
+        ("--t-points", dict(type=int, default=96, help="grid size (default %(default)s)")),
+        ("--nu-cap", dict(type=float, default=ScanConfig.nu_cap,
+                          help="largest noise mean searched (default %(default)s)")),
+        ("--tol", dict(type=float, default=ScanConfig.tol,
+                       help="bisection tolerance on nu (default %(default)s)")),
+        ("--criteria", dict(type=_criteria, default="nongauss,bb84,di",
+                            help="comma list from nongauss,bb84,di (default %(default)s)")),
+        ("--format", dict(choices=_FORMATS, default="csv",
+                          help="output format (default %(default)s)")),
+        ("--out", dict(required=True, help="output file path")),
+    )),
+    "pmf": ("dump a transmitted-port photocount distribution", _cmd_pmf, (
+        ("--l", dict(type=int, help="incident Fock photon number")),
+        ("--nbar", dict(type=float, help="thermal mean of the noise port")),
+        ("--T", dict(type=float, help="beam-splitter transmittance")),
+        _CHANNEL_FLAGS[-1],  # --config
+    )),
+}
 
 
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _layers(command: str, preset: str | None, config: str | None) -> dict:
+    """The preset's values under the --config file's, for ``command``'s own flags.
+
+    Only flags name the preset and the file; dispatch keys and keys naming no
+    flag of the command are dropped, so one file can serve every command.
+    """
+    layers = {**PRESETS.get(preset, {}), **_read_config(config)}
+    dests = (_dest(flag) for flag, _ in _COMMANDS[command][2])
+    return {k: layers[k] for k in dests if k in layers and k not in _DISPATCH}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed command line, built without argparse.
+
+    Reads ``COMMAND --flag value ...``: exact option strings, each once, no
+    value starting with "-", explicit values within their choices, every
+    required flag given.  Values resolve as flag, then file, then preset, then
+    default, and every string goes through its flag's type.  Returns None for
+    any other line and wherever a step fails, so argparse judges it.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    _, handler, flags = _COMMANDS[argv[0]]
+    options = dict(flags)
+    explicit = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kwargs = options.get(flag)
+        if (kwargs is None or flag in explicit or text.startswith("-")
+                or text not in kwargs.get("choices", (text,))):
+            return None
+        explicit[flag] = text
+    if any(kwargs.get("required") and flag not in explicit for flag, kwargs in flags):
+        return None
+    values = {"command": argv[0]}
+    try:
+        layers = _layers(argv[0], explicit.get("--preset"), explicit.get("--config"))
+        for flag, kwargs in flags:
+            dest = _dest(flag)
+            value = explicit.get(flag, layers.get(dest, kwargs.get("default")))
+            if isinstance(value, str):
+                value = kwargs.get("type", str)(value)
+            values[dest] = value
+    except Exception:  # argparse repeats the step that failed and reports it
+        return None
+    return SimpleNamespace(**values, handler=handler)
+
+
+def _parsers():
+    """The top-level argparse parser and its command parsers by name."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qkdng",
         description="Non-Gaussianity witness and key-rate assessment of noisy "
@@ -300,52 +393,32 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     parser.add_argument("--version", action="version", version=f"qkdng {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("eval", help="assess a single (T, nu) channel point")
-    _add_common_channel_flags(ev)
-    ev.add_argument("--T", type=float, help="coupling transmittance in [0, 1]")
-    ev.add_argument("--nu", type=float, help="mean photon number of the noise")
-    ev.set_defaults(handler=_cmd_eval)
-
-    sc = sub.add_parser("scan", help="sweep T and find per-criterion noise boundaries")
-    _add_common_channel_flags(sc)
-    sc.add_argument("--t-min", type=float, default=0.02,
-                    help="first grid transmittance (default %(default)s)")
-    sc.add_argument("--t-max", type=float, default=1.0,
-                    help="last grid transmittance (default %(default)s)")
-    sc.add_argument("--t-points", type=int, default=96, help="grid size (default %(default)s)")
-    sc.add_argument("--nu-cap", type=float, default=ScanConfig.nu_cap,
-                    help="largest noise mean searched (default %(default)s)")
-    sc.add_argument("--tol", type=float, default=ScanConfig.tol,
-                    help="bisection tolerance on nu (default %(default)s)")
-    sc.add_argument("--criteria", type=_criteria, default="nongauss,bb84,di",
-                    help="comma list from nongauss,bb84,di (default %(default)s)")
-    sc.add_argument("--format", choices=_FORMATS, default="csv",
-                    help="output format (default %(default)s)")
-    sc.add_argument("--out", required=True, help="output file path")
-    sc.set_defaults(handler=_cmd_scan)
-
-    pm = sub.add_parser("pmf", help="dump a transmitted-port photocount distribution")
-    pm.add_argument("--l", type=int, help="incident Fock photon number")
-    pm.add_argument("--nbar", type=float, help="thermal mean of the noise port")
-    pm.add_argument("--T", type=float, help="beam-splitter transmittance")
-    pm.add_argument("--config", help="flat key=value file mirroring the flag names")
-    pm.set_defaults(handler=_cmd_pmf)
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler)
     return parser, sub.choices
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argparse's reading of any line: the layers become flag defaults, then it parses again."""
     parser, commands = _parsers()
     args = parser.parse_args(argv)
+    layers = _layers(args.command, getattr(args, "preset", None), args.config)
+    if layers:
+        # explicit flags still win, and strings go through each flag's type
+        commands[args.command].set_defaults(**layers)
+        args = parser.parse_args(argv)
+    return SimpleNamespace(**vars(args))
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        flags = [k for k in vars(args) if k not in _DISPATCH]
-        layers = {**PRESETS.get(getattr(args, "preset", None), {}), **_read_config(args.config)}
-        if layers:
-            # preset and file values become the command's flag defaults: explicit
-            # flags still win, strings go through each flag's type, other keys drop
-            commands[args.command].set_defaults(**{k: layers[k] for k in flags if k in layers})
-            args = parser.parse_args(argv)
-        missing = [f"--{k.replace('_', '-')}" for k in flags if getattr(args, k) is None]
+        args = _read(argv) or _parse(argv)
+        missing = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
+                   if v is None and k not in _DISPATCH]
         if missing:
             raise ConfigurationError(f"missing required flag {', '.join(missing)}")
         return args.handler(args)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkdng.cli
 import qkdng.scan
@@ -612,6 +614,26 @@ class TestChunkedScan:
                 assert diag[outcome] == whole_diag[outcome]
             assert set(diag["phase_s"]) == {"resolve", "sweep", "write"}
 
+    @pytest.mark.parametrize("chunk,points,checks", [(None, 96, 1), (7, 50, 1 + 8)])
+    def test_grid_checked_once_per_chunk(self, capsys, tmp_path, monkeypatch, chunk, points,
+                                         checks):
+        # a one-chunk grid is swept as the validated config; each slice of a larger one is
+        # a new ScanConfig, checked again
+        calls = []
+        check = ScanConfig.__post_init__
+
+        def counted(config):
+            calls.append(len(config.t_grid))
+            check(config)
+
+        monkeypatch.setattr(ScanConfig, "__post_init__", counted)
+        if chunk is not None:
+            monkeypatch.setattr(qkdng.cli, "CHUNK_T", chunk)
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--t-points", str(points),
+                               "--out", str(tmp_path / "scan.csv"))
+        assert code == 0, err
+        assert len(calls) == checks and calls[0] == points
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_chunk_leaves_no_file(self, capsys, tmp_path, monkeypatch, fmt):
         out = tmp_path / f"scan.{fmt}"
@@ -689,3 +711,133 @@ class TestPmf:
         code, _, err = run_cli(capsys, "pmf", "--l", "1", "--nbar", "nan", "--T", "0.5")
         assert code == 2
         assert "--nbar" in err
+
+
+def same_namespace(read, parsed):
+    """The same attributes in the same order, with equal values of the same types (NaN too)."""
+    assert list(vars(read)) == list(vars(parsed))
+    for name, value in vars(read).items():
+        other = getattr(parsed, name)
+        assert type(value) is type(other), name
+        assert value == other or (value != value and other != other), name
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    """A few fixed --config files, and a path that names no file."""
+    folder = tmp_path_factory.mktemp("configs")
+    texts = {
+        "channel": "# a channel recipe\nnoise=poisson\ndetector=pnrd\neta=0.9\ndark=0.002\n",
+        "scan": "t-points=3\nnu_cap=1\ncriteria=bb84\nformat=json\nout=file.csv\n",
+        "odd": "preset=fig3\ncommand=pmf\nhandler=x\nformat=xml\nl=2\nunknown=1\n",
+        "bad": "eta=abc\n",
+    }
+    for name, text in texts.items():
+        (folder / name).write_text(text)
+    return [str(folder / name) for name in [*texts, "missing"]]
+
+
+class TestReader:
+    """``cli._read`` resolves a well-formed line from the flag table, as argparse would."""
+
+    VALUES = {  # valid values of each flag; FLOATS for the rest
+        "--noise": ["thermal", "poisson"], "--detector": ["pnrd", "spad"],
+        "--preset": ["fig3", "fig4", "fig5"], "--format": ["csv", "json"],
+        "--criteria": ["nongauss,bb84,di", "di", "bb84,nongauss"],
+        "--t-points": ["3", "1", "0"], "--l": ["0", "2"], "--out": ["x.csv"],
+    }
+    FLOATS = ["0.5", "1", "0", "1e-3", "nan", "inf"]
+    BAD = ["-0.5", "-1e-3", "abc", "", "nan,di", "fig9", "xml", "--eta"]  # declined or refused
+    ODD = ["-h", "--help", "--version", "--", "--eta=0.5", "--no", "--t-p", "--pre", "bogus"]
+
+    @staticmethod
+    def options(command):
+        return [flag for flag, _ in qkdng.cli._COMMANDS[command][2]]
+
+    @pytest.fixture
+    def lines(self, config_files):
+        def values(flag):
+            good = st.sampled_from(config_files if flag == "--config"
+                                   else self.VALUES.get(flag, self.FLOATS))
+            return st.one_of(*[good] * 5, st.sampled_from(self.BAD + config_files))
+
+        @st.composite
+        def line(draw):
+            command = draw(st.sampled_from(["eval", "scan", "pmf"]))
+            flags = draw(st.lists(st.sampled_from(self.options(command)), unique=True,
+                                  max_size=6))
+            tokens = [token for flag in flags for token in (flag, draw(values(flag)))]
+            if command == "scan" and "--out" not in flags and draw(st.integers(0, 3)) < 3:
+                tokens += ["--out", "x.csv"]
+            if draw(st.integers(0, 3)) == 3:  # an odd token, or a repeated or foreign flag
+                extra = draw(st.sampled_from(self.ODD + self.options("scan") + self.options("pmf")
+                                             + flags))
+                at = draw(st.integers(0, len(tokens) // 2)) * 2
+                tokens[at:at] = [extra, draw(values(extra))][:draw(st.integers(1, 2))]
+            return [command, *tokens]
+
+        return line()
+
+    def test_reader_agrees_with_argparse(self, lines):
+        accepted = []
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(lines)
+        def agree(argv):
+            read = qkdng.cli._read(argv)
+            if read is not None:
+                accepted.append(argv)
+                same_namespace(read, qkdng.cli._parse(argv))  # argparse exits on no line read
+
+        agree()
+        assert len(accepted) >= 40  # the comparison did run
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--preset", "fig4", "--out", "x.csv"],
+        ["scan", "--preset", "fig5", "--eta", "0.7", "--dark", "0.001", "--t-points", "960",
+         "--out", "x.csv"],
+        ["eval", "--preset", "fig4", "--T", "0.5", "--nu", "nan"],
+        ["eval", "--noise", "thermal", "--detector", "spad", "--T", "0.5"],  # main names --nu
+        ["pmf", "--l", "1", "--nbar", "0", "--T", "0.7"],
+    ])
+    def test_accepts_well_formed_lines(self, argv):
+        read = qkdng.cli._read(argv)
+        assert read is not None
+        same_namespace(read, qkdng.cli._parse(argv))
+
+    @pytest.mark.parametrize("tail", [
+        ["-h"], ["--help"], ["--pre", "fig4"], ["--preset=fig4"], ["--eta", "-0.5"],
+        ["--eta", "-1e-3"], ["--", "x"], ["--eta", "abc"], ["--t-points", "3.0"],
+        ["--preset", "fig9"], ["--format", "xml"], ["--criteria", "bb84,x"], ["--eta"],
+        ["--eta", "0.5", "--eta", "0.6"], ["--nu", "0.1"],
+    ])
+    def test_declines_other_lines(self, tail):
+        assert qkdng.cli._read(["scan", "--preset", "fig4", "--out", "x.csv", *tail]) is None
+
+    @pytest.mark.parametrize("argv", [[], ["--version"], ["scan", "--preset", "fig4"],
+                                      ["bogus", "--eta", "1"]])
+    def test_declines_lines_without_a_command_or_required_flag(self, argv):
+        assert qkdng.cli._read(argv) is None
+
+    def test_declines_failed_layer(self, config_files):
+        # an uncastable file value or an unreadable file is argparse's, or main's, to report
+        _, _, _, bad, missing = config_files
+        for config in (bad, missing):
+            assert qkdng.cli._read(["eval", "--config", config, "--T", "0.5"]) is None
+
+    def test_goldens_without_argparse(self, capsys, tmp_path, monkeypatch):
+        from test_golden import ROOT, SCANS
+
+        def refuse():
+            raise AssertionError("argparse parsers built for a well-formed line")
+
+        monkeypatch.setattr(qkdng.cli, "_parsers", refuse)
+        for golden in ("fig3.csv", "fig4.csv", "fig5.csv"):
+            out = tmp_path / golden
+            assert run_cli(capsys, "scan", *SCANS[f"bench/golden/{golden}"],
+                           "--out", str(out))[0] == 0
+            assert out.read_bytes() == (ROOT / "bench/golden" / golden).read_bytes()
+        code, out, _ = run_cli(capsys, "eval", "--preset", "fig4", "--T", "0.6", "--nu", "0.1")
+        assert code == 0 and json.loads(out)["manifest"]["parameters"]["eta"] == 0.7
+        code, out, _ = run_cli(capsys, "pmf", "--l", "1", "--nbar", "0", "--T", "0.7")
+        assert code == 0 and out.startswith("s p\n0 0.3")

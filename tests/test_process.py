@@ -92,6 +92,27 @@ def test_module_entry_point_runs_eval():
     assert doc["region"]["bb84"] == "SecureAndNonGauss"
 
 
+# runs main on its arguments and prints its exit code and whether argparse was loaded
+ARGPARSE_PROBE = (
+    "import sys, qkdng.cli\n"
+    "try:\n"
+    "    code = qkdng.cli.main(sys.argv[1:])\n"
+    "except SystemExit as exit:\n"
+    "    code = exit.code\n"
+    "print(code, 'argparse' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["scan", "--preset", "fig3", "--t-points", "2", "--out", "x.csv"], False),
+    (["scan", "--help"], True),
+])
+def test_argparse_loaded_only_when_needed(tmp_path, argv, loaded):
+    proc = python("-c", ARGPARSE_PROBE, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
 class TestBisectionEnds:
     """A tolerance finer than the float spacing ends on a one-float bracket."""
 
