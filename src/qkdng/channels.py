@@ -13,9 +13,10 @@ terms: a PNRD reads the 0- and 1-counts and w1, a SPAD coarse-grains them to
 no click p0 and click c = p1 + w.
 
 Both factors are arithmetic only, so they work on floats and numpy arrays
-alike.  The scalar models (``thermal_observables``, ``poisson_observables``)
-check their inputs and build a ``LinkAssessment``; ``link_fields`` gives the
-sweep the same decisions elementwise, for every pairing.
+alike; ``photodetection._elementary`` picks their exp and sqrt, with no cache.
+The scalar models (``thermal_observables``, ``poisson_observables``) check
+their inputs and build a ``LinkAssessment``; ``link_fields`` gives the sweep
+the same decisions elementwise, for every pairing.
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: Det
             # thermal: 2 y^2 - (t_e (1 + K) + 2 e^-d) y + 2 e^-d t_e <= 0, y = 1 + m,
             # that is 2 m^2 + b m + c <= 0
             if thermal:
-                damp, lost = math.exp(-d), -math.expm1(-d)
+                damp, lost, _ = _dark_counts(d)
                 b = 2.0 * lost + 2.0 - t_e * (1.0 + k)
                 c = (2.0 - t_e) * lost + t_e * (damp - k)
                 return -2.0 * c / (b + np.sqrt(b * b - 8.0 * c)) / per_nu

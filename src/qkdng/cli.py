@@ -401,8 +401,33 @@ def _parsers():
     return parser, sub.choices
 
 
+def _number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with each table flag and a following negative number made one ``--flag=value``.
+
+    argparse takes ``-0.5`` for a value but ``-1e-3``, ``-1E5`` and ``-inf`` for
+    option strings, and would report those values as missing, not out of range.
+    """
+    flags = {flag for _, _, rows in _COMMANDS.values() for flag, _ in rows}
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in flags and token.startswith("-") and _number(token):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _parse(argv: list[str]) -> SimpleNamespace:
     """argparse's reading of any line: the layers become flag defaults, then it parses again."""
+    argv = _joined(argv)
     parser, commands = _parsers()
     args = parser.parse_args(argv)
     layers = _layers(args.command, getattr(args, "preset", None), args.config)

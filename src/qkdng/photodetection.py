@@ -27,6 +27,9 @@ The last reads the kernel as a choice per signal photon: it adds nothing
 with probability a, else one photon plus a thermal-like count g r^k.  With
 no such photon the thermal count must reach 2 (r^2); with one, the two
 thermal-like counts must not both be 0 (1 - g^2 = r (1 + g)); two always do.
+
+Each formula has one body for floats and numpy arrays: ``_elementary`` gives
+it math's functions or numpy's, so the float path keeps no dark-count cache.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +52,13 @@ _MAX_ROWS = 10**6    # longest photocount table worth building for output
 _MAX_WORK = 2 * 10**7  # row updates of one table, l per row: about 3 s
 # 1/(j+2)! for j = 13 down to 0: P(D >= 2) = e^-d d^2 sum_j d^j/(j+2)!, to 6e-18 at d = 1/2
 _DARK_SERIES = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(14)))
+_MATH = SimpleNamespace(exp=math.exp, expm1=math.expm1, sqrt=math.sqrt, minimum=min,
+                        where=lambda cond, yes, no: yes if cond else no)
+
+
+def _elementary(x):
+    """numpy for an ndarray ``x``, else math's exp, expm1 and sqrt, a scalar minimum and where."""
+    return np if isinstance(x, np.ndarray) else _MATH
 
 
 class DetectorKind(str, Enum):
@@ -82,27 +93,17 @@ def _dark_series(x):
     return series
 
 
-@lru_cache(maxsize=16)  # a detector's own rate: every thermal evaluation asks for it again
-def _scalar_dark_counts(dark: float) -> tuple[float, float, float]:
-    damp, lost = math.exp(-dark), -math.expm1(-dark)
-    if dark >= 0.5:
-        return damp, lost, lost - dark * damp
-    return damp, lost, dark * dark * damp * _dark_series(dark)
-
-
 def _dark_counts(dark):
     """(P(D = 0), P(D >= 1), P(D >= 2)) of Poissonian dark counts D of mean ``dark``.
 
     Never by subtraction: below d = 1/2, where 1 - e^-d - d e^-d cancels,
     P(D >= 2) is the series e^-d d^2 sum_j d^j/(j+2)!; above, the
-    subtraction loses at most three bits.  Elementwise when ``dark`` is a numpy
-    array, as Poisson noise makes it.
+    subtraction loses at most three bits.  Floats and arrays alike.
     """
-    if not isinstance(dark, np.ndarray):
-        return _scalar_dark_counts(dark)
-    damp, lost = np.exp(-dark), -np.expm1(-dark)
-    x = np.minimum(dark, 0.5)  # the series stays finite where it is not read
-    return damp, lost, np.where(dark < 0.5, x * x * damp * _dark_series(x), lost - dark * damp)
+    f = _elementary(dark)
+    damp, lost = f.exp(-dark), -f.expm1(-dark)
+    x = f.minimum(dark, 0.5)  # the series stays finite where it is not read
+    return damp, lost, f.where(dark < 0.5, x * x * damp * _dark_series(x), lost - dark * damp)
 
 
 class DetectionPmf(NamedTuple):  # unpacks, and holds arrays in the sweep's model

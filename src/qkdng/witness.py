@@ -4,18 +4,17 @@ Both criteria compare the success-coincidence probability P_s against a
 threshold curve in the error-coincidence probability P_e; detected light
 exceeding the threshold cannot be any mixture of Gaussian states.  The
 inequalities are strict, so a point exactly on the curve is not certified.
+Each threshold has one body for floats and numpy arrays;
+``photodetection._elementary`` gives it math's square root or numpy's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import check_range
-from .photodetection import DetectorKind
+from .photodetection import DetectorKind, _elementary
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,9 @@ def _bound(kind: DetectorKind, p_e, scale):
 
     SPAD: (1/2) sqrt(P_e / (8 + P_e)) (2 + P_e + sqrt(P_e (8 + P_e))); PNRD:
     sqrt(P_e) - P_e.  Each square root pulls out one factor of ``scale``, so
-    ``p_e`` may be O(1) where P_e itself is subnormal.  Elementwise when
-    ``p_e`` is a numpy array.
+    ``p_e`` may be O(1) where P_e itself is subnormal.
     """
-    sqrt = np.sqrt if isinstance(p_e, np.ndarray) else math.sqrt
+    sqrt = _elementary(p_e).sqrt
     if kind is DetectorKind.SPAD:
         u = scale * scale * p_e  # P_e
         return 0.5 * sqrt(p_e / (8.0 + u)) * (2.0 + u + scale * sqrt(p_e * (8.0 + u)))

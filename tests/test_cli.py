@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import random
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -152,6 +154,20 @@ class TestEval:
         assert code == 2
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("eval", "--nu", "-1e-3", "noise mean must be finite and lie in [0, inf), got -0.001"),
+        ("eval", "--nu", "-1E5", "noise mean must be finite and lie in [0, inf), got -100000.0"),
+        ("eval", "--nu", "-inf", "noise mean must be finite and lie in [0, inf), got -inf"),
+        ("scan", "--t-min", "-1e-3", "--t-min must be finite and lie in [0, 1], got -0.001"),
+    ])
+    def test_negative_exponent_form_range_checked(self, capsys, tmp_path, command, flag, value,
+                                                  message):
+        # argparse alone would read the value as an option string and report it missing
+        argv = {"eval": ["--T", "0.5", "--nu", "0.1"], "scan": ["--out", str(tmp_path / "x.csv")]}
+        code, _, err = run_cli(capsys, command, "--preset", "fig4", *argv[command], flag, value)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
     def test_large_thermal_noise_mean(self, capsys):
         # no photon-number cutoff limits the thermal model
         code, out, _ = run_cli(capsys, "eval", "--preset", "fig4", "--T", "0.5", "--nu", "150")
@@ -209,6 +225,13 @@ class TestConfigLayering:
             main(["eval", "--preset", "fig4", "--config", config, "--T", "0.5", "--nu", "0.1"])
         assert exit_info.value.code == 2
         assert "--eta" in capsys.readouterr().err
+
+    def test_line_without_equals_sign_named(self, capsys, tmp_path):
+        config = self.write(tmp_path, "# recipe\neta=0.7\ndark 0.001\n")
+        code, _, err = run_cli(capsys, "eval", "--preset", "fig4", "--config", config,
+                               "--T", "0.5", "--nu", "0.1")
+        assert code == 2
+        assert err == f"error: --config {config}: line 3 is not key=value\n"
 
     def test_file_satisfies_fig5_detector_numbers(self, capsys, tmp_path):
         config = self.write(tmp_path, "eta=0.7\ndark=0.001\n")
@@ -841,3 +864,71 @@ class TestReader:
         assert code == 0 and json.loads(out)["manifest"]["parameters"]["eta"] == 0.7
         code, out, _ = run_cli(capsys, "pmf", "--l", "1", "--nbar", "0", "--T", "0.7")
         assert code == 0 and out.startswith("s p\n0 0.3")
+
+
+class TestFuzz:
+    """Seeded random command lines through ``main``: an exit code, never a traceback or warning."""
+
+    BASE = {  # a well-formed line of each command, to perturb
+        "eval": ["--preset", "fig4", "--T", "0.5", "--nu", "0.1"],
+        "scan": ["--preset", "fig3", "--t-points", "2"],
+        "pmf": ["--l", "1", "--nbar", "0.5", "--T", "0.7"],
+    }
+    GOOD = {  # valid values of each flag; FLOATS for the rest
+        "--noise": ["thermal", "poisson"], "--detector": ["pnrd", "spad"],
+        "--preset": ["fig3", "fig4", "fig5"], "--format": ["csv", "json"],
+        "--criteria": ["nongauss,bb84,di", "di", "bb84,nongauss"],
+        "--t-points": ["1", "2", "3"], "--l": ["0", "1", "3"],
+    }
+    FLOATS = ["0.5", "0.02", "1", "0", "1e-3", "1e308", "5e-324"]
+    BAD = ["nan", "inf", "-inf", "-1e-3", "-1E5", "-0.5", "", "abc", "2.5", "fig9", "xml",
+           "bb84,bb84", "x"]
+    CONFIGS = {
+        "channel": "noise=poisson\ndetector=spad\neta=0.9\ndark=0.002\n",
+        "search": "t-points=2\nnu_cap=1e308\ntol=5e-324\ncriteria=bb84,di\n",
+        "odd": "preset=fig3\ncommand=pmf\nhandler=x\nformat=xml\nl=2\nunknown=1\n",
+        "bad": "eta=abc\nT=nan\n",
+        "not-key-value": "eta=0.5\njust words\n",
+    }
+    ODD = ["-h", "--version", "--", "--eta=0.5", "--bogus", "--pre", "eval"]
+
+    def line(self, rng, configs, out):
+        command = rng.choice(list(self.BASE))
+        tokens = [command, *self.BASE[command]]
+        if command == "scan":
+            tokens += ["--out", str(out if rng.random() < 0.85 else out.parent)]  # a folder: 1
+        flags = [flag for flag, _ in qkdng.cli._COMMANDS[command][2] if flag != "--out"]
+        for flag in rng.sample(flags, rng.randint(0, 3)):
+            if flag == "--config":
+                value = rng.choice(configs)
+            elif flag == "--t-points" or rng.random() < 0.75:  # a scan's grid stays tiny
+                value = rng.choice(self.GOOD.get(flag, self.FLOATS))
+            else:
+                value = rng.choice(self.BAD)
+            tokens += [flag, value][:1 + (rng.random() < 0.97)]
+        if rng.random() < 0.1:
+            tokens.insert(rng.randint(1, len(tokens)), rng.choice(self.ODD))
+        return tokens
+
+    def test_every_line_exits_cleanly(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        configs = [str(tmp_path / "missing.conf")]
+        for name, text in self.CONFIGS.items():
+            (tmp_path / f"{name}.conf").write_text(text)
+            configs.append(str(tmp_path / f"{name}.conf"))
+        rng = random.Random(2025)
+        codes = collections.Counter()
+        for _ in range(400):
+            argv = self.line(rng, configs, tmp_path / "curve.csv")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")  # also those an except clause would swallow
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: --help, --version and the lines it refuses
+                    code = exc.code
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in captured.out + captured.err, argv
+            assert not caught, (argv, [str(w.message) for w in caught])
+            codes[code] += 1
+        assert min(codes[0], codes[1], codes[2]) >= 10, codes  # every outcome was reached

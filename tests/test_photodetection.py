@@ -478,7 +478,9 @@ class TestDarkCounts:
         darks = np.array(self.DARKS + (0.0, 1e6, 1e300))
         columns = _dark_counts(darks)
         for k, dark in enumerate(darks.tolist()):
-            assert tuple(column[k] for column in columns) == _dark_counts(dark)
+            scalar = _dark_counts(dark)
+            assert tuple(column[k] for column in columns) == scalar
+            assert all(type(value) is float for value in scalar)  # no numpy scalar leaks
 
 
 class TestDetectorModel:

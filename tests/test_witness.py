@@ -63,8 +63,10 @@ class TestContinuity:
         # both curves have a sqrt cusp at zero, so the first 5e-4 step may
         # move by up to sqrt(5e-4) ~ 0.0224
         grid = np.linspace(0.0, 1.0, 2001)
-        values = np.array([threshold(p) for p in grid])
+        values = [threshold(p) for p in grid]
         assert np.abs(np.diff(values)).max() < 0.03
+        # the point path stays in Python floats, even from numpy scalar input
+        assert all(type(value) is float for value in values)
 
 
 class TestEvaluate:
