@@ -13,10 +13,15 @@ terms: a PNRD reads the 0- and 1-counts and w1, a SPAD coarse-grains them to
 no click p0 and click c = p1 + w.
 
 Both factors are arithmetic only, so they work on floats and numpy arrays
-alike; ``photodetection._elementary`` picks their exp and sqrt, with no cache.
-The scalar models (``thermal_observables``, ``poisson_observables``) check
-their inputs and build a ``LinkAssessment``; ``link_fields`` gives the sweep
-the same decisions elementwise, for every pairing.
+alike; ``photodetection._elementary`` picks their exp and sqrt.  A thermal
+point reads its dark counts from the detector, which works them out once;
+Poisson noise joins them, so a Poisson point computes them afresh.
+The scalar models (``thermal_observables``, ``poisson_observables``) take
+validated configurations and build a ``LinkAssessment`` with
+``_assessment``, which checks nothing again: it clamps the terms and decides
+through the unchecked cores (``witness_margin``, ``_bb84``, ``_di``), whose
+public wrappers check their inputs.  ``link_fields`` gives the sweep the same
+decisions elementwise, for every pairing.
 """
 
 from __future__ import annotations
@@ -29,13 +34,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, check_range
-from .keyrates import KeyRates, bell_from_qber, key_rates
+from .keyrates import S_MAX, KeyRates, _bb84, _di
 from .photodetection import (
     DetectorKind, DetectorModel, _dark_counts, _detected, detect_pmf, photocount_pmf,
 )
-from .witness import CoincidenceStats, WitnessVerdict, evaluate, witness_margin
+from .witness import CoincidenceStats, WitnessVerdict, witness_margin
 
 _COINCIDENCE_FLOOR = 1e-30  # below this the normalisation N counts as zero
+_NO_RATES = KeyRates(0.0, 0.0, False)  # the insecure sentinel where N counts as zero
 
 
 class NoiseStatistics(str, Enum):
@@ -166,22 +172,25 @@ def _terms(kind: DetectorKind, empty, occupied, rho, p: float):
 
 
 def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssessment:
-    """Decide and clamp ``_terms``' output; undefined where N < floor scale^2."""
-    scaled = CoincidenceStats(p_s=_clamp01(p_s), p_e=_clamp01(p_e))
-    verdict = evaluate(kind, scaled, scale)
+    """Decide and clamp ``_terms``' output; undefined where N < floor scale^2.
+
+    Each value is checked once, where it enters: ``scale`` is 1 or q0, in
+    [0, 1], and the clamps put p_s, p_e and Q in range, so ``evaluate``,
+    ``bell_from_qber`` and ``key_rates`` would check nothing new.
+    ``CoincidenceStats`` still checks the stats: NaN terms, from a Poisson
+    d_eff that overflows, fail there.
+    """
+    p_s, p_e = _clamp01(p_s), _clamp01(p_e)
     k = scale * scale
-    stats = scaled if k == 1.0 else CoincidenceStats(p_s=scaled.p_s * k, p_e=scaled.p_e * k)
+    stats = CoincidenceStats(p_s * k, p_e * k)
+    margin = witness_margin(kind, p_s, p_e, scale)
+    verdict = WitnessVerdict(margin > 0.0, margin)
     if norm < _COINCIDENCE_FLOOR * k:
-        return LinkAssessment(
-            q=math.nan, s=math.nan, rates=KeyRates(bb84=0.0, di=0.0, di_defined=False),
-            stats=stats, witness=verdict, coincidence_defined=False,
-        )
+        return LinkAssessment(math.nan, math.nan, _NO_RATES, stats, verdict, False)
     q = min(max(two_nq / (2.0 * norm), 0.0), 0.5)  # Q <= 1/2 exactly; strip round-off dust
-    s = bell_from_qber(q)
-    return LinkAssessment(
-        q=q, s=s, rates=key_rates(q, s), stats=stats, witness=verdict,
-        coincidence_defined=True,
-    )
+    s = S_MAX * (1.0 - 2.0 * q)
+    rates = KeyRates(_bb84(q, s), *_di(q, s))
+    return LinkAssessment(q, s, rates, stats, verdict, True)
 
 
 def thermal_observables(
@@ -254,7 +263,7 @@ def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: Det
             # thermal: 2 y^2 - (t_e (1 + K) + 2 e^-d) y + 2 e^-d t_e <= 0, y = 1 + m,
             # that is 2 m^2 + b m + c <= 0
             if thermal:
-                damp, lost, _ = _dark_counts(d)
+                damp, lost, _ = det._dark_probs
                 b = 2.0 * lost + 2.0 - t_e * (1.0 + k)
                 c = (2.0 - t_e) * lost + t_e * (damp - k)
                 return -2.0 * c / (b + np.sqrt(b * b - 8.0 * c)) / per_nu

@@ -29,7 +29,10 @@ no such photon the thermal count must reach 2 (r^2); with one, the two
 thermal-like counts must not both be 0 (1 - g^2 = r (1 + g)); two always do.
 
 Each formula has one body for floats and numpy arrays: ``_elementary`` gives
-it math's functions or numpy's, so the float path keeps no dark-count cache.
+it math's functions or numpy's.  A ``DetectorModel`` works out its dark
+counts once, where ``dark`` is validated, and ``detect_pmf`` reads them from
+the detector; only noise that joins the dark counts (Poisson noise, whose
+d_eff depends on the noise mean) computes them per point.
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ class DetectorModel:
 
     ``dark`` is the mean number of spurious counts per detection gate.  It is
     the POVM parameter often written nu; renamed here so it cannot collide
-    with the noise mean carried on the same axis in sweeps.
+    with the noise mean carried on the same axis in sweeps.  ``_dark_probs``
+    holds ``_dark_counts(dark)``, worked out once here; it is an attribute,
+    not a field, so eq, hash and repr see only kind, eta and dark.
     """
 
     kind: DetectorKind
@@ -83,6 +88,7 @@ class DetectorModel:
         object.__setattr__(self, "kind", DetectorKind(self.kind))
         object.__setattr__(self, "eta", check_range("detector efficiency", self.eta, 0.0, 1.0))
         object.__setattr__(self, "dark", check_range("dark-count rate", self.dark, 0.0))
+        object.__setattr__(self, "_dark_probs", _dark_counts(self.dark))
 
 
 def _dark_series(x):
@@ -122,8 +128,8 @@ def _detected(l: int, t, m, dark, dark_counts=None) -> DetectionPmf:
     p1 = e^-dark (p(1|l) + dark p(0|l)) and the probability of two or more
     counts p_two_plus = P(s >= 2) + p(1|l) P(D >= 1) + p(0|l) P(D >= 2),
     never by subtraction.  ``dark_counts`` is ``_dark_counts(dark)`` where the
-    caller shares it between modes.  Elementwise when ``t``, ``m`` or ``dark``
-    are numpy arrays.
+    caller holds it: a detector's own, or one shared between modes.
+    Elementwise when ``t``, ``m`` or ``dark`` are numpy arrays.
     """
     g = 1.0 / (1.0 + m)
     r = m * g
@@ -290,4 +296,4 @@ def detect_pmf(pmf: PhotocountDistribution, det: DetectorModel) -> DetectionPmf:
     The record is the same for either detector kind: a PNRD reads all three
     outcomes, a SPAD no click p0 and click p1 + p_two_plus.
     """
-    return _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark)
+    return _detected(pmf.incident_l, pmf.t * det.eta, pmf.m * det.eta, det.dark, det._dark_probs)

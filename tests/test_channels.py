@@ -1,12 +1,18 @@
+import dataclasses
+import itertools
 import math
+import random
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from qkdng import channels, photodetection
 from qkdng.channels import (
+    _COINCIDENCE_FLOOR,
     ChannelConfig,
+    LinkAssessment,
     NoiseModel,
     NoiseStatistics,
     _counts,
@@ -14,15 +20,18 @@ from qkdng.channels import (
     _terms,
     assess,
     link_fields,
+    noise_root,
     poisson_observables,
     thermal_observables,
 )
 from qkdng.errors import ConfigurationError, DomainError, check_range
-from qkdng.keyrates import bell_from_qber, binary_entropy, dw_rate_bb84, dw_rate_di, key_rates
+from qkdng.keyrates import (
+    Q_STAR_BB84, KeyRates, bell_from_qber, binary_entropy, dw_rate_bb84, dw_rate_di, key_rates,
+)
 from qkdng.photodetection import (
     DetectorKind, DetectorModel, PhotocountDistribution, detect_pmf, photocount_pmf,
 )
-from qkdng.witness import CoincidenceStats, pnrd_threshold, spad_threshold
+from qkdng.witness import CoincidenceStats, evaluate, pnrd_threshold, spad_threshold
 
 PERFECT_PNRD = DetectorModel(DetectorKind.PNRD)
 PERFECT_SPAD = DetectorModel(DetectorKind.SPAD)
@@ -289,6 +298,102 @@ class TestNoiseAndDetectorFactors:
                              1.0, det)
         assert out.q == float.fromhex("0x1.faa2307e487aap-2") == fields.q[0]
         assert out.witness.margin == fields.margin[0]
+
+
+def checked_assessment(statistics, t, nu, p, det):
+    """``assess`` rebuilt from ``_terms`` and the public functions, each checking its inputs."""
+    counts = _counts(*_detector_input(statistics, t, nu, det))
+    p_s, p_e, norm, two_nq, scale = _terms(det.kind, *counts, p)
+    scaled = CoincidenceStats(p_s=min(max(p_s, 0.0), 1.0), p_e=min(max(p_e, 0.0), 1.0))
+    verdict = evaluate(det.kind, scaled, scale)
+    k = scale * scale
+    stats = CoincidenceStats(p_s=scaled.p_s * k, p_e=scaled.p_e * k)
+    if norm < _COINCIDENCE_FLOOR * k:
+        return LinkAssessment(math.nan, math.nan, KeyRates(0.0, 0.0, False), stats, verdict,
+                              False)
+    q = min(max(two_nq / (2.0 * norm), 0.0), 0.5)
+    s = bell_from_qber(q)
+    return LinkAssessment(q, s, key_rates(q, s), stats, verdict, True)
+
+
+def assert_identical(got, want):
+    """Equal field for field and of the same types; floats bit for bit, NaN included."""
+    assert type(got) is type(want)
+    if isinstance(got, float):
+        assert got.hex() == want.hex()
+    elif dataclasses.is_dataclass(got):
+        assert_identical(dataclasses.astuple(got), dataclasses.astuple(want))
+    elif isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    else:
+        assert got == want
+
+
+def seeded_points(seed):
+    """(T, nu, eta, dark, p): every edge combination, then random points."""
+    rng = random.Random(seed)
+    edges = itertools.product((0.0, 1.0, None), (0.0, 1.0, None), (0.0, None), (0.0, 1.0, None),
+                              (0.0, None))
+    points = [
+        (rng.random() if t is None else t, 10.0 ** rng.uniform(-4.0, 1.5) if nu is None else nu,
+         rng.random() if eta is None else eta, 10.0 ** rng.uniform(-6.0, -1.0) if d is None else d,
+         rng.random() if p is None else p)
+        for t, eta, d, p, nu in edges
+    ]
+    points += [(rng.random(), 10.0 ** rng.uniform(-4.0, 1.5), rng.random(),
+                10.0 ** rng.uniform(-6.0, -0.3), rng.random()) for _ in range(150)]
+    return points
+
+
+class TestAssessmentChecksOnce:
+    """``assess`` checks each value where it enters, and equals the fully checked route."""
+
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_equals_the_checked_route(self, statistics, kind):
+        for t, nu, eta, dark, p in seeded_points(2207):
+            det = DetectorModel(kind, eta=eta, dark=dark)
+            got = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
+            assert_identical(got, checked_assessment(statistics, t, nu, p, det))
+
+    def test_overflowing_poisson_terms_still_fail_the_stats_check(self):
+        # d_eff = dark + eta (1 - T) nu overflows, so the counts hold NaN
+        det = DetectorModel(DetectorKind.PNRD, eta=1.0, dark=1e308)
+        with pytest.raises(DomainError, match="p_s"):
+            assess(ChannelConfig(t=0.0), NoiseModel(NoiseStatistics.POISSON, 1e308), det)
+
+
+class TestDetectorDarkCounts:
+    """A thermal point reads the dark counts its detector worked out when it was built."""
+
+    DETECTORS = (DetectorModel(DetectorKind.PNRD, eta=0.7, dark=0.001),
+                 DetectorModel(DetectorKind.SPAD, eta=0.6, dark=0.02))
+    POINTS = ((0.3, 0.05, 1.0), (0.8, 2.0, 0.9), (1.0, 0.5, 1.0))
+
+    def evaluations(self, statistics):
+        return [assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
+                for det in self.DETECTORS for t, nu, p in self.POINTS]
+
+    def roots(self):
+        t = np.linspace(0.05, 0.95, 7)
+        return [noise_root(NoiseStatistics.THERMAL, t, Q_STAR_BB84, 1.0, det).tolist()
+                for det in self.DETECTORS]
+
+    def test_thermal_points_and_roots_compute_no_dark_counts(self, monkeypatch):
+        want, want_roots = self.evaluations(NoiseStatistics.THERMAL), self.roots()
+
+        def refuse(dark):
+            raise AssertionError("dark counts recomputed")
+
+        for module in (photodetection, channels):
+            monkeypatch.setattr(module, "_dark_counts", refuse)
+        assert_identical(self.evaluations(NoiseStatistics.THERMAL), want)
+        assert self.roots() == want_roots
+        # Poisson noise joins the dark counts: d_eff depends on nu, so each point computes them
+        with pytest.raises(AssertionError, match="recomputed"):
+            self.evaluations(NoiseStatistics.POISSON)
 
 
 class TestCrossModelConsistency:

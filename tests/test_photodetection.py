@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -494,6 +495,17 @@ class TestDetectorModel:
     def test_non_finite_rejected(self, eta, dark):
         with pytest.raises(DomainError):
             DetectorModel(DetectorKind.PNRD, eta=eta, dark=dark)
+
+    def test_dark_counts_worked_out_once_outside_the_fields(self):
+        det = DetectorModel(DetectorKind.SPAD, eta=0.6, dark=0.02)
+        assert det._dark_probs == _dark_counts(0.02)
+        assert [f.name for f in dataclasses.fields(det)] == ["kind", "eta", "dark"]
+        assert repr(det) == "DetectorModel(kind=<DetectorKind.SPAD: 'spad'>, eta=0.6, dark=0.02)"
+        assert det == DetectorModel("spad", 0.6, 0.02)
+        assert hash(det) == hash((DetectorKind.SPAD, 0.6, 0.02))
+        moved = dataclasses.replace(det, dark=0.7)
+        assert moved._dark_probs == _dark_counts(0.7) and moved != det
+        assert det._dark_probs == _dark_counts(0.02)
 
     def test_string_kind_coerced(self):
         det = DetectorModel("pnrd")

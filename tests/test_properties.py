@@ -28,13 +28,17 @@ from qkdng.channels import (
     ChannelConfig,
     NoiseModel,
     NoiseStatistics,
+    _counts,
+    _detector_input,
+    _terms,
     assess,
     link_fields,
     noise_root,
 )
-from qkdng.keyrates import S_MAX
+from qkdng.keyrates import S_MAX, bell_from_qber, key_rates
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import PROTOCOLS, Q_STAR, Criterion, ScanConfig, _holds, indicator
+from qkdng.witness import CoincidenceStats
 
 PAIRINGS = ("statistics, kind", [
     pytest.param(NoiseStatistics.THERMAL, DetectorKind.PNRD, id="thermal"),
@@ -74,6 +78,22 @@ def test_qber_range_and_bell_score(statistics, kind, t, nu, eta, d, p):
         return
     assert 0.0 <= a.q <= 0.5
     assert a.s == pytest.approx(S_MAX * (1.0 - 2.0 * a.q), abs=1e-12)
+
+
+@pytest.mark.parametrize(*PAIRINGS)
+@EXAMPLES
+@given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
+def test_assessment_needs_no_second_check(statistics, kind, t, nu, eta, d, p):
+    # ``assess`` passes these values to no checking function; each check would pass
+    det = DetectorModel(kind, eta=eta, dark=d)
+    *_, scale = _terms(kind, *_counts(*_detector_input(statistics, t, nu, det)), p)
+    a = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
+    assert 0.0 <= scale <= 1.0  # the witness scale
+    assert (0.0 <= a.q <= 0.5) == a.coincidence_defined
+    if a.coincidence_defined:
+        assert a.s == S_MAX * (1.0 - 2.0 * a.q) == bell_from_qber(a.q)
+        assert a.rates == key_rates(a.q, a.s)
+    assert CoincidenceStats(a.stats.p_s, a.stats.p_e) == a.stats
 
 
 @pytest.mark.parametrize(*PAIRINGS)
