@@ -13,9 +13,10 @@ terms: a PNRD reads the 0- and 1-counts and w1, a SPAD coarse-grains them to
 no click p0 and click c = p1 + w.
 
 Both factors are arithmetic only, so they work on floats and numpy arrays
-alike; ``photodetection._elementary`` picks their exp and sqrt.  A thermal
-point reads its dark counts from the detector, which works them out once;
-Poisson noise joins them, so a Poisson point computes them afresh.
+alike; ``photodetection._elementary`` picks their exp and sqrt.
+``_detector_input`` also hands ``_counts`` the dark counts: a thermal point
+reads the detector's own, worked out once; Poisson noise joins them, so a
+Poisson point works them out there, at its d_eff.
 The scalar models (``thermal_observables``, ``poisson_observables``) take
 validated configurations and build a ``LinkAssessment`` with
 ``_assessment``, which checks nothing again: it clamps the terms and decides
@@ -27,16 +28,17 @@ decisions elementwise, for every pairing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, check_range
+from .errors import ConfigurationError, check_choice, check_range
 from .keyrates import S_MAX, KeyRates, _bb84, _di
 from .photodetection import (
-    DetectorKind, DetectorModel, _dark_counts, _detected, detect_pmf, photocount_pmf,
+    DetectorKind, DetectorModel, _dark_counts, _detected, _elementary, detect_pmf, photocount_pmf,
 )
 from .witness import CoincidenceStats, WitnessVerdict, witness_margin
 
@@ -57,15 +59,19 @@ DETECTOR_INPUT = {
 
 
 def _detector_input(statistics: NoiseStatistics, t, nu, det: DetectorModel):
-    """(t eta, m, dark) that ``_counts`` reads: how the noise reaches the detector.
+    """(t eta, m, dark, dark counts) that ``_counts`` reads: how the noise reaches the detector.
 
     Thermal noise is thinned with the signal, once by the coupler and once by
-    the detector; Poisson noise only adds clicks, so it joins the dark
-    counts.  Unchecked and elementwise.
+    the detector, which holds its own dark counts; Poisson noise only adds
+    clicks, so it joins the dark counts, d_eff = dark + eta (1-t) nu, capped
+    at the largest float: past ~745 every d_eff gives e^-d_eff = 0.
+    Unchecked and elementwise.
     """
     if statistics is NoiseStatistics.THERMAL:
-        return t * det.eta, (1.0 - t) * nu * det.eta, det.dark
-    return t * det.eta, 0.0, det.dark + det.eta * (1.0 - t) * nu
+        return t * det.eta, (1.0 - t) * nu * det.eta, det.dark, det._dark_probs
+    added = det.eta * (1.0 - t) * nu  # at most nu, so finite; only the sum can overflow
+    d_eff = det.dark + _elementary(added).minimum(added, sys.float_info.max - det.dark)
+    return t * det.eta, 0.0, d_eff, _dark_counts(d_eff)
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,8 @@ class NoiseModel:
     nbar: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
+        object.__setattr__(self, "statistics",
+                           check_choice("noise statistics", NoiseStatistics, self.statistics))
         object.__setattr__(self, "nbar", check_range("noise mean", self.nbar, 0.0))
 
 
@@ -134,10 +141,9 @@ def _no_click_ratio(t, m):
     return ((1.0 - t) + m) / (1.0 + m)
 
 
-def _counts(t, m, dark):
+def _counts(t, m, dark, dark_counts):
     """Noise factor: the ``DetectionPmf`` of the empty and the occupied mode, and q1/q0."""
-    shared = _dark_counts(dark)
-    return (_detected(0, t, m, dark, shared), _detected(1, t, m, dark, shared),
+    return (_detected(0, t, m, dark, dark_counts), _detected(1, t, m, dark, dark_counts),
             _no_click_ratio(t, m))
 
 
@@ -177,8 +183,7 @@ def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssess
     Each value is checked once, where it enters: ``scale`` is 1 or q0, in
     [0, 1], and the clamps put p_s, p_e and Q in range, so ``evaluate``,
     ``bell_from_qber`` and ``key_rates`` would check nothing new.
-    ``CoincidenceStats`` still checks the stats: NaN terms, from a Poisson
-    d_eff that overflows, fail there.
+    ``CoincidenceStats`` still checks the stats.
     """
     p_s, p_e = _clamp01(p_s), _clamp01(p_e)
     k = scale * scale
@@ -204,7 +209,7 @@ def thermal_observables(
     if noise.statistics is not NoiseStatistics.THERMAL:
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
     empty, occupied = (detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), det) for l in (0, 1))
-    t_eta, m, _ = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
+    t_eta, m, *_ = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
     terms = _terms(det.kind, empty, occupied, _no_click_ratio(t_eta, m), cfg.p)
     return _assessment(det.kind, *terms)
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the range check that raises them."""
+"""Exception types shared across the package, and the range and choice checks that raise them."""
 
 import math
+from enum import Enum
 
 
 class DomainError(ValueError):
@@ -32,3 +33,16 @@ def check_range(
         interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
         raise DomainError(f"{what} must be finite and lie in {interval}, got {value!r}")
     return value
+
+
+def check_choice(what: str, choices: type[Enum], value) -> Enum:
+    """Return ``value`` as the member of the enum ``choices`` it is or names.
+
+    Raises:
+        DomainError: ``value`` is no member's value; the message lists the allowed values.
+    """
+    try:
+        return choices(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in choices)
+        raise DomainError(f"{what} must be one of {allowed}, got {value!r}") from None

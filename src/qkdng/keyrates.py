@@ -13,7 +13,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError, check_range
+from .errors import DomainError, check_choice, check_range
 
 S_MAX = 2.0 * math.sqrt(2.0)  # Tsirelson bound on the CHSH score
 _BELL_SLACK = 1e-9            # round-off allowance when validating a score
@@ -119,7 +119,7 @@ def security_threshold(protocol: Protocol | str, tol: float = 1e-6) -> float:
     or within one float of it when ``tol`` is finer than the float spacing,
     and the rate is positive for every smaller error rate.
     """
-    protocol = Protocol(protocol)
+    protocol = check_choice("protocol", Protocol, protocol)
     check_range("tolerance", tol, 0.0, open_lo=True)
 
     def secure(q: float) -> bool:

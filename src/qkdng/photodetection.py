@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, check_range
+from .errors import DomainError, check_choice, check_range
 
 _EXACT_LIMIT = 20   # largest index evaluated with exact integer factorials
 _TAIL_FLOOR = 1e-17  # tabulated tail mass left out, below double round-off on 1
@@ -85,7 +85,7 @@ class DetectorModel:
     dark: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", DetectorKind(self.kind))
+        object.__setattr__(self, "kind", check_choice("detector kind", DetectorKind, self.kind))
         object.__setattr__(self, "eta", check_range("detector efficiency", self.eta, 0.0, 1.0))
         object.__setattr__(self, "dark", check_range("dark-count rate", self.dark, 0.0))
         object.__setattr__(self, "_dark_probs", _dark_counts(self.dark))
@@ -120,15 +120,15 @@ class DetectionPmf(NamedTuple):  # unpacks, and holds arrays in the sweep's mode
     p_two_plus: float
 
 
-def _detected(l: int, t, m, dark, dark_counts=None) -> DetectionPmf:
+def _detected(l: int, t, m, dark, dark_counts) -> DetectionPmf:
     """Detected counts of ``|l>`` thinned by ``t`` plus thermal mean ``m``, then dark counts.
 
     The closed forms p(0|l), p(1|l) and P(s >= 2) of the module docstring,
     folded with Poissonian dark counts D of mean ``dark``: p0 = e^-dark p(0|l),
     p1 = e^-dark (p(1|l) + dark p(0|l)) and the probability of two or more
     counts p_two_plus = P(s >= 2) + p(1|l) P(D >= 1) + p(0|l) P(D >= 2),
-    never by subtraction.  ``dark_counts`` is ``_dark_counts(dark)`` where the
-    caller holds it: a detector's own, or one shared between modes.
+    never by subtraction.  ``dark_counts`` is ``_dark_counts(dark)``, which
+    the caller holds: a detector's own, or Poisson noise's d_eff's.
     Elementwise when ``t``, ``m`` or ``dark`` are numpy arrays.
     """
     g = 1.0 / (1.0 + m)
@@ -147,7 +147,7 @@ def _detected(l: int, t, m, dark, dark_counts=None) -> DetectionPmf:
             for _ in range(l - 1):
                 geo, slope = 1.0 + a * geo, geo + a * slope
             two = two + (t * g) ** 2 * slope
-    damp, lost, doubles = _dark_counts(dark) if dark_counts is None else dark_counts
+    damp, lost, doubles = dark_counts
     return DetectionPmf(damp * miss, damp * (single + dark * miss),
                         two + single * lost + miss * doubles)
 

@@ -48,7 +48,7 @@ from .channels import (
     link_fields,
     noise_root,
 )
-from .errors import DomainError, check_range
+from .errors import DomainError, check_choice, check_range
 from .keyrates import Q_STAR_BB84, Q_STAR_DI
 from .photodetection import DetectorModel
 
@@ -84,7 +84,8 @@ class ScanConfig:
     criteria: tuple[Criterion, ...] = ALL_CRITERIA
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "statistics", NoiseStatistics(self.statistics))
+        object.__setattr__(self, "statistics",
+                           check_choice("noise statistics", NoiseStatistics, self.statistics))
         if not isinstance(self.detector, DetectorModel):
             raise DomainError(f"detector must be a DetectorModel, got {self.detector!r}")
         object.__setattr__(self, "p", check_range("Werner weight", self.p, 0.0, 1.0))
@@ -100,7 +101,7 @@ class ScanConfig:
         object.__setattr__(self, "tol", check_range("tol", self.tol, 0.0, open_lo=True))
         if isinstance(self.criteria, str):
             raise DomainError(f"criteria must be a sequence of criteria, got {self.criteria!r}")
-        criteria = tuple(Criterion(c) for c in self.criteria)
+        criteria = tuple(check_choice("criterion", Criterion, c) for c in self.criteria)
         object.__setattr__(self, "criteria", criteria)
         if not criteria or len(set(criteria)) != len(criteria):
             raise DomainError("criteria must be a nonempty set without duplicates")
@@ -152,7 +153,11 @@ class BoundaryCurve:
     evaluations: int
 
     def column(self, criterion: Criterion | str) -> BoundaryColumn:
-        return self.columns[self.criteria.index(Criterion(criterion))]
+        criterion = check_choice("criterion", Criterion, criterion)
+        if criterion not in self.criteria:
+            scanned = ", ".join(c.value for c in self.criteria)
+            raise DomainError(f"criterion {criterion.value} was not scanned, only {scanned}")
+        return self.columns[self.criteria.index(criterion)]
 
     @cached_property
     def points(self) -> tuple[BoundaryPoint, ...]:
@@ -202,8 +207,9 @@ def indicator(criterion: Criterion | str, t: float, nu: float, config: ScanConfi
     the sweep's security boundaries are roots of the same Q = Q*, so the two
     agree up to rounding.
     """
+    criterion = check_choice("criterion", Criterion, criterion)
     a = assess_point(config, t, nu)
-    return bool(_holds(Criterion(criterion), a.coincidence_defined, a.witness.margin, a.q))
+    return bool(_holds(criterion, a.coincidence_defined, a.witness.margin, a.q))
 
 
 def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> CriterionBoundary:
@@ -213,7 +219,7 @@ def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> Crite
     last point known to satisfy the criterion.  For the witness, the record's
     ``monotone_warning`` reports a second crossing seen in the opening rows.
     """
-    curve = sweep(replace(config, t_grid=(t,), criteria=(Criterion(criterion),)))
+    curve = sweep(replace(config, t_grid=(t,), criteria=(criterion,)))
     return CriterionBoundary(*(values[0] for values in curve.columns[0]))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import check_range
+from .errors import check_choice, check_range
 from .photodetection import DetectorKind, _elementary
 
 
@@ -69,7 +69,8 @@ def evaluate(kind: DetectorKind, stats: CoincidenceStats, scale: float = 1.0) ->
     so its sign survives where P_s and P_e underflow.
     """
     scale = check_range("witness scale", scale, 0.0, 1.0)
-    margin = witness_margin(DetectorKind(kind), stats.p_s, stats.p_e, scale)
+    kind = check_choice("detector kind", DetectorKind, kind)
+    margin = witness_margin(kind, stats.p_s, stats.p_e, scale)
     return WitnessVerdict(passed=margin > 0.0, margin=margin)
 
 

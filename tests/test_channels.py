@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -26,15 +27,19 @@ from qkdng.channels import (
 )
 from qkdng.errors import ConfigurationError, DomainError, check_range
 from qkdng.keyrates import (
-    Q_STAR_BB84, KeyRates, bell_from_qber, binary_entropy, dw_rate_bb84, dw_rate_di, key_rates,
+    Q_STAR_BB84, Q_STAR_DI, KeyRates, bell_from_qber, binary_entropy, dw_rate_bb84, dw_rate_di,
+    key_rates, security_threshold,
 )
 from qkdng.photodetection import (
-    DetectorKind, DetectorModel, PhotocountDistribution, detect_pmf, photocount_pmf,
+    DetectorKind, DetectorModel, PhotocountDistribution, _dark_counts, detect_pmf, photocount_pmf,
 )
+from qkdng.scan import Criterion, ScanConfig, indicator, max_noise, sweep
 from qkdng.witness import CoincidenceStats, evaluate, pnrd_threshold, spad_threshold
 
 PERFECT_PNRD = DetectorModel(DetectorKind.PNRD)
 PERFECT_SPAD = DetectorModel(DetectorKind.SPAD)
+TINY_SCAN = ScanConfig(t_grid=(0.5,), statistics=NoiseStatistics.THERMAL, detector=PERFECT_PNRD,
+                       tol=0.5)
 
 
 def thermal(t, nbar, p=1.0, det=PERFECT_PNRD):
@@ -217,18 +222,29 @@ class TestEffectiveDetector:
 
     def test_unit_transmittance_adds_nothing(self):
         det = DetectorModel(DetectorKind.SPAD, eta=0.7, dark=0.001)
-        assert _detector_input(NoiseStatistics.POISSON, 1.0, 5.0, det) == (0.7, 0.0, 0.001)
+        assert (_detector_input(NoiseStatistics.POISSON, 1.0, 5.0, det)
+                == (0.7, 0.0, 0.001, _dark_counts(0.001)))
 
     def test_pure_loss(self):
         det = DetectorModel(DetectorKind.SPAD, eta=1.0, dark=0.0)
-        assert _detector_input(NoiseStatistics.POISSON, 0.5, 0.0, det) == (0.5, 0.0, 0.0)
+        assert (_detector_input(NoiseStatistics.POISSON, 0.5, 0.0, det)
+                == (0.5, 0.0, 0.0, (1.0, 0.0, 0.0)))
 
     def test_noise_folds_into_dark_rate(self):
         det = DetectorModel(DetectorKind.SPAD, eta=0.5, dark=0.01)
-        eta_eff, m, d_eff = _detector_input(NoiseStatistics.POISSON, 0.5, 0.2, det)
+        eta_eff, m, d_eff, dark_counts = _detector_input(NoiseStatistics.POISSON, 0.5, 0.2, det)
         assert eta_eff == pytest.approx(0.25, abs=1e-15)
         assert m == 0.0
         assert d_eff == pytest.approx(0.06, abs=1e-15)
+        assert dark_counts == _dark_counts(d_eff)
+
+    def test_overflowing_d_eff_capped_at_the_largest_float(self):
+        # on arrays without a numpy overflow warning; past ~745 e^-d_eff is 0 anyway
+        det = DetectorModel(DetectorKind.SPAD, eta=1.0, dark=1e308)
+        t, nu = np.array([0.0, 0.5, 1.0]), np.full(3, 1e308)
+        _, _, d_eff, dark_counts = _detector_input(NoiseStatistics.POISSON, t, nu, det)
+        assert d_eff.tolist() == [sys.float_info.max, 1e308 + 0.5 * 1e308, 1e308]
+        assert [column.tolist() for column in dark_counts] == [[0.0] * 3, [1.0] * 3, [1.0] * 3]
 
 
 class TestAssessDispatch:
@@ -358,11 +374,17 @@ class TestAssessmentChecksOnce:
             got = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
             assert_identical(got, checked_assessment(statistics, t, nu, p, det))
 
-    def test_overflowing_poisson_terms_still_fail_the_stats_check(self):
-        # d_eff = dark + eta (1 - T) nu overflows, so the counts hold NaN
-        det = DetectorModel(DetectorKind.PNRD, eta=1.0, dark=1e308)
-        with pytest.raises(DomainError, match="p_s"):
-            assess(ChannelConfig(t=0.0), NoiseModel(NoiseStatistics.POISSON, 1e308), det)
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_overflowing_d_eff_takes_its_limit(self, kind, t):
+        # d_eff = dark + eta (1 - T) nu would overflow; capped at the largest
+        # float it gives e^-d_eff = 0, as every d_eff above ~745 does
+        det, nu = DetectorModel(kind, eta=1.0, dark=1e308), sys.float_info.max
+        got = assess(ChannelConfig(t=t), NoiseModel(NoiseStatistics.POISSON, nu), det)
+        limit = assess(ChannelConfig(t=t), NoiseModel(NoiseStatistics.POISSON, 800.0),
+                       replace(det, dark=800.0))
+        assert_identical(got, limit)
+        assert _detector_input(NoiseStatistics.POISSON, t, nu, det)[2] == nu
 
 
 class TestDetectorDarkCounts:
@@ -381,8 +403,19 @@ class TestDetectorDarkCounts:
         return [noise_root(NoiseStatistics.THERMAL, t, Q_STAR_BB84, 1.0, det).tolist()
                 for det in self.DETECTORS]
 
+    def fields(self):
+        t, nu = np.linspace(0.0, 1.0, 7), np.array([[0.0], [0.05], [2.0]])
+        fields = (link_fields(NoiseStatistics.THERMAL, t, nu, 0.9, det) for det in self.DETECTORS)
+        return [[column.tobytes() for column in f] for f in fields]  # bit for bit, NaN included
+
+    def sweeps(self):
+        return [sweep(ScanConfig(t_grid=(0.1, 0.5, 0.9), statistics=NoiseStatistics.THERMAL,
+                                 detector=det, nu_cap=2.0, tol=1e-3))
+                for det in self.DETECTORS]
+
     def test_thermal_points_and_roots_compute_no_dark_counts(self, monkeypatch):
         want, want_roots = self.evaluations(NoiseStatistics.THERMAL), self.roots()
+        want_fields, want_sweeps = self.fields(), self.sweeps()
 
         def refuse(dark):
             raise AssertionError("dark counts recomputed")
@@ -391,9 +424,45 @@ class TestDetectorDarkCounts:
             monkeypatch.setattr(module, "_dark_counts", refuse)
         assert_identical(self.evaluations(NoiseStatistics.THERMAL), want)
         assert self.roots() == want_roots
+        assert self.fields() == want_fields
+        assert self.sweeps() == want_sweeps
         # Poisson noise joins the dark counts: d_eff depends on nu, so each point computes them
         with pytest.raises(AssertionError, match="recomputed"):
             self.evaluations(NoiseStatistics.POISSON)
+
+
+class TestEdgeGrid:
+    """Every pairing answers at the edges of its domain, and its twins decide alike.
+
+    T, eta, dark, nu and p at 0, the smallest subnormal, 1 and 1e308: 5,760
+    points, one ``link_fields`` call per detector and p.  A numpy warning
+    fails the test (``filterwarnings = error``).
+    """
+
+    TS = (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0)
+    ETAS = (0.0, 1e-12, 0.5, 1.0)
+    DARKS = (0.0, 5e-324, 1e-3, 0.5, 700.0, 1e308)
+    NUS = (0.0, 5e-324, 1.0, 1e6, 1e308)
+
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_points_answer_and_match_the_arrays(self, statistics, kind):
+        t, nu = np.array(self.TS), np.array(self.NUS)[:, np.newaxis]
+        for eta, dark, p in itertools.product(self.ETAS, self.DARKS, (0.0, 1.0)):
+            det = DetectorModel(kind, eta=eta, dark=dark)
+            fields = link_fields(statistics, t, nu, p, det)
+            assert not np.isnan(fields.margin).any()
+            assert np.isnan(fields.q).tolist() == (~fields.defined).tolist()
+            for i, j in np.ndindex(fields.q.shape):
+                out = assess(ChannelConfig(t=self.TS[j], p=p),
+                             NoiseModel(statistics, self.NUS[i]), det)
+                numbers = (*out.rates[:2], out.stats.p_s, out.stats.p_e, out.witness.margin)
+                assert not any(map(math.isnan, numbers))
+                assert math.isnan(out.q) == math.isnan(out.s) == (not out.coincidence_defined)
+                assert out.coincidence_defined == fields.defined[i, j]
+                assert out.witness.passed == (fields.margin[i, j] > 0.0)
+                for q_star in (Q_STAR_BB84, Q_STAR_DI):
+                    assert (out.q <= q_star) == (fields.q[i, j] <= q_star)
 
 
 class TestCrossModelConsistency:
@@ -463,3 +532,28 @@ class TestConfigValidation:
         assert model.statistics is NoiseStatistics.THERMAL
         out = assess(ChannelConfig(t=0.5), model, DetectorModel("pnrd"))
         assert out.coincidence_defined
+
+    # each entry point that takes an enum, given a name it rejects, and the
+    # part of the message naming what it allows
+    BAD_CHOICES = {
+        "NoiseModel": (lambda: NoiseModel("foo", 1.0), "one of thermal, poisson, got 'foo'"),
+        "DetectorModel": (lambda: DetectorModel("foo"), "one of spad, pnrd, got 'foo'"),
+        "ScanConfig.statistics": (lambda: replace(TINY_SCAN, statistics="foo"),
+                                  "one of thermal, poisson"),
+        "ScanConfig.criteria": (lambda: replace(TINY_SCAN, criteria=("x",)),
+                                "one of nongauss, bb84, di, got 'x'"),
+        "max_noise": (lambda: max_noise("x", 0.5, TINY_SCAN), "one of nongauss, bb84, di"),
+        "indicator": (lambda: indicator("x", 0.5, 0.1, TINY_SCAN), "one of nongauss, bb84, di"),
+        "column": (lambda: sweep(TINY_SCAN).column("x"), "one of nongauss, bb84, di"),
+        "column not scanned": (
+            lambda: sweep(replace(TINY_SCAN, criteria=("bb84",))).column(Criterion.DI),
+            "di was not scanned, only bb84"),
+        "security_threshold": (lambda: security_threshold("x"), "one of bb84, di, got 'x'"),
+        "evaluate": (lambda: evaluate("x", CoincidenceStats(0.1, 0.1)), "one of spad, pnrd"),
+    }
+
+    @pytest.mark.parametrize("call,message", BAD_CHOICES.values(), ids=BAD_CHOICES)
+    def test_bad_choices_raise_domain_error(self, call, message):
+        # a DomainError is a ValueError, so ``except ValueError`` callers still catch it
+        with pytest.raises(DomainError, match=message):
+            call()

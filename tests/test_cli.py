@@ -58,6 +58,22 @@ class TestEval:
         assert doc["q"] == 0.5
         assert doc["region"]["bb84"] == "Neither"
 
+    @pytest.mark.parametrize("detector", ["spad", "pnrd"])
+    def test_poisson_d_eff_past_the_float_limit(self, capsys, detector):
+        # dark + eta (1 - T) nu overflows: the answer is the e^-d_eff = 0 limit
+        # every d_eff above ~745 gives, not a NaN that fails a range check
+        def point(dark, nu):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "eval", "--noise", "poisson", "--detector",
+                                         detector, "--dark", dark, "--T", "0", "--nu", nu)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            del doc["manifest"]
+            return doc
+
+        assert point("1e308", "1e308") == point("800", "0")
+
     def test_cross_pairing_matches_oracle(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--noise", "thermal", "--detector", "spad",
@@ -483,6 +499,24 @@ class TestScan:
         )
         assert code == 0
         assert out.read_text().splitlines()[1] == "0.999,,1000000.0,,,true,"
+
+    @pytest.mark.parametrize("detector,rows", [
+        ("spad", ["0.02,0.0,0.0,0.0,false,false,false", "0.51,0.0,0.0,0.0,false,false,false",
+                  "1.0,0.0,1e+308,1e+308,false,true,true"]),
+        ("pnrd", ["0.02,,,,,,", "0.51,,,,,,", "1.0,,,,,,"]),
+    ])
+    def test_poisson_d_eff_past_the_float_limit(self, capsys, tmp_path, detector, rows):
+        # dark + eta (1 - T) nu overflows below T = 1; no numpy warning may show it
+        out = tmp_path / "limit.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                capsys, "scan", "--preset", "fig5", "--detector", detector, "--eta", "1",
+                "--dark", "1e308", "--nu-cap", "1e308", "--t-points", "3", "--out", str(out),
+            )
+        assert code == 0
+        assert "Warning" not in err
+        assert out.read_text().splitlines() == [CSV_HEADER, *rows]
 
     @pytest.mark.parametrize("flag,value", [("--t-max", "inf"), ("--t-max", "5"), ("--t-min", "nan")])
     def test_bad_grid_end_on_one_point_grid(self, capsys, tmp_path, flag, value):

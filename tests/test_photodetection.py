@@ -394,7 +394,7 @@ class TestDetectedClosedForm:
     def test_matches_count_prob(self, l, dark):
         for t in self.TS:
             for m in self.MS:
-                p0, p1, two_plus = _detected(l, t, m, dark)
+                p0, p1, two_plus = _detected(l, t, m, dark, _dark_counts(dark))
                 rows = PhotocountDistribution(l, t, m).probs
                 miss, single = rows[0], rows[1] if len(rows) > 1 else 0.0  # l = m = 0: one row
                 assert p0 == pytest.approx(math.exp(-dark) * miss, abs=1e-15)
@@ -407,16 +407,16 @@ class TestDetectedClosedForm:
     def test_array_equals_scalar(self, l):
         # t = 1 with m = 0 makes a = 1 - t g vanish: no division may see it
         t, m = np.meshgrid(self.TS, self.MS)
-        p0, p1, two_plus = _detected(l, t, m, 0.001)
+        p0, p1, two_plus = _detected(l, t, m, 0.001, _dark_counts(0.001))
         for k in np.ndindex(t.shape):
-            scalar = _detected(l, float(t[k]), float(m[k]), 0.001)
+            scalar = _detected(l, float(t[k]), float(m[k]), 0.001, _dark_counts(0.001))
             assert (p0[k], p1[k], two_plus[k]) == pytest.approx(scalar, abs=1e-15)
 
     @pytest.mark.parametrize("l", range(1, 9))
     def test_exact_near_unit_coupling(self, l):
         # t g within 1e-4 of 1: a = 1 - t g by subtraction was l 5e-13 relative off
         t, m = 0.9999, 1e-4
-        p0, p1, two_plus = _detected(l, t, m, 0.0)
+        p0, p1, two_plus = _detected(l, t, m, 0.0, _dark_counts(0.0))
         tq, mq = Fraction(t), Fraction(m)
         g = 1 / (1 + mq)
         r, a = mq * g, 1 - tq * g
@@ -431,7 +431,7 @@ class TestDetectedClosedForm:
     def test_faint_click_without_cancellation(self):
         # the click c = p1 + w is ~1e-12 here; 1 - p0 by subtraction keeps ~4 digits
         t, m, dark = 1e-12, 1e-13, 1e-14
-        _, p1, two_plus = _detected(1, t, m, dark)
+        _, p1, two_plus = _detected(1, t, m, dark, _dark_counts(dark))
         tq, mq, dq = Fraction(t), Fraction(m), Fraction(dark)
         g = 1 / (1 + mq)
         damp = sum((-dq) ** k / math.factorial(k) for k in range(6))  # e^-dark to ~1e-84
@@ -445,7 +445,7 @@ class TestDetectedClosedForm:
         # with no dark counts w is the table's mass at s >= 2; the table leaves
         # out at most its truncation tail
         table = PhotocountDistribution(l, t, m)
-        _, _, two_plus = _detected(l, t, m, 0.0)
+        _, _, two_plus = _detected(l, t, m, 0.0, _dark_counts(0.0))
         rest = math.fsum(table.probs[2:])
         assert abs(two_plus - rest) <= table.truncation_tail + 1e-14 * rest
 
@@ -453,7 +453,7 @@ class TestDetectedClosedForm:
     def test_two_plus_at_a_dead_coupler_is_dark_doubles(self, l):
         # t = m = 0: the port is empty, so two counts need two dark counts
         for dark in (1e-38, 1e-9, 0.3):
-            _, _, two_plus = _detected(l, 0.0, 0.0, dark)
+            _, _, two_plus = _detected(l, 0.0, 0.0, dark, _dark_counts(dark))
             assert two_plus == _dark_counts(dark)[2] > 0.0
 
 
