@@ -17,12 +17,12 @@ alike; ``photodetection._elementary`` picks their exp and sqrt.
 ``_detector_input`` also hands ``_counts`` the dark counts: a thermal point
 reads the detector's own, worked out once; Poisson noise joins them, so a
 Poisson point works them out there, at its d_eff.
-The scalar models (``thermal_observables``, ``poisson_observables``) take
-validated configurations and build a ``LinkAssessment`` with
-``_assessment``, which checks nothing again: it clamps the terms and decides
-through the unchecked cores (``witness_margin``, ``_bb84``, ``_di``), whose
-public wrappers check their inputs.  ``link_fields`` gives the sweep the same
-decisions elementwise, for every pairing.
+The scalar models (``thermal_observables``, ``poisson_observables``) and the
+sweep's ``link_fields`` take their decision from one elementwise body,
+``_decide``: it clamps the terms, tests the coincidence floor and forms Q.
+``_assessment`` makes a point's ``LinkAssessment`` of it and checks nothing
+again: the cores it calls (``witness_margin``, ``_bb84``, ``_di``) are
+unchecked, and their public wrappers check their inputs.
 """
 
 from __future__ import annotations
@@ -120,17 +120,14 @@ class LinkAssessment(NamedTuple):
 class LinkFields(NamedTuple):
     """Array twin of ``LinkAssessment``: the fields the scan decisions read.
 
-    Elementwise over broadcast (t, nu) arrays.  Where ``defined`` is False,
-    ``q`` is NaN.  A protocol is secure where ``q <= Q_STAR_BB84/DI``.
+    ``_decide`` gives both their fields, here elementwise over broadcast (t, nu)
+    arrays.  Where ``defined`` is False, ``q`` is NaN.  A protocol is secure
+    where ``q <= Q_STAR_BB84/DI``.
     """
 
     defined: np.ndarray
     margin: np.ndarray
     q: np.ndarray
-
-
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
 
 
 def _no_click_ratio(t, m):
@@ -177,25 +174,34 @@ def _terms(kind: DetectorKind, empty, occupied, rho, p: float):
     return 0.25 * f * f, p_e, f * f, 4.0 * p * p_e + (1.0 - p) * f * f, p00
 
 
-def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssessment:
-    """Decide and clamp ``_terms``' output; undefined where N < floor scale^2.
+def _decide(kind: DetectorKind, p_s, p_e, norm, two_nq, scale):
+    """The decision on ``_terms``' output: its ``LinkFields``, and p_s and p_e clamped to [0, 1].
 
-    Each value is checked once, where it enters: ``scale`` is 1 or q0, in
-    [0, 1], and the clamps put p_s, p_e and Q in range, so ``evaluate``,
-    ``bell_from_qber`` and ``key_rates`` would check nothing new.
-    ``CoincidenceStats`` still checks the stats.
+    Unchecked and elementwise.  Undefined where N < floor scale^2: there Q is NaN
+    and 1 stands in for N, so nothing divides by zero.  The clip strips Q's round-off dust.
     """
-    p_s, p_e = _clamp01(p_s), _clamp01(p_e)
+    f = _elementary(norm)
+    p_s, p_e = f.clip(p_s, 0.0, 1.0), f.clip(p_e, 0.0, 1.0)
+    defined = norm >= _COINCIDENCE_FLOOR * (scale * scale)
+    q = f.clip(two_nq / (2.0 * f.where(defined, norm, 1.0)), 0.0, 0.5)
+    margin = witness_margin(kind, p_s, p_e, scale)
+    return LinkFields(defined, margin, f.where(defined, q, math.nan)), p_s, p_e
+
+
+def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssessment:
+    """``_decide``'s decision on ``_terms``' output, as a point's record.
+
+    It checks nothing again: ``scale`` is 1 or q0, in [0, 1], and ``_decide``
+    puts p_s, p_e and Q in range.  ``CoincidenceStats`` still checks the stats.
+    """
+    (defined, margin, q), p_s, p_e = _decide(kind, p_s, p_e, norm, two_nq, scale)
     k = scale * scale
     stats = CoincidenceStats(p_s * k, p_e * k)
-    margin = witness_margin(kind, p_s, p_e, scale)
     verdict = WitnessVerdict(margin > 0.0, margin)
-    if norm < _COINCIDENCE_FLOOR * k:
+    if not defined:
         return LinkAssessment(math.nan, math.nan, _NO_RATES, stats, verdict, False)
-    q = min(max(two_nq / (2.0 * norm), 0.0), 0.5)  # Q <= 1/2 exactly; strip round-off dust
     s = S_MAX * (1.0 - 2.0 * q)
-    rates = KeyRates(_bb84(q, s), *_di(q, s))
-    return LinkAssessment(q, s, rates, stats, verdict, True)
+    return LinkAssessment(q, s, KeyRates(_bb84(q, s), *_di(q, s)), stats, verdict, True)
 
 
 def thermal_observables(
@@ -234,15 +240,7 @@ def link_fields(statistics: NoiseStatistics, t, nu, p: float, det: DetectorModel
     Unchecked: the caller guarantees t in [0, 1], nu >= 0 and p in [0, 1].
     """
     counts = _counts(*_detector_input(statistics, t, nu, det))
-    p_s, p_e, norm, two_nq, scale = _terms(det.kind, *counts, p)
-    defined = norm >= _COINCIDENCE_FLOOR * (scale * scale)
-    with np.errstate(divide="ignore", invalid="ignore"):  # N = 0 where undefined
-        q = two_nq / (2.0 * norm)
-    return LinkFields(
-        defined=defined,
-        margin=witness_margin(det.kind, np.clip(p_s, 0.0, 1.0), np.clip(p_e, 0.0, 1.0), scale),
-        q=np.where(defined, np.clip(q, 0.0, 0.5), np.nan),
-    )
+    return _decide(det.kind, *_terms(det.kind, *counts, p))[0]
 
 
 def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: DetectorModel):

@@ -32,7 +32,7 @@ from .channels import (
     NoiseStatistics,
     assess,
 )
-from .errors import ConfigurationError, DomainError, check_range
+from .errors import ConfigurationError, DomainError, check_choice, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
 from .scan import (
     ALL_CRITERIA, BoundaryCurve, Criterion, ScanConfig, classify_assessment, sweep,
@@ -92,10 +92,12 @@ def _criteria(text: str) -> tuple[Criterion, ...]:
 
 
 def _detector(args: SimpleNamespace) -> DetectorModel:
-    """The detector the channel flags describe, after checking --p."""
+    """The detector the channel flags describe, after checking --p and --noise."""
     check_range("--p", args.p, 0.0, 1.0)
+    check_choice("--noise", NoiseStatistics, args.noise)  # a --config value skips the choices
+    kind = check_choice("--detector", DetectorKind, args.detector)
     try:
-        return DetectorModel(kind=args.detector, eta=args.eta, dark=args.dark)
+        return DetectorModel(kind=kind, eta=args.eta, dark=args.dark)
     except DomainError as exc:
         raise ConfigurationError(f"--eta/--dark: {exc}") from exc
 
@@ -284,9 +286,9 @@ def _cmd_pmf(args: SimpleNamespace) -> int:
 # every flag, declared once: (option string, add_argument keywords) rows in
 # --help order.  _parsers builds argparse from them and _read reads them directly.
 _CHANNEL_FLAGS = (
-    ("--noise", dict(type=NoiseStatistics,
+    ("--noise", dict(choices=[s.value for s in NoiseStatistics],
                      help="noise statistics of the channel: thermal or poisson")),
-    ("--detector", dict(type=DetectorKind,
+    ("--detector", dict(choices=[k.value for k in DetectorKind],
                         help="detector type: pnrd or spad (either noise statistics)")),
     ("--eta", dict(type=float, default=DetectorModel.eta,
                    help="detector efficiency in [0, 1] (default %(default)s)")),

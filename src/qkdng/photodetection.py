@@ -56,11 +56,12 @@ _MAX_WORK = 2 * 10**7  # row updates of one table, l per row: about 3 s
 # 1/(j+2)! for j = 13 down to 0: P(D >= 2) = e^-d d^2 sum_j d^j/(j+2)!, to 6e-18 at d = 1/2
 _DARK_SERIES = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(14)))
 _MATH = SimpleNamespace(exp=math.exp, expm1=math.expm1, sqrt=math.sqrt, minimum=min,
-                        where=lambda cond, yes, no: yes if cond else no)
+                        where=lambda cond, yes, no: yes if cond else no,
+                        clip=lambda x, lo, hi: min(max(x, lo), hi))
 
 
 def _elementary(x):
-    """numpy for an ndarray ``x``, else math's exp, expm1 and sqrt, a scalar minimum and where."""
+    """numpy for an ndarray ``x``, else math's exp, expm1 and sqrt, and scalar minimum, where, clip."""
     return np if isinstance(x, np.ndarray) else _MATH
 
 

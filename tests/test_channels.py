@@ -16,6 +16,7 @@ from qkdng.channels import (
     LinkAssessment,
     NoiseModel,
     NoiseStatistics,
+    _assessment,
     _counts,
     _detector_input,
     _terms,
@@ -463,6 +464,37 @@ class TestEdgeGrid:
                 assert out.witness.passed == (fields.margin[i, j] > 0.0)
                 for q_star in (Q_STAR_BB84, Q_STAR_DI):
                     assert (out.q <= q_star) == (fields.q[i, j] <= q_star)
+
+
+class TestOneDecision:
+    """``_assessment`` and ``link_fields`` take one decision from the same terms, bit for bit.
+
+    Below ``TestEdgeGrid``: the terms are the arrays' own, so math's and
+    numpy's exp (which the Poisson models may round apart) do not enter.
+    """
+
+    def test_points_decide_as_the_arrays(self):
+        grid = TestEdgeGrid
+        t, nu = np.array(grid.TS), np.array(grid.NUS)[:, np.newaxis]
+        zero_norms = zero_scales = 0
+        for statistics, kind in itertools.product(NoiseStatistics, DetectorKind):
+            for eta, dark, p in itertools.product(grid.ETAS, grid.DARKS, (0.0, 1.0)):
+                det = DetectorModel(kind, eta=eta, dark=dark)
+                counts = _counts(*_detector_input(statistics, t, nu, det))
+                terms = np.broadcast_arrays(*_terms(kind, *counts, p))
+                points = zip(*(term.ravel().tolist() for term in terms))  # Python floats
+                fields = (f.ravel().tolist() for f in link_fields(statistics, t, nu, p, det))
+                zero_norms += np.count_nonzero(terms[2] == 0.0)
+                zero_scales += np.count_nonzero(terms[4] == 0.0)
+                for point, defined, margin, q in zip(points, *fields, strict=True):
+                    out = _assessment(kind, *point)
+                    assert type(out.coincidence_defined) is bool
+                    assert out.coincidence_defined == defined
+                    assert type(out.witness.margin) is float and type(out.q) is float
+                    assert out.witness.margin.hex() == margin.hex()
+                    assert out.q.hex() == q.hex()  # NaN equals NaN
+        # the rows where 1 stands in for N, and where the floor is 0
+        assert zero_norms > 0 and zero_scales > 0
 
 
 class TestCrossModelConsistency:

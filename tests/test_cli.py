@@ -293,6 +293,41 @@ class TestConfigLayering:
         }
 
 
+class TestChoiceFlags:
+    """A bad --noise or --detector value exits 2 naming the allowed ones, as a flag or in a file."""
+
+    CHOICES = [pytest.param("--noise", "thermal, poisson", id="noise"),
+               pytest.param("--detector", "spad, pnrd", id="detector")]
+
+    @staticmethod
+    def line(command, out, *flags):
+        tail = (["--T", "0.5", "--nu", "0.1"] if command == "eval"
+                else ["--t-points", "2", "--out", str(out)])
+        return [command, "--preset", "fig4", *flags, *tail]
+
+    @pytest.mark.parametrize("flag, allowed", CHOICES)
+    @pytest.mark.parametrize("command", ["eval", "scan"])
+    def test_bad_flag_value_lists_the_choices(self, capsys, tmp_path, command, flag, allowed):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.line(command, out, flag, "foo"))
+        assert exit_info.value.code == 2
+        listed = capsys.readouterr().err.split(f"argument {flag}: invalid choice: 'foo'")[1]
+        assert all(value in listed for value in allowed.split(", "))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, allowed", CHOICES)
+    @pytest.mark.parametrize("command", ["eval", "scan"])
+    def test_bad_file_value_names_the_flag(self, capsys, tmp_path, command, flag, allowed):
+        out, config = tmp_path / "curve.csv", tmp_path / "run.conf"
+        config.write_text(f"{flag[2:]}=foo\n")
+        code, stdout, err = run_cli(capsys, *self.line(command, out, "--config", str(config)))
+        assert code == 2
+        assert err == f"error: {flag} must be one of {allowed}, got 'foo'\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [config]
+
+
 class TestScan:
     def scan_args(self, out_path, fmt="csv"):
         return [
@@ -787,6 +822,8 @@ def config_files(tmp_path_factory):
         "channel": "# a channel recipe\nnoise=poisson\ndetector=pnrd\neta=0.9\ndark=0.002\n",
         "scan": "t-points=3\nnu_cap=1\ncriteria=bb84\nformat=json\nout=file.csv\n",
         "odd": "preset=fig3\ncommand=pmf\nhandler=x\nformat=xml\nl=2\nunknown=1\n",
+        "bad-noise": "noise=foo\n",  # read as given; main names the flag and its choices
+        "bad-detector": "detector=foo\n",
         "bad": "eta=abc\n",
     }
     for name, text in texts.items():
@@ -878,7 +915,7 @@ class TestReader:
 
     def test_declines_failed_layer(self, config_files):
         # an uncastable file value or an unreadable file is argparse's, or main's, to report
-        _, _, _, bad, missing = config_files
+        *_, bad, missing = config_files
         for config in (bad, missing):
             assert qkdng.cli._read(["eval", "--config", config, "--T", "0.5"]) is None
 
