@@ -61,13 +61,13 @@ atexit.register(gc.freeze)
 
 
 def _read_config(path: str | None) -> dict[str, str]:
-    """Parse a flat key=value config file mirroring the flag names."""
+    """Parse a flat key=value UTF-8 config file mirroring the flag names; a BOM is dropped."""
     if path is None:
         return {}
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"--config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

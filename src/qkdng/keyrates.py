@@ -17,6 +17,7 @@ from .errors import DomainError, check_choice, check_range
 
 S_MAX = 2.0 * math.sqrt(2.0)  # Tsirelson bound on the CHSH score
 _BELL_SLACK = 1e-9            # round-off allowance when validating a score
+_PHASE_SLACK = _BELL_SLACK / S_MAX + 1e-12  # the phase's slack: the score's, plus round-off
 
 # Q*: the last float before the computed rate first turns non-positive as Q
 # grows (round-off makes the BB84 rate positive again 7 and 8 ulps above it),
@@ -70,7 +71,7 @@ def _rate_inputs(qber: float, s: float) -> tuple[float, float]:
 def _bb84(qber: float, s: float) -> float:
     """``dw_rate_bb84`` on inputs already checked."""
     phase = qber + s / S_MAX
-    if not -1e-12 <= phase <= 1.0 + 1e-12:
+    if not -_PHASE_SLACK <= phase <= 1.0 + _PHASE_SLACK:
         raise DomainError(f"phase-error entropy argument {phase} outside [0, 1]")
     phase = min(max(phase, 0.0), 1.0)
     return 1.0 - _entropy(qber) - _entropy(phase)

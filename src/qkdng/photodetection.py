@@ -49,12 +49,11 @@ import numpy as np
 
 from .errors import DomainError, check_choice, check_range
 
-_EXACT_LIMIT = 20   # largest index evaluated with exact integer factorials
 _TAIL_FLOOR = 1e-17  # tabulated tail mass left out, below double round-off on 1
 _MAX_ROWS = 10**6    # longest photocount table worth building for output
 _MAX_WORK = 2 * 10**7  # row updates of one table, l per row: about 3 s
 # 1/(j+2)! for j = 13 down to 0: P(D >= 2) = e^-d d^2 sum_j d^j/(j+2)!, to 6e-18 at d = 1/2
-_DARK_SERIES = tuple(1.0 / math.factorial(j + 2) for j in reversed(range(14)))
+_DARK_SERIES = tuple(1.0 / math.prod(range(2, j + 3)) for j in reversed(range(14)))
 _MATH = SimpleNamespace(exp=math.exp, expm1=math.expm1, sqrt=math.sqrt, minimum=min,
                         where=lambda cond, yes, no: yes if cond else no,
                         clip=lambda x, lo, hi: min(max(x, lo), hi))
@@ -170,7 +169,10 @@ class PhotocountDistribution:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, float]:
-        l, t, m = self.incident_l, self.t, self.m
+        # checked here, off detect_pmf's path: a hand-built NaN field would never end the table
+        l = _fock_index("incident Fock number", self.incident_l)
+        t = check_range("transmittance", self.t, 0.0, 1.0)
+        m = check_range("thermal mean m", self.m, 0.0)
         # rows the geometric factor r^s needs to fall below the floor, from
         # log r = -log(1 + 1/m): log1p(-1/(1 + m)) is log1p(-1.0) below m = 2^-53
         rows = math.log(_TAIL_FLOOR) / -math.log1p(1.0 / m) if m > 0.0 else 0.0
@@ -246,29 +248,27 @@ def bs_coefficient(l: int, n: int, k: int, s: int, t: float) -> float:
     Contribution, for Fock inputs ``|l>`` (signal port) and ``|n>`` (noise
     port), to the amplitude of finding ``s`` photons in the transmitted port
     via the path where ``k`` signal photons are transmitted.  Zero whenever
-    a binomial constraint fails; indices above 20 switch to log-space
-    factorials to avoid overflow.
+    a binomial constraint fails.  Every term is formed in log space, so
+    neither its factorials nor its binomials overflow at any photon number.
     """
     l, n, k, s = (_fock_index(f"index {name}", value)
                   for name, value in (("l", l), ("n", n), ("k", k), ("s", s)))
     t = check_range("transmittance", t, 0.0, 1.0)
     if k > l or k > s or s - k > n:
         return 0.0
-    # k <= min(l, s) and s - k <= n imply s <= l + n, so l + n - s >= 0 here.
-    if max(l, n, s) <= _EXACT_LIMIT:
-        mag = math.sqrt(
-            math.factorial(s) * math.factorial(l + n - s)
-            / (math.factorial(l) * math.factorial(n))
-        ) * math.comb(l, k) * math.comb(n, s - k)
-    else:
-        log_mag = (
-            0.5 * (_lgf(s) + _lgf(l + n - s) - _lgf(l) - _lgf(n))
-            + _log_comb(l, k)
-            + _log_comb(n, s - k)
-        )
-        mag = math.exp(log_mag)
+    # k <= min(l, s) and s - k <= n: l + n - s and a, b (twice the powers of 1 - t, t) are >= 0
+    a, b = l + s - 2 * k, n + 2 * k - s
+    if (a and t == 1.0) or (b and t == 0.0):
+        return 0.0
+    log_amp = (
+        0.5 * (_lgf(s) + _lgf(l + n - s) - _lgf(l) - _lgf(n))
+        + _log_comb(l, k)
+        + _log_comb(n, s - k)
+        + (0.5 * a * math.log1p(-t) if a else 0.0)
+        + (0.5 * b * math.log(t) if b else 0.0)
+    )
     sign = -1.0 if (s - k) % 2 else 1.0
-    return sign * mag * (1.0 - t) ** (0.5 * (l + s - 2 * k)) * t ** (0.5 * (n + 2 * k - s))
+    return sign * math.exp(log_amp)
 
 
 def photocount_pmf(l: int, nbar: float, t: float) -> PhotocountDistribution:

@@ -89,12 +89,10 @@ class ScanConfig:
         if not isinstance(self.detector, DetectorModel):
             raise DomainError(f"detector must be a DetectorModel, got {self.detector!r}")
         object.__setattr__(self, "p", check_range("Werner weight", self.p, 0.0, 1.0))
-        grid = tuple(float(t) for t in self.t_grid)
+        grid = tuple(check_range("t_grid value", t, 0.0, 1.0) for t in self.t_grid)
         object.__setattr__(self, "t_grid", grid)
         if not grid:
             raise DomainError("t_grid must not be empty")
-        for bad in (t for t in grid if not 0.0 <= t <= 1.0):  # NaN included
-            check_range("t_grid value", bad, 0.0, 1.0)  # raises on the first
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("t_grid must be strictly increasing")
         object.__setattr__(self, "nu_cap", check_range("nu_cap", self.nu_cap, 0.0, open_lo=True))

@@ -5,6 +5,7 @@ import random
 import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,6 +307,16 @@ class TestNoiseAndDetectorFactors:
             assert fields.margin[k] == out.witness.margin
             assert fields.q[k] == out.q
 
+    @pytest.mark.parametrize("m", [1e-15, 1e-12, 0.3])
+    def test_no_click_ratio_exact_near_unit_coupling(self, m):
+        # (1 - t + m)/(1 + m) at t 3 ulps below 1: 1 - t is exact, so three roundings
+        # bound the error; 1 - t/(1 + m) by subtraction is 4e11 and 6e14 ulps off at
+        # the two small m
+        t = 1.0 - 3 * 2.0**-53
+        exact = (1 - Fraction(t) + Fraction(m)) / (1 + Fraction(m))
+        got = channels._no_click_ratio(t, m)
+        assert abs(Fraction(got) - exact) <= 3 * 2.0**-53 * exact
+
     def test_thermal_pnrd_scalar_equals_arrays(self):
         # N is squared as n * n: ``** 2`` on a float is libm pow, which rounds
         # this point's Q one ulp away from the array model's exact square
@@ -495,6 +506,17 @@ class TestOneDecision:
                     assert out.q.hex() == q.hex()  # NaN equals NaN
         # the rows where 1 stands in for N, and where the floor is 0
         assert zero_norms > 0 and zero_scales > 0
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 1e-10])
+    def test_norm_at_the_floor_is_defined(self, scale):
+        # N equal to floor scale^2 counts as defined, one float below it does not
+        floor = _COINCIDENCE_FLOOR * (scale * scale)
+        for kind in DetectorKind:
+            for norm, defined in ((floor, True), (math.nextafter(floor, 0.0), False)):
+                point = (0.5, 0.25, norm, 0.25 * norm, scale)
+                assert _assessment(kind, *point).coincidence_defined is defined
+                fields = channels._decide(kind, *map(np.array, point))[0]
+                assert fields.defined.tolist() is defined
 
 
 class TestCrossModelConsistency:

@@ -249,6 +249,30 @@ class TestConfigLayering:
         assert code == 2
         assert err == f"error: --config {config}: line 3 is not key=value\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--preset", "fig4", "--T", "0.5", "--nu", "0.1"],
+        ["scan", "--preset", "fig4", "--out", "curve.csv"],
+        ["pmf", "--l", "1", "--nbar", "0.5", "--T", "0.7"],
+    ], ids=["eval", "scan", "pmf"])
+    def test_file_not_utf8_named(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "bad.conf"
+        config.write_bytes(b"eta=0.5\n\xff\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --config {config}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_byte_order_mark_dropped(self, capsys, tmp_path):
+        # read as part of the first key, it hid that key: eta stayed the preset's 0.7
+        config = tmp_path / "bom.conf"
+        config.write_bytes(b"\xef\xbb\xbfeta=0.5\n")
+        code, out, _ = run_cli(capsys, "eval", "--preset", "fig4", "--config", str(config),
+                               "--T", "0.5", "--nu", "0.1")
+        assert code == 0
+        assert json.loads(out)["manifest"]["parameters"]["eta"] == 0.5
+
     def test_file_satisfies_fig5_detector_numbers(self, capsys, tmp_path):
         config = self.write(tmp_path, "eta=0.7\ndark=0.001\n")
         code, out, _ = run_cli(capsys, "eval", "--preset", "fig5", "--config", config,
@@ -824,10 +848,11 @@ def config_files(tmp_path_factory):
         "odd": "preset=fig3\ncommand=pmf\nhandler=x\nformat=xml\nl=2\nunknown=1\n",
         "bad-noise": "noise=foo\n",  # read as given; main names the flag and its choices
         "bad-detector": "detector=foo\n",
+        "not-utf8": b"eta=0.5\n\xff\n",
         "bad": "eta=abc\n",
     }
     for name, text in texts.items():
-        (folder / name).write_text(text)
+        (folder / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     return [str(folder / name) for name in [*texts, "missing"]]
 
 
@@ -915,8 +940,8 @@ class TestReader:
 
     def test_declines_failed_layer(self, config_files):
         # an uncastable file value or an unreadable file is argparse's, or main's, to report
-        *_, bad, missing = config_files
-        for config in (bad, missing):
+        *_, not_utf8, bad, missing = config_files
+        for config in (not_utf8, bad, missing):
             assert qkdng.cli._read(["eval", "--config", config, "--T", "0.5"]) is None
 
     def test_goldens_without_argparse(self, capsys, tmp_path, monkeypatch):
@@ -960,6 +985,7 @@ class TestFuzz:
         "odd": "preset=fig3\ncommand=pmf\nhandler=x\nformat=xml\nl=2\nunknown=1\n",
         "bad": "eta=abc\nT=nan\n",
         "not-key-value": "eta=0.5\njust words\n",
+        "not-utf8": b"eta=0.5\n\xff\n",
     }
     ODD = ["-h", "--version", "--", "--eta=0.5", "--bogus", "--pre", "eval"]
 
@@ -985,7 +1011,8 @@ class TestFuzz:
         monkeypatch.chdir(tmp_path)
         configs = [str(tmp_path / "missing.conf")]
         for name, text in self.CONFIGS.items():
-            (tmp_path / f"{name}.conf").write_text(text)
+            data = text if isinstance(text, bytes) else text.encode()
+            (tmp_path / f"{name}.conf").write_bytes(data)
             configs.append(str(tmp_path / f"{name}.conf"))
         rng = random.Random(2025)
         codes = collections.Counter()

@@ -103,6 +103,27 @@ class TestRateDI:
         assert rates.di == 0.0
 
 
+class TestScoreSlack:
+    """A score up to S_MAX + 1e-9 is round-off that every rate admits; beyond, none does."""
+
+    def test_admitted_score_gives_defined_rates(self):
+        s = S_MAX + 5e-10
+        rate, defined = dw_rate_di(0.0, s)
+        assert defined and math.isfinite(rate)
+        rates = key_rates(0.0, s)
+        assert rates.di_defined and math.isfinite(rates.bb84) and math.isfinite(rates.di)
+        assert math.isfinite(dw_rate_bb84(0.0, s))
+
+    @pytest.mark.parametrize("rate", [dw_rate_bb84, dw_rate_di, key_rates])
+    def test_score_beyond_slack_rejected(self, rate):
+        with pytest.raises(DomainError, match="^CHSH score"):
+            rate(0.0, S_MAX + 2e-9)
+
+    def test_phase_beyond_slack_rejected(self):
+        with pytest.raises(DomainError, match="^phase-error entropy argument"):
+            dw_rate_bb84(1e-9, S_MAX)  # phase argument 1 + 1e-9
+
+
 class TestThresholds:
     def test_bb84(self):
         assert security_threshold("bb84") == pytest.approx(0.110028, abs=5e-4)

@@ -129,9 +129,37 @@ class TestBsCoefficient:
                 total += amp * amp
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
+    def test_terms_match_exact_rationals(self, t):
+        # a term squared is s!(l+n-s)!/(l!n!) C(l,k)^2 C(n,s-k)^2 (1-t)^(l+s-2k) t^(n+2k-s),
+        # rational for these t; its sign is (-1)^(s-k).  n runs past 20! in the magnitude
+        exact_t = Fraction(t)
+        for l in range(4):
+            for n in range(25):
+                for s in range(l + n + 1):
+                    for k in range(min(l, s) + 1):
+                        term = bs_coefficient(l, n, k, s, t)
+                        want = 0 if s - k > n else (
+                            Fraction(math.factorial(s) * math.factorial(l + n - s),
+                                     math.factorial(l) * math.factorial(n))
+                            * (math.comb(l, k) * math.comb(n, s - k)) ** 2
+                            * (1 - exact_t) ** (l + s - 2 * k) * exact_t ** (n + 2 * k - s))
+                        if want == 0:
+                            assert term == 0.0, (l, n, k, s)
+                        else:
+                            assert abs(Fraction(term) ** 2 / want - 1) <= 1e-13, (l, n, k, s)
+                            assert math.copysign(1.0, term) == (-1) ** (s - k), (l, n, k, s)
+
+    @pytest.mark.parametrize("n", [3000, 10000])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_unitarity_at_thousands_of_photons(self, l, n):
+        # the magnitudes alone reach sqrt(C(n, n/2)) C(n, n/2), far above the largest double
+        total = math.fsum(amplitude_sq(l, n, s, 0.35) for s in range(l + n + 1))
+        assert total == pytest.approx(1.0, abs=1e-10)
+
     def test_log_space_matches_exact_scaling(self):
-        # n=40 forces the lgamma path; the analytic l=0 amplitude is a
-        # binomial factor, so the squared k-sum must reproduce it
+        # the analytic l=0 amplitude at n=40 is a binomial factor, so the
+        # squared k-sum must reproduce it
         n, t = 40, 0.6
         for s in (0, 5, 17, 40):
             amp = bs_coefficient(0, n, 0, s, t)
@@ -283,6 +311,20 @@ class TestPhotocountPmf:
         pmf = photocount_pmf(np.int64(2), 0.1, 0.5)
         assert type(pmf.incident_l) is int
         assert np.array_equal(pmf.probs, photocount_pmf(2, 0.1, 0.5).probs)
+
+    @pytest.mark.parametrize("fields,what", [
+        ((1, 0.5, math.inf), "thermal mean m"),  # once a ZeroDivisionError
+        ((1, 2.0, -0.5), "transmittance"),       # once a table of -6 and 22
+        ((1, 0.5, -0.1), "thermal mean m"),
+        ((1.5, 0.5, 0.5), "incident Fock number"),
+        ((-1, 0.5, 0.5), "incident Fock number"),
+    ])
+    def test_record_built_by_hand_checked_where_tabulated(self, fields, what):
+        # NaN fields, which once tabulated without end, are tests/test_process.py's
+        pmf = PhotocountDistribution(*fields)
+        for read in ("probs", "truncation_tail"):
+            with pytest.raises(DomainError, match=f"^{what}"):
+                getattr(pmf, read)
 
 
 class TestSpadWeights:

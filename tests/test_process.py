@@ -1,5 +1,5 @@
 """Behaviour seen only from a fresh interpreter: exit, the module entry point,
-searches that must end and a scan's peak memory.
+searches and tables that must end and a scan's peak memory.
 
 Each test starts ``python`` with ``src`` on ``PYTHONPATH``.  A search that
 never ends is caught by the subprocess timeout instead of hanging the suite.
@@ -37,6 +37,22 @@ RSS_PROBE = (
     "import resource, subprocess, sys\n"
     "code = subprocess.call([sys.executable, *sys.argv[1:]])\n"
     "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+
+
+# tabulates a photocount record built by hand from fields photocount_pmf refuses; one
+# BLAS thread keeps the data segment small, and its limit stops a table that grows
+# without end within seconds, before it fills the machine's memory
+TABLE_PROBE = (
+    "import os, resource\n"
+    "os.environ.update(OPENBLAS_NUM_THREADS='1', OMP_NUM_THREADS='1')\n"
+    "from qkdng.photodetection import PhotocountDistribution\n"
+    "hard = resource.getrlimit(resource.RLIMIT_DATA)[1]\n"
+    "resource.setrlimit(resource.RLIMIT_DATA, (1 << 29, hard))\n"
+    "try:\n"
+    "    PhotocountDistribution({fields}).probs\n"
+    "except ValueError as exc:\n"
+    "    print(type(exc).__name__, exc)\n"
 )
 
 
@@ -144,6 +160,15 @@ class TestBisectionEnds:
                             f"print(repr(security_threshold({protocol!r}, tol=1e-20)))")
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) in (q_star, math.nextafter(q_star, 1.0))
+
+
+@pytest.mark.parametrize("fields,what", [
+    ("1, float('nan'), 0.5", "transmittance"), ("1, 0.5, float('nan')", "thermal mean m"),
+])
+def test_nan_record_refused_not_tabulated(fields, what):
+    proc = python("-c", TABLE_PROBE.format(fields=fields))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"DomainError {what} must be finite"), proc.stdout
 
 
 class TestScanMemory:

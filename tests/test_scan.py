@@ -613,11 +613,13 @@ class TestScanConfigValidation:
         with pytest.raises(DomainError):
             thermal_config(t_grid=(0.5, 1.4))
 
-    @pytest.mark.parametrize("bad", [1.4, math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("bad", [1.4, math.nan, math.inf, -0.1, "x", None, 1j])
     def test_grid_range_names_first_bad_value(self, bad):
-        # the first bad value is named, not the later 2.0
+        # the first bad value is named, not the later 2.0, also through max_noise
         with pytest.raises(DomainError, match=rf"^t_grid value .*got {bad!r}$"):
             thermal_config(t_grid=(0.5, bad, 2.0))
+        with pytest.raises(DomainError, match=rf"^t_grid value .*got {bad!r}$"):
+            max_noise(Criterion.BB84, bad, thermal_config())
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
