@@ -32,6 +32,7 @@ from those columns only when something asks for them.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -69,6 +70,16 @@ class RegionLabel(str, Enum):
 ALL_CRITERIA = (Criterion.NONGAUSS, Criterion.BB84, Criterion.DI)
 PROTOCOLS = (Criterion.BB84, Criterion.DI)
 Q_STAR = {Criterion.BB84: Q_STAR_BB84, Criterion.DI: Q_STAR_DI}
+_REGIONS = {(True, True): RegionLabel.SECURE_AND_NONGAUSS, (True, False): RegionLabel.SECURE_ONLY,
+            (False, True): RegionLabel.NONGAUSS_ONLY, (False, False): RegionLabel.NEITHER}
+
+
+def _items(name: str, what: str, value) -> tuple:
+    """``value``'s items; a string, bytes or a non-iterable raise one ``DomainError``."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        with suppress(TypeError):
+            return tuple(value)
+    raise DomainError(f"{name} must be a sequence of {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,8 @@ class ScanConfig:
         if not isinstance(self.detector, DetectorModel):
             raise DomainError(f"detector must be a DetectorModel, got {self.detector!r}")
         object.__setattr__(self, "p", check_range("Werner weight", self.p, 0.0, 1.0))
-        grid = tuple(check_range("t_grid value", t, 0.0, 1.0) for t in self.t_grid)
+        grid = tuple(check_range("t_grid value", t, 0.0, 1.0)
+                     for t in _items("t_grid", "transmittances", self.t_grid))
         object.__setattr__(self, "t_grid", grid)
         if not grid:
             raise DomainError("t_grid must not be empty")
@@ -97,9 +109,8 @@ class ScanConfig:
             raise DomainError("t_grid must be strictly increasing")
         object.__setattr__(self, "nu_cap", check_range("nu_cap", self.nu_cap, 0.0, open_lo=True))
         object.__setattr__(self, "tol", check_range("tol", self.tol, 0.0, open_lo=True))
-        if isinstance(self.criteria, str):
-            raise DomainError(f"criteria must be a sequence of criteria, got {self.criteria!r}")
-        criteria = tuple(check_choice("criterion", Criterion, c) for c in self.criteria)
+        criteria = tuple(check_choice("criterion", Criterion, c)
+                         for c in _items("criteria", "criteria", self.criteria))
         object.__setattr__(self, "criteria", criteria)
         if not criteria or len(set(criteria)) != len(criteria):
             raise DomainError("criteria must be a nonempty set without duplicates")
@@ -289,22 +300,10 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
 
 
 def classify_assessment(assessment: LinkAssessment) -> dict[Criterion, RegionLabel]:
-    """Region label per protocol, decided by the sweep's rule on the point."""
+    """Region label per protocol: ``_REGIONS[secure, nongauss]``, each by the sweep's rule."""
     fields = (assessment.coincidence_defined, assessment.witness.margin, assessment.q)
     nongauss = _holds(Criterion.NONGAUSS, *fields)
-    labels: dict[Criterion, RegionLabel] = {}
-    for protocol in PROTOCOLS:
-        secure = _holds(protocol, *fields)
-        if secure and nongauss:
-            label = RegionLabel.SECURE_AND_NONGAUSS
-        elif secure:
-            label = RegionLabel.SECURE_ONLY
-        elif nongauss:
-            label = RegionLabel.NONGAUSS_ONLY
-        else:
-            label = RegionLabel.NEITHER
-        labels[protocol] = label
-    return labels
+    return {protocol: _REGIONS[_holds(protocol, *fields), nongauss] for protocol in PROTOCOLS}
 
 
 def classify(t: float, nu: float, config: ScanConfig) -> dict[Criterion, RegionLabel]:

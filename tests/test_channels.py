@@ -277,7 +277,7 @@ class TestAssessDispatch:
             q, p_s, p_e = oracle(t, nbar, p, det)
             assert out.coincidence_defined
             assert out.q == pytest.approx(q, abs=1e-12)
-            assert out.stats.p_s == pytest.approx(p_s, rel=1e-12)
+            assert out.stats.p_s == pytest.approx(p_s, rel=1e-14, abs=0.0)
             assert out.stats.p_e == pytest.approx(p_e, rel=1e-9, abs=1e-15)
             assert out.witness.margin == pytest.approx(p_s - threshold(p_e), abs=1e-12)
 

@@ -183,3 +183,28 @@ def test_noise_root_separates_secure_from_insecure(statistics, kind, criterion, 
     assume(indicator(criterion, t, 0.0, config) and 0.0 < root < config.nu_cap)
     assert indicator(criterion, t, root * (1.0 - 1e-6), config)
     assert not indicator(criterion, t, root * (1.0 + 1e-6), config)
+
+
+@pytest.mark.parametrize(*PAIRINGS)
+@EXAMPLES
+# a subnormal eta loses bits in t eta, far more than rounding elsewhere
+@given(etas=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=2, max_size=2),
+       darks=st.lists(dark, min_size=2, max_size=2), p=st.floats(0.8, 1.0))
+def test_noise_root_falls_with_dark_counts_and_rises_with_efficiency(statistics, kind, etas,
+                                                                    darks, p):
+    # where a bracket is open (root > 0) the worse detector's root is the smaller,
+    # up to rounding: with no dark counts the root hardly depends on a tiny eta
+    t = np.linspace(0.0, 1.0, 201)
+    (eta, more_eta), (d, more_d) = sorted(etas), sorted(darks)
+    for q_star in Q_STAR.values():
+        def root(eta, d):
+            return noise_root(statistics, t, q_star, p, DetectorModel(kind, eta=eta, dark=d))
+        base, darker, keener = root(eta, d), root(eta, more_d), root(more_eta, d)
+        assert not ((darker > 0.0) & (base < darker * (1.0 - 1e-12))).any()
+        assert not ((base > 0.0) & (keener < base * (1.0 - 1e-12))).any()
+        if statistics is NoiseStatistics.POISSON:
+            # Q depends on the dark and noise counts only through d_eff = eta (1-T) nu + dark
+            per_nu = eta * (1.0 - t)
+            open_ = (base > 0.0) & (darker > 0.0) & np.isfinite(base) & np.isfinite(darker)
+            assert per_nu[open_] * darker[open_] + more_d == pytest.approx(
+                per_nu[open_] * base[open_] + d, rel=1e-14, abs=0.0)

@@ -6,7 +6,7 @@ import pytest
 import qkdng.scan
 from qkdng.channels import LinkFields, NoiseStatistics
 from qkdng.errors import DomainError
-from qkdng.keyrates import Q_STAR_BB84, bell_from_qber, key_rates
+from qkdng.keyrates import Q_STAR_BB84, Q_STAR_DI, bell_from_qber, key_rates
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import (
     ALL_CRITERIA,
@@ -603,6 +603,20 @@ class TestClassify:
         point = assess_point(thermal_config(), 1.0, 0.01)._replace(q=q, s=s, rates=key_rates(q, s))
         assert classify_assessment(point)[Criterion.BB84] is RegionLabel.NONGAUSS_ONLY
 
+    @pytest.mark.parametrize("t, nu, det, witness, bb84, di", [
+        (1.0, 0.01, PERFECT_PNRD, True, RegionLabel.SECURE_AND_NONGAUSS, RegionLabel.NONGAUSS_ONLY),
+        (0.05, 0.0, LOSSY_PNRD, False, RegionLabel.SECURE_ONLY, RegionLabel.NEITHER),
+    ], ids=["witness-passes", "witness-fails"])
+    def test_protocols_differ_between_the_two_q_stars(self, t, nu, det, witness, bb84, di):
+        # Q*_DI < q <= Q*_BB84: one point is secure for BB84 and not for DI
+        q = 0.09
+        s = bell_from_qber(q)
+        assert Q_STAR_DI < q <= Q_STAR_BB84
+        point = assess_point(thermal_config(det=det), t, nu)
+        point = point._replace(q=q, s=s, rates=key_rates(q, s))
+        assert point.witness.passed is witness
+        assert classify_assessment(point) == {Criterion.BB84: bb84, Criterion.DI: di}
+
 
 class TestScanConfigValidation:
     def test_grid_must_increase(self):
@@ -620,6 +634,13 @@ class TestScanConfigValidation:
             thermal_config(t_grid=(0.5, bad, 2.0))
         with pytest.raises(DomainError, match=rf"^t_grid value .*got {bad!r}$"):
             max_noise(Criterion.BB84, bad, thermal_config())
+
+    @pytest.mark.parametrize("grid", [0.5, None, "0.5", b"0.5"],
+                             ids=["float", "none", "str", "bytes"])
+    def test_grid_must_be_a_sequence_of_numbers(self, grid):
+        # not a bare TypeError, and a string is not read one character at a time
+        with pytest.raises(DomainError, match=rf"^t_grid must be a sequence .*got {grid!r}$"):
+            thermal_config(t_grid=grid)
 
     def test_empty_grid(self):
         with pytest.raises(DomainError):
