@@ -17,9 +17,11 @@ alike; ``photodetection._elementary`` picks their exp and sqrt.
 ``_detector_input`` also hands ``_counts`` the dark counts: a thermal point
 reads the detector's own, worked out once; Poisson noise joins them, so a
 Poisson point works them out there, at its d_eff.
-The scalar models (``thermal_observables``, ``poisson_observables``) and the
-sweep's ``link_fields`` take their decision from one elementwise body,
-``_decide``: it clamps the terms, tests the coincidence floor and forms Q.
+``assess`` (one point, mapping the noise once) and ``link_fields`` (the
+sweep's arrays) are the two faces of the one model; ``thermal_observables``
+and ``poisson_observables`` only check the statistics and return ``assess``.
+Both faces take their decision from one elementwise body, ``_decide``: it
+clamps the terms, tests the coincidence floor and forms Q.
 ``_assessment`` makes a point's ``LinkAssessment`` of it and checks nothing
 again: the cores it calls (``witness_margin``, ``_bb84``, ``_di``) are
 unchecked, and their public wrappers check their inputs.
@@ -204,34 +206,34 @@ def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssess
     return LinkAssessment(q, s, KeyRates(_bb84(q, s), *_di(q, s)), stats, verdict, True)
 
 
+def assess(cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel) -> LinkAssessment:
+    """Q, S, key rates and witness statistics at one point: the scalar link model."""
+    t_eta, m, dark, dark_counts = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
+    if noise.statistics is NoiseStatistics.THERMAL:
+        # stays only while bench/test_smoke.py pins two photocount_pmf calls per thermal point
+        counts = (*(detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), det) for l in (0, 1)),
+                  _no_click_ratio(t_eta, m))
+    else:
+        counts = _counts(t_eta, m, dark, dark_counts)
+    return _assessment(det.kind, *_terms(det.kind, *counts, cfg.p))
+
+
 def thermal_observables(
     cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel
 ) -> LinkAssessment:
-    """Q, S, key rates and witness statistics for single-mode thermal noise.
-
-    The counts are those of ``detect_pmf``, which a SPAD reads coarser; the
-    terms those of ``_terms``.
-    """
+    """``assess`` for single-mode thermal noise only."""
     if noise.statistics is not NoiseStatistics.THERMAL:
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
-    empty, occupied = (detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), det) for l in (0, 1))
-    t_eta, m, *_ = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
-    terms = _terms(det.kind, empty, occupied, _no_click_ratio(t_eta, m), cfg.p)
-    return _assessment(det.kind, *terms)
+    return assess(cfg, noise, det)
 
 
 def poisson_observables(
     cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel
 ) -> LinkAssessment:
-    """Q, S, key rates and witness statistics for Poissonian noise.
-
-    The counts are those of ``_counts`` at ``_detector_input``, with no
-    thermal mode; the terms those of ``_terms``.
-    """
+    """``assess`` for Poissonian noise only."""
     if noise.statistics is not NoiseStatistics.POISSON:
         raise ConfigurationError("poisson_observables requires poisson noise statistics")
-    counts = _counts(*_detector_input(noise.statistics, cfg.t, noise.nbar, det))
-    return _assessment(det.kind, *_terms(det.kind, *counts, cfg.p))
+    return assess(cfg, noise, det)
 
 
 def link_fields(statistics: NoiseStatistics, t, nu, p: float, det: DetectorModel) -> LinkFields:
@@ -282,9 +284,3 @@ def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: Det
         m = -2.0 * c / (b + np.sqrt(b * b - 4.0 * (1.0 + d) * c))
         return m / per_nu
 
-
-def assess(cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel) -> LinkAssessment:
-    """Dispatch to the noise factor matching the noise statistics."""
-    if noise.statistics is NoiseStatistics.THERMAL:
-        return thermal_observables(cfg, noise, det)
-    return poisson_observables(cfg, noise, det)

@@ -32,7 +32,7 @@ from .channels import (
     NoiseStatistics,
     assess,
 )
-from .errors import ConfigurationError, DomainError, check_choice, check_range
+from .errors import ConfigurationError, DomainError, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
 from .scan import (
     ALL_CRITERIA, BoundaryCurve, Criterion, ScanConfig, classify_assessment, sweep,
@@ -92,12 +92,10 @@ def _criteria(text: str) -> tuple[Criterion, ...]:
 
 
 def _detector(args: SimpleNamespace) -> DetectorModel:
-    """The detector the channel flags describe, after checking --p and --noise."""
+    """The detector the channel flags describe, after checking --p."""
     check_range("--p", args.p, 0.0, 1.0)
-    check_choice("--noise", NoiseStatistics, args.noise)  # a --config value skips the choices
-    kind = check_choice("--detector", DetectorKind, args.detector)
     try:
-        return DetectorModel(kind=kind, eta=args.eta, dark=args.dark)
+        return DetectorModel(kind=args.detector, eta=args.eta, dark=args.dark)
     except DomainError as exc:
         raise ConfigurationError(f"--eta/--dark: {exc}") from exc
 
@@ -215,8 +213,6 @@ def _json_lines(
 def _cmd_scan(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     detector = _detector(args)
-    if args.format not in _FORMATS:  # a --config value skips the flag's choices
-        raise ConfigurationError(f"--format must be csv or json, got {args.format}")
     if args.t_points < 1:
         raise ConfigurationError(f"--t-points must be at least 1, got {args.t_points}")
     check_range("--t-min", args.t_min, 0.0, 1.0)
@@ -448,6 +444,11 @@ def main(argv: list[str] | None = None) -> int:
                    if v is None and k not in _DISPATCH]
         if missing:
             raise ConfigurationError(f"missing required flag {', '.join(missing)}")
+        for flag, kwargs in _COMMANDS[args.command][2]:  # file values skip argparse's choices
+            choices, value = kwargs.get("choices"), getattr(args, _dest(flag))
+            if choices and value is not None and value not in choices:
+                raise ConfigurationError(
+                    f"{flag} must be one of {', '.join(choices)}, got {value!r}")
         return args.handler(args)
     except (DomainError, ConfigurationError, MemoryError) as exc:
         # MemoryError: a grid too large to allocate; a bare one has no message

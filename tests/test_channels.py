@@ -477,6 +477,31 @@ class TestEdgeGrid:
                     assert (out.q <= q_star) == (fields.q[i, j] <= q_star)
 
 
+class TestOneScalarModel:
+    """``assess`` holds the one body of the scalar model: the statistics checks only delegate."""
+
+    @staticmethod
+    def records():
+        grid = TestEdgeGrid
+        return tuple(
+            assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu),
+                   DetectorModel(kind, eta=eta, dark=dark))
+            for statistics, kind in itertools.product(NoiseStatistics, DetectorKind)
+            for t, eta, dark, nu, p in itertools.product(grid.TS, grid.ETAS, grid.DARKS,
+                                                          grid.NUS, (0.0, 1.0))
+        )
+
+    def test_assess_calls_neither_statistics_check(self, monkeypatch):
+        want = self.records()
+
+        def refuse(*args):
+            raise AssertionError("assess delegated to a statistics check")
+
+        for name in ("thermal_observables", "poisson_observables"):
+            monkeypatch.setattr(channels, name, refuse)
+        assert_identical(self.records(), want)
+
+
 class TestOneDecision:
     """``_assessment`` and ``link_fields`` take one decision from the same terms, bit for bit.
 

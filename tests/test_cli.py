@@ -467,11 +467,12 @@ class TestScan:
     def test_unknown_format_from_config_rejected(self, capsys, tmp_path):
         out, config = tmp_path / "curve.xml", tmp_path / "run.conf"
         config.write_text("format=xml\n")
-        code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--config", str(config),
-                               "--out", str(out))
+        code, stdout, err = run_cli(capsys, "scan", "--preset", "fig3", "--config", str(config),
+                                    "--out", str(out))
         assert code == 2
-        assert err.startswith("error:") and "--format" in err
-        assert not out.exists()
+        assert err == "error: --format must be one of csv, json, got 'xml'\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_manifest_diagnostics(self, capsys, tmp_path):
         out = tmp_path / "diag.csv"

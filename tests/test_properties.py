@@ -37,7 +37,7 @@ from qkdng.channels import (
 )
 from qkdng.keyrates import S_MAX, bell_from_qber, key_rates
 from qkdng.photodetection import DetectorKind, DetectorModel
-from qkdng.scan import PROTOCOLS, Q_STAR, Criterion, ScanConfig, _holds, indicator
+from qkdng.scan import PROTOCOLS, Q_STAR, Criterion, ScanConfig, _holds, indicator, sweep
 from qkdng.witness import CoincidenceStats
 
 PAIRINGS = ("statistics, kind", [
@@ -208,3 +208,29 @@ def test_noise_root_falls_with_dark_counts_and_rises_with_efficiency(statistics,
             open_ = (base > 0.0) & (darker > 0.0) & np.isfinite(base) & np.isfinite(darker)
             assert per_nu[open_] * darker[open_] + more_d == pytest.approx(
                 per_nu[open_] * base[open_] + d, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(*PAIRINGS)
+@EXAMPLES
+@given(etas=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=2, max_size=2),
+       darks=st.lists(dark, min_size=2, max_size=2))
+def test_witness_boundary_falls_with_dark_counts_and_rises_with_efficiency(statistics, kind,
+                                                                          etas, darks):
+    # on rows the sweep neither capped, left undefined nor flagged, the worse
+    # detector's witness boundary lies above the better one's by at most 2 tol
+    (eta, more_eta), (d, more_d) = sorted(etas), sorted(darks)
+    tol = ScanConfig.tol
+
+    def boundary(eta, d):
+        config = ScanConfig(t_grid=np.linspace(0.0, 1.0, 51).tolist(), statistics=statistics,
+                            detector=DetectorModel(kind, eta=eta, dark=d),
+                            criteria=(Criterion.NONGAUSS,))
+        return [None if capped or undefined or warning else nu_star for nu_star, capped,
+                undefined, warning in zip(*sweep(config).column(Criterion.NONGAUSS))]
+
+    base, darker, keener = boundary(eta, d), boundary(eta, more_d), boundary(more_eta, d)
+    for b, dk, k in zip(base, darker, keener):
+        if b is not None and dk is not None:
+            assert dk <= b + 2.0 * tol
+        if b is not None and k is not None:
+            assert k >= b - 2.0 * tol
