@@ -16,7 +16,6 @@ import json
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -32,7 +31,7 @@ from .channels import (
     NoiseStatistics,
     assess,
 )
-from .errors import ConfigurationError, DomainError, check_range
+from .errors import ConfigurationError, DomainError, check_increasing, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
 from .scan import (
     ALL_CRITERIA, BoundaryCurve, Criterion, ScanConfig, classify_assessment, sweep,
@@ -148,18 +147,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _sweeps(config: ScanConfig, diagnostics: dict) -> Iterator[BoundaryCurve]:
-    """``sweep`` over ``CHUNK_T`` grid transmittances at a time, each chunk tallied.
+def _sweeps(configs: list[ScanConfig], diagnostics: dict) -> Iterator[BoundaryCurve]:
+    """``sweep`` over the chunks' configs in turn, each curve tallied from its columns.
 
     Every T is independent, so the chunks give the whole grid's boundaries;
     ``diagnostics`` sums their search cost, outcome counts and sweep time.
     """
-    grid = config.t_grid
-    for i in range(0, len(grid), CHUNK_T):
+    for config in configs:
         started = time.perf_counter()
-        # a one-chunk grid is swept as validated; replace re-checks every slice
-        chunk = config if len(grid) <= CHUNK_T else replace(config, t_grid=grid[i:i + CHUNK_T])
-        curve = sweep(chunk)
+        curve = sweep(config)
         diagnostics["phase_s"]["sweep"] += time.perf_counter() - started
         diagnostics["sweeps"] += 1
         diagnostics["bisection_steps"] = max(diagnostics["bisection_steps"], curve.bisection_steps)
@@ -217,16 +213,13 @@ def _cmd_scan(args: SimpleNamespace) -> int:
         raise ConfigurationError(f"--t-points must be at least 1, got {args.t_points}")
     check_range("--t-min", args.t_min, 0.0, 1.0)
     check_range("--t-max", args.t_max, 0.0, 1.0)  # a one-point grid never reaches t_max
-    try:
-        config = ScanConfig(
-            t_grid=np.linspace(args.t_min, args.t_max, args.t_points).tolist(),
-            statistics=args.noise,
-            detector=detector,
-            p=args.p,
-            nu_cap=args.nu_cap,
-            tol=args.tol,
-            criteria=args.criteria,
-        )
+    grid = np.linspace(args.t_min, args.t_max, args.t_points).tolist()
+    try:  # each chunk checks its own values; the order across chunks is checked here
+        configs = [ScanConfig(t_grid=grid[i:i + CHUNK_T], statistics=args.noise, detector=detector,
+                              p=args.p, nu_cap=args.nu_cap, tol=args.tol, criteria=args.criteria)
+                   for i in range(0, len(grid), CHUNK_T)]
+        check_increasing("t_grid", grid[CHUNK_T - 1::CHUNK_T], grid[CHUNK_T::CHUNK_T])
+        del grid  # the chunks hold its values: the list would add ~8 bytes a point
     except DomainError as exc:
         raise ConfigurationError(
             f"--t-min/--t-max/--t-points/--nu-cap/--tol/--criteria: {exc}"
@@ -235,8 +228,9 @@ def _cmd_scan(args: SimpleNamespace) -> int:
     diagnostics = {"sweeps": 0, "bisection_steps": 0, "evaluations": 0, "boundaries": 0,
                    "capped": 0, "undefined": 0, "monotone_warning": 0, "phase_s": phase_s,
                    "python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__}
-    curves = _sweeps(config, diagnostics)  # lazy: each chunk is swept as its rows are written
-    lines = _csv_lines(curves) if args.format == "csv" else _json_lines(config.criteria, curves)
+    curves = _sweeps(configs, diagnostics)  # lazy: each chunk is swept as its rows are written
+    criteria = configs[0].criteria
+    lines = _csv_lines(curves) if args.format == "csv" else _json_lines(criteria, curves)
     out = Path(args.out)
     writing = time.perf_counter()
     fh = out.open("w")
@@ -248,7 +242,7 @@ def _cmd_scan(args: SimpleNamespace) -> int:
         raise
     # the manifest's own write comes after, so it cannot time itself
     phase_s["write"] = time.perf_counter() - writing - phase_s["sweep"]
-    manifest = _manifest(args, effective_detector_mapping=DETECTOR_INPUT[config.statistics],
+    manifest = _manifest(args, effective_detector_mapping=DETECTOR_INPUT[configs[0].statistics],
                          out=str(out))
     manifest["diagnostics"] = diagnostics
     manifest_path = out.with_name(out.name + ".manifest.json")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the range and choice checks that raise them."""
+"""Exception types shared across the package, and the value checks that raise them."""
 
 import math
 from enum import Enum
@@ -33,6 +33,12 @@ def check_range(
         interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
         raise DomainError(f"{what} must be finite and lie in {interval}, got {value!r}")
     return value
+
+
+def check_increasing(what: str, lo, hi) -> None:
+    """Raise ``DomainError`` unless every value of ``hi`` exceeds the ``lo`` value beside it."""
+    if any(b <= a for a, b in zip(lo, hi)):
+        raise DomainError(f"{what} must be strictly increasing")
 
 
 def check_choice(what: str, choices: type[Enum], value) -> Enum:

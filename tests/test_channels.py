@@ -544,6 +544,38 @@ class TestOneDecision:
                 assert fields.defined.tolist() is defined
 
 
+class TestPoissonLastBit:
+    """Under Poisson noise ``assess`` and ``link_fields`` differ by at most 1e-15.
+
+    ``_dark_counts`` takes math's exp and expm1 on a point's float d_eff and
+    numpy's on the arrays, which may round apart in the last bit, so margin and
+    Q may differ there (2.2e-16 at most on this sample).  Every decision agrees
+    wherever the field it reads lies more than that band from its threshold.
+    """
+
+    BAND = 1e-15
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_points_decide_as_the_arrays_outside_the_band(self, kind):
+        rng = random.Random(2903)
+        for _ in range(3000):
+            t, nu = rng.random(), 10.0 ** rng.uniform(-4.0, 1.5)
+            eta, p = rng.random(), rng.random()
+            det = DetectorModel(kind, eta=eta, dark=10.0 ** rng.uniform(-6.0, -0.3))
+            a = assess(ChannelConfig(t=t, p=p), NoiseModel(NoiseStatistics.POISSON, nu), det)
+            fields = link_fields(NoiseStatistics.POISSON, np.array([t]), np.array([nu]), p, det)
+            defined, margin, q = (field.item() for field in fields)
+            assert a.coincidence_defined == defined
+            assert abs(a.witness.margin - margin) <= self.BAND
+            if abs(a.witness.margin) > self.BAND:
+                assert a.witness.passed == (margin > 0.0)
+            if defined:
+                assert abs(a.q - q) <= self.BAND
+                for q_star in (Q_STAR_BB84, Q_STAR_DI):
+                    if abs(a.q - q_star) > self.BAND:
+                        assert (a.q <= q_star) == (q <= q_star)
+
+
 class TestCrossModelConsistency:
     @pytest.mark.parametrize("t", [0.3, 0.55, 0.9])
     @pytest.mark.parametrize("p", [1.0, 0.92])

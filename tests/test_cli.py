@@ -731,11 +731,13 @@ class TestChunkedScan:
                 assert diag[outcome] == whole_diag[outcome]
             assert set(diag["phase_s"]) == {"resolve", "sweep", "write"}
 
-    @pytest.mark.parametrize("chunk,points,checks", [(None, 96, 1), (7, 50, 1 + 8)])
+    @pytest.mark.parametrize("chunk,points,checks", [
+        pytest.param(None, 96, [96], id="None-96-1"),
+        pytest.param(7, 50, [7] * 7 + [1], id="7-50-8"),
+    ])
     def test_grid_checked_once_per_chunk(self, capsys, tmp_path, monkeypatch, chunk, points,
                                          checks):
-        # a one-chunk grid is swept as the validated config; each slice of a larger one is
-        # a new ScanConfig, checked again
+        # one ScanConfig per chunk, whatever the grid's size: each value is checked once
         calls = []
         check = ScanConfig.__post_init__
 
@@ -749,7 +751,29 @@ class TestChunkedScan:
         code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--t-points", str(points),
                                "--out", str(tmp_path / "scan.csv"))
         assert code == 0, err
-        assert len(calls) == checks and calls[0] == points
+        assert calls == checks
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("drop", [7, 49])  # the first boundary, and the one-point last chunk
+    def test_order_across_chunks_checked_before_the_file_opens(self, capsys, tmp_path,
+                                                               monkeypatch, drop, fmt):
+        # each chunk of 7 rises, but the grid falls from index drop - 1 to drop
+        linspace = np.linspace
+
+        def fall_at_boundary(start, stop, num):
+            grid = linspace(start, stop, num)
+            grid[drop:] -= grid[drop] - 0.5 * grid[0]
+            return grid
+
+        monkeypatch.setattr(np, "linspace", fall_at_boundary)
+        monkeypatch.setattr(qkdng.cli, "CHUNK_T", 7)
+        out = tmp_path / f"scan.{fmt}"
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig4", "--t-points", "50",
+                               "--format", fmt, "--out", str(out))
+        assert code == 2
+        assert err == ("error: --t-min/--t-max/--t-points/--nu-cap/--tol/--criteria: "
+                       "t_grid must be strictly increasing\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_chunk_leaves_no_file(self, capsys, tmp_path, monkeypatch, fmt):
