@@ -69,7 +69,7 @@ def _detector_input(statistics: NoiseStatistics, t, nu, det: DetectorModel):
     at the largest float: past ~745 every d_eff gives e^-d_eff = 0.
     Unchecked and elementwise.
     """
-    if statistics is NoiseStatistics.THERMAL:
+    if statistics == NoiseStatistics.THERMAL:
         return t * det.eta, (1.0 - t) * nu * det.eta, det.dark, det._dark_probs
     added = det.eta * (1.0 - t) * nu  # at most nu, so finite; only the sum can overflow
     d_eff = det.dark + _elementary(added).minimum(added, sys.float_info.max - det.dark)
@@ -166,7 +166,7 @@ def _terms(kind: DetectorKind, empty, occupied, rho, p: float):
     """
     p00, p10, w0 = empty
     p01, p11, w1 = occupied
-    if kind is DetectorKind.PNRD:
+    if kind == DetectorKind.PNRD:
         n = p11 * p00 + p10 * p01
         norm = n * n  # not ** 2: on a float that is libm pow, on an array an exact square
         return p11 * p11, w1, norm, 4.0 * p * p11 * p00 * p01 * p10 + (1.0 - p) * norm, 1.0
@@ -209,7 +209,7 @@ def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssess
 def assess(cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel) -> LinkAssessment:
     """Q, S, key rates and witness statistics at one point: the scalar link model."""
     t_eta, m, dark, dark_counts = _detector_input(noise.statistics, cfg.t, noise.nbar, det)
-    if noise.statistics is NoiseStatistics.THERMAL:
+    if noise.statistics == NoiseStatistics.THERMAL:
         # stays only while bench/test_smoke.py pins two photocount_pmf calls per thermal point
         counts = (*(detect_pmf(photocount_pmf(l, noise.nbar, cfg.t), det) for l in (0, 1)),
                   _no_click_ratio(t_eta, m))
@@ -222,7 +222,7 @@ def thermal_observables(
     cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel
 ) -> LinkAssessment:
     """``assess`` for single-mode thermal noise only."""
-    if noise.statistics is not NoiseStatistics.THERMAL:
+    if noise.statistics != NoiseStatistics.THERMAL:
         raise ConfigurationError("thermal_observables requires thermal noise statistics")
     return assess(cfg, noise, det)
 
@@ -231,7 +231,7 @@ def poisson_observables(
     cfg: ChannelConfig, noise: NoiseModel, det: DetectorModel
 ) -> LinkAssessment:
     """``assess`` for Poissonian noise only."""
-    if noise.statistics is not NoiseStatistics.POISSON:
+    if noise.statistics != NoiseStatistics.POISSON:
         raise ConfigurationError("poisson_observables requires poisson noise statistics")
     return assess(cfg, noise, det)
 
@@ -261,9 +261,9 @@ def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: Det
     """
     t_e, d = t * det.eta, det.dark
     per_nu = det.eta * (1.0 - t)  # noise reaching the detector per unit nu
-    thermal = statistics is NoiseStatistics.THERMAL
+    thermal = statistics == NoiseStatistics.THERMAL
     with np.errstate(all="ignore"):
-        if det.kind is DetectorKind.SPAD:
+        if det.kind == DetectorKind.SPAD:
             k = math.sqrt(p / (1.0 - 2.0 * q_star))
             # thermal: 2 y^2 - (t_e (1 + K) + 2 e^-d) y + 2 e^-d t_e <= 0, y = 1 + m,
             # that is 2 m^2 + b m + c <= 0

@@ -13,11 +13,12 @@ from __future__ import annotations
 import atexit
 import gc
 import json
+import math
 import sys
 import time
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,16 +32,14 @@ from .channels import (
     NoiseStatistics,
     assess,
 )
-from .errors import ConfigurationError, DomainError, check_increasing, check_range
+from .errors import ConfigurationError, DomainError, check_range
 from .photodetection import DetectorKind, DetectorModel, photocount_pmf
 from .scan import (
     ALL_CRITERIA, BoundaryCurve, Criterion, ScanConfig, classify_assessment, sweep,
 )
 
 CSV_HEADER = "T,nu_nongauss,nu_bb84,nu_di,capped_nongauss,capped_bb84,capped_di"
-# grid transmittances swept and written at a time: a scan's memory does not grow
-# with the grid beyond the grid itself
-CHUNK_T = 4096
+CHUNK_T = 4096  # grid values made, swept and written at a time: scan memory stays bounded
 
 # presets bundle the channel recipes used for the headline boundary figures;
 # the poissonian recipe does not fix detector imperfections, so fig5 leaves
@@ -143,11 +142,13 @@ def _cmd_eval(args: SimpleNamespace) -> int:
     return 0
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _chunk(t_min: float, step: float, t_max: float, n: int, start: int) -> list[float]:
+    """``np.linspace(t_min, t_max, n).tolist()[start:start + CHUNK_T]`` bit for bit, at ``step``."""
+    return [t_max if 0 < k == n - 1 else k * step + t_min
+            for k in range(start, min(start + CHUNK_T, n))]
 
 
-def _sweeps(configs: list[ScanConfig], diagnostics: dict) -> Iterator[BoundaryCurve]:
+def _sweeps(configs: Iterable[ScanConfig], diagnostics: dict) -> Iterator[BoundaryCurve]:
     """``sweep`` over the chunks' configs in turn, each curve tallied from its columns.
 
     Every T is independent, so the chunks give the whole grid's boundaries;
@@ -209,28 +210,32 @@ def _json_lines(
 def _cmd_scan(args: SimpleNamespace) -> int:
     started = time.perf_counter()
     detector = _detector(args)
-    if args.t_points < 1:
-        raise ConfigurationError(f"--t-points must be at least 1, got {args.t_points}")
-    check_range("--t-min", args.t_min, 0.0, 1.0)
-    check_range("--t-max", args.t_max, 0.0, 1.0)  # a one-point grid never reaches t_max
-    grid = np.linspace(args.t_min, args.t_max, args.t_points).tolist()
-    try:  # each chunk checks its own values; the order across chunks is checked here
-        configs = [ScanConfig(t_grid=grid[i:i + CHUNK_T], statistics=args.noise, detector=detector,
-                              p=args.p, nu_cap=args.nu_cap, tol=args.tol, criteria=args.criteria)
-                   for i in range(0, len(grid), CHUNK_T)]
-        check_increasing("t_grid", grid[CHUNK_T - 1::CHUNK_T], grid[CHUNK_T::CHUNK_T])
-        del grid  # the chunks hold its values: the list would add ~8 bytes a point
-    except DomainError as exc:
-        raise ConfigurationError(
-            f"--t-min/--t-max/--t-points/--nu-cap/--tol/--criteria: {exc}"
-        ) from exc
+    n = args.t_points
+    if n < 1:
+        raise ConfigurationError(f"--t-points must be at least 1, got {n}")
+    t_min = check_range("--t-min", args.t_min, 0.0, 1.0)
+    t_max = check_range("--t-max", args.t_max, 0.0, 1.0)  # a one-point grid never reaches t_max
+    try:  # chunk 0 checks every flag before the output file opens
+        step = (t_max - t_min) / max(n - 1, 1)  # as np.linspace forms it
+        configs = (ScanConfig(t_grid=_chunk(t_min, step, t_max, n, i), statistics=args.noise,
+                              detector=detector, p=args.p, nu_cap=args.nu_cap, tol=args.tol,
+                              criteria=args.criteria)
+                   for i in range(0, n, CHUNK_T))  # each made when it is swept
+        first = next(configs)
+        # Later chunks rise if step > 2u, u = ulp(t_max), and value n - 2 < t_max: by monotone
+        # rounding, each exact k*step formed, and its rounding plus t_min, is then at most t_max,
+        # where rounding moves a number at most u/2: neighbours differ by at least step - 2u > 0.
+        if n > CHUNK_T and not (step > 2.0 * math.ulp(t_max) and (n - 2) * step + t_min < t_max):
+            raise DomainError("t_grid must be strictly increasing")
+    except (DomainError, OverflowError) as exc:  # OverflowError: n - 1 beyond the floats
+        flags = "--t-min/--t-max/--t-points/--nu-cap/--tol/--criteria"
+        raise ConfigurationError(f"{flags}: {exc}") from exc
     phase_s = {"resolve": time.perf_counter() - started, "sweep": 0.0, "write": 0.0}
     diagnostics = {"sweeps": 0, "bisection_steps": 0, "evaluations": 0, "boundaries": 0,
                    "capped": 0, "undefined": 0, "monotone_warning": 0, "phase_s": phase_s,
                    "python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__}
-    curves = _sweeps(configs, diagnostics)  # lazy: each chunk is swept as its rows are written
-    criteria = configs[0].criteria
-    lines = _csv_lines(curves) if args.format == "csv" else _json_lines(criteria, curves)
+    curves = _sweeps(chain([first], configs), diagnostics)  # lazy: swept as rows are written
+    lines = _csv_lines(curves) if args.format == "csv" else _json_lines(first.criteria, curves)
     out = Path(args.out)
     writing = time.perf_counter()
     fh = out.open("w")
@@ -242,7 +247,7 @@ def _cmd_scan(args: SimpleNamespace) -> int:
         raise
     # the manifest's own write comes after, so it cannot time itself
     phase_s["write"] = time.perf_counter() - writing - phase_s["sweep"]
-    manifest = _manifest(args, effective_detector_mapping=DETECTOR_INPUT[configs[0].statistics],
+    manifest = _manifest(args, effective_detector_mapping=DETECTOR_INPUT[first.statistics],
                          out=str(out))
     manifest["diagnostics"] = diagnostics
     manifest_path = out.with_name(out.name + ".manifest.json")
@@ -266,8 +271,8 @@ def _cmd_pmf(args: SimpleNamespace) -> int:
         raise ConfigurationError(f"--l/--nbar/--T: {exc}") from exc
     print("s p")
     for s, prob in enumerate(probs):
-        print(f"{s} {_fmt(prob)}")
-    print(f"truncation_tail {_fmt(pmf.truncation_tail)}")
+        print(f"{s} {float(prob)!r}")
+    print(f"truncation_tail {float(pmf.truncation_tail)!r}")
     manifest = _manifest(args)
     print(f"manifest {json.dumps(manifest, separators=(',', ':'))}")
     return 0
@@ -445,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"{flag} must be one of {', '.join(choices)}, got {value!r}")
         return args.handler(args)
     except (DomainError, ConfigurationError, MemoryError) as exc:
-        # MemoryError: a grid too large to allocate; a bare one has no message
+        # MemoryError: a sweep's arrays on a host out of memory; a bare one has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:

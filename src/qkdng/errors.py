@@ -35,12 +35,6 @@ def check_range(
     return value
 
 
-def check_increasing(what: str, lo, hi) -> None:
-    """Raise ``DomainError`` unless every value of ``hi`` exceeds the ``lo`` value beside it."""
-    if any(b <= a for a, b in zip(lo, hi)):
-        raise DomainError(f"{what} must be strictly increasing")
-
-
 def check_choice(what: str, choices: type[Enum], value) -> Enum:
     """Return ``value`` as the member of the enum ``choices`` it is or names.
 

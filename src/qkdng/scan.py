@@ -49,7 +49,7 @@ from .channels import (
     link_fields,
     noise_root,
 )
-from .errors import DomainError, check_choice, check_increasing, check_range
+from .errors import DomainError, check_choice, check_range
 from .keyrates import Q_STAR_BB84, Q_STAR_DI
 from .photodetection import DetectorModel
 
@@ -105,7 +105,8 @@ class ScanConfig:
         object.__setattr__(self, "t_grid", grid)
         if not grid:
             raise DomainError("t_grid must not be empty")
-        check_increasing("t_grid", grid, grid[1:])
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError("t_grid must be strictly increasing")
         object.__setattr__(self, "nu_cap", check_range("nu_cap", self.nu_cap, 0.0, open_lo=True))
         object.__setattr__(self, "tol", check_range("tol", self.tol, 0.0, open_lo=True))
         criteria = tuple(check_choice("criterion", Criterion, c)
@@ -203,7 +204,7 @@ def _holds(criterion: Criterion, defined, margin, q):
     The one rule for points and sweeps: the witness needs a positive margin,
     a protocol ``q <= Q*``; an undefined link satisfies neither.
     """
-    if criterion is Criterion.NONGAUSS:
+    if criterion == Criterion.NONGAUSS:
         return defined & (margin > 0.0)
     return defined & (q <= Q_STAR[criterion])
 

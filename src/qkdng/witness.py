@@ -44,7 +44,7 @@ def _bound(kind: DetectorKind, p_e, scale):
     ``p_e`` may be O(1) where P_e itself is subnormal.
     """
     sqrt = _elementary(p_e).sqrt
-    if kind is DetectorKind.SPAD:
+    if kind == DetectorKind.SPAD:
         u = scale * scale * p_e  # P_e
         return 0.5 * sqrt(p_e / (8.0 + u)) * (2.0 + u + scale * sqrt(p_e * (8.0 + u)))
     return sqrt(p_e) - scale * p_e

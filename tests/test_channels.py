@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qkdng import channels, photodetection
+from qkdng import channels, photodetection, witness
 from qkdng.channels import (
     _COINCIDENCE_FLOOR,
     ChannelConfig,
@@ -326,6 +326,31 @@ class TestNoiseAndDetectorFactors:
                              1.0, det)
         assert out.q == float.fromhex("0x1.faa2307e487aap-2") == fields.q[0]
         assert out.witness.margin == fields.margin[0]
+
+
+class TestPairingByValue:
+    """Each pairing branch compares by value: a plain string takes its enum member's branch."""
+
+    DETECTORS = {kind: DetectorModel(kind, eta=0.7, dark=0.001) for kind in DetectorKind}
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    def test_noise_mapping_and_root(self, statistics, kind):
+        det, t = self.DETECTORS[kind], np.linspace(0.05, 0.95, 7)
+        name = statistics.value
+        assert _detector_input(name, 0.3, 0.05, det) == _detector_input(statistics, 0.3, 0.05, det)
+        np.testing.assert_array_equal(noise_root(name, t, Q_STAR_BB84, 0.9, det),
+                                      noise_root(statistics, t, Q_STAR_BB84, 0.9, det))
+        # the whole array model, with the value at the pairing that used to fall through
+        got, want = (link_fields(s, 0.3, 0.05, 1.0, det) for s in (name, statistics))
+        assert (got.q, got.margin) == (want.q, want.margin)
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_detector_terms_and_bound(self, kind):
+        det = self.DETECTORS[kind]
+        counts = _counts(*_detector_input(NoiseStatistics.THERMAL, 0.3, 0.05, det))
+        assert _terms(kind.value, *counts, 0.9) == _terms(kind, *counts, 0.9)
+        assert witness._bound(kind.value, 0.01, 0.5) == witness._bound(kind, 0.01, 0.5)
 
 
 def checked_assessment(statistics, t, nu, p, det):

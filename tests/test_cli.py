@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import random
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import qkdng.cli
 import qkdng.scan
 from qkdng.channels import NoiseStatistics
-from qkdng.cli import CSV_HEADER, main
+from qkdng.cli import CHUNK_T, CSV_HEADER, main
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import ALL_CRITERIA, Criterion, ScanConfig, sweep
 
@@ -447,22 +448,55 @@ class TestScan:
         assert not out.exists()
 
     @pytest.mark.parametrize("message,shown", [
-        ("Unable to allocate 745. GiB for an array with shape (100000000000,)",
-         "Unable to allocate 745. GiB"),
+        ("Unable to allocate 96.0 KiB for an array with shape (3, 4096)",
+         "Unable to allocate 96.0 KiB"),
         ("", "out of memory"),
     ], ids=["numpy", "bare"])
-    def test_unallocatable_grid_rejected(self, capsys, tmp_path, monkeypatch, message, shown):
-        # numpy raises a MemoryError for a grid it cannot allocate; nothing is allocated here
-        def refuse(*args, **kwargs):
+    def test_out_of_memory_exits_2(self, capsys, tmp_path, monkeypatch, message, shown):
+        # a sweep that cannot allocate its arrays: one error line, no traceback, no file
+        def refuse(config):
             raise MemoryError(message)
 
-        monkeypatch.setattr("qkdng.cli.np.linspace", refuse)
-        out = tmp_path / "huge.csv"
-        code, _, err = run_cli(capsys, "scan", "--preset", "fig4", "--t-points", "100000000000",
-                               "--out", str(out))
+        monkeypatch.setattr(qkdng.cli, "sweep", refuse)
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig4", "--out", str(out))
         assert code == 2
         assert err.startswith("error:") and shown in err and err.count("\n") == 1
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("points,shown", [
+        ("100000000000000000000", "t_grid must be strictly increasing"),  # steps below 2 ulps
+        ("1" + "0" * 400, "int too large to convert to float"),  # n - 1 is no float
+    ], ids=["1e20", "1e400"])
+    def test_grid_finer_than_the_floats_rejected(self, capsys, tmp_path, points, shown):
+        out = tmp_path / "fine.csv"
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--t-points", points,
+                               "--out", str(out))
+        assert code == 2
+        assert err == f"error: --t-min/--t-max/--t-points/--nu-cap/--tol/--criteria: {shown}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("points", [10**6, 10**11])
+    def test_setup_does_not_grow_with_the_grid(self, tmp_path, monkeypatch, points):
+        # set-up ends where the first chunk is swept: up to there a scan holds one chunk, not
+        # the grid (10^6 Python floats in a list alone take ~32 MB)
+        class Swept(Exception):
+            pass
+
+        def stop(config):
+            raise Swept
+
+        monkeypatch.setattr(qkdng.cli, "sweep", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Swept):
+                main(["scan", "--preset", "fig3", "--t-points", str(points),
+                      "--out", str(tmp_path / "scan.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_format_from_config_rejected(self, capsys, tmp_path):
         out, config = tmp_path / "curve.xml", tmp_path / "run.conf"
@@ -753,23 +787,26 @@ class TestChunkedScan:
         assert code == 0, err
         assert calls == checks
 
+    # real grids whose values first repeat at index drop, in a chunk after the first:
+    # drop: (--t-min, --t-max, --t-points, CHUNK_T)
+    REPEATS = {
+        7: ("0.4999999999999975", "0.5", "50", 7),  # at the first chunk boundary
+        49: ("0.49999999999999467", "0.5", "98", 7),  # at the seventh
+        4103: ("0.499999999999754", "0.5000000000001139", "6000", CHUNK_T),  # inside chunk 1
+    }
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("drop", [7, 49])  # the first boundary, and the one-point last chunk
+    @pytest.mark.parametrize("drop", REPEATS)
     def test_order_across_chunks_checked_before_the_file_opens(self, capsys, tmp_path,
                                                                monkeypatch, drop, fmt):
-        # each chunk of 7 rises, but the grid falls from index drop - 1 to drop
-        linspace = np.linspace
-
-        def fall_at_boundary(start, stop, num):
-            grid = linspace(start, stop, num)
-            grid[drop:] -= grid[drop] - 0.5 * grid[0]
-            return grid
-
-        monkeypatch.setattr(np, "linspace", fall_at_boundary)
-        monkeypatch.setattr(qkdng.cli, "CHUNK_T", 7)
+        t_min, t_max, points, chunk = self.REPEATS[drop]
+        grid = np.linspace(float(t_min), float(t_max), int(points)).tolist()
+        assert min(i for i in range(1, len(grid)) if grid[i] <= grid[i - 1]) == drop >= chunk
+        monkeypatch.setattr(qkdng.cli, "CHUNK_T", chunk)
         out = tmp_path / f"scan.{fmt}"
-        code, _, err = run_cli(capsys, "scan", "--preset", "fig4", "--t-points", "50",
-                               "--format", fmt, "--out", str(out))
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig4", "--t-min", t_min,
+                               "--t-max", t_max, "--t-points", points, "--format", fmt,
+                               "--out", str(out))
         assert code == 2
         assert err == ("error: --t-min/--t-max/--t-points/--nu-cap/--tol/--criteria: "
                        "t_grid must be strictly increasing\n")
@@ -793,6 +830,43 @@ class TestChunkedScan:
         assert code != 0 and "second chunk" in err
         assert calls == [True, True]  # the output was open when the chunk failed
         assert list(tmp_path.iterdir()) == []
+
+
+class TestGridChunks:
+    """``_chunk`` gives ``np.linspace(t_min, t_max, n).tolist()`` bit for bit, chunk by chunk."""
+
+    @staticmethod
+    def assert_linspace_bits(t_min, t_max, n):
+        step = (t_max - t_min) / max(n - 1, 1)  # as _cmd_scan forms it
+        chunks = [qkdng.cli._chunk(t_min, step, t_max, n, i) for i in range(0, n, CHUNK_T)]
+        assert all(len(chunk) <= CHUNK_T for chunk in chunks)
+        got = [value.hex() for chunk in chunks for value in chunk]
+        assert got == [value.hex() for value in np.linspace(t_min, t_max, n).tolist()]
+
+    @pytest.mark.parametrize("n", [1, 2, CHUNK_T - 1, CHUNK_T, CHUNK_T + 1, 2 * CHUNK_T + 1])
+    @pytest.mark.parametrize("t_min,t_max", [
+        (0.02, 1.0), (0.3, 0.3), (0.9, 0.1), (0.0, 0.0), (1.0, 0.0),
+        (0.499999999999754, 0.5000000000001139),
+    ], ids=["rising", "equal", "falling", "zero", "falling-to-zero", "binade"])
+    def test_chunks_are_linspace_bits(self, t_min, t_max, n):
+        self.assert_linspace_bits(t_min, t_max, n)
+
+    def test_seeded_grids_are_linspace_bits(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            t_min = rng.random()
+            t_max = rng.choice([rng.random(), t_min, min(1.0, t_min + 1e-12 * rng.random()), 1.0])
+            self.assert_linspace_bits(t_min, t_max, rng.randrange(1, 3 * CHUNK_T))
+
+    def test_scan_writes_linspace_bits(self, capsys, tmp_path):
+        # the T column of a three-chunk scan; repr gives each float back exactly
+        out, n = tmp_path / "scan.csv", 2 * CHUNK_T + 1
+        code, _, err = run_cli(capsys, "scan", "--preset", "fig3", "--t-min", "0.013",
+                               "--t-points", str(n), "--nu-cap", "1", "--tol", "1",
+                               "--out", str(out))
+        assert code == 0, err
+        written = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
+        assert written == np.linspace(0.013, 1.0, n).tolist()
 
 
 class TestPmf:
