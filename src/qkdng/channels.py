@@ -239,8 +239,10 @@ def poisson_observables(
 def link_fields(statistics: NoiseStatistics, t, nu, p: float, det: DetectorModel) -> LinkFields:
     """``assess``'s decision fields elementwise over broadcast arrays ``t`` and ``nu``.
 
-    Unchecked: the caller guarantees t in [0, 1], nu >= 0 and p in [0, 1].
+    Unchecked but for ``statistics``: the caller guarantees t in [0, 1], nu >= 0
+    and p in [0, 1].
     """
+    statistics = check_choice("noise statistics", NoiseStatistics, statistics)
     counts = _counts(*_detector_input(statistics, t, nu, det))
     return _decide(det.kind, *_terms(det.kind, *counts, p))[0]
 
@@ -256,9 +258,10 @@ def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: Det
     Q = 1/2 - p (1 - q1/q0)^2/(2 f^2), with f = c1 + c0 q1/q0, is at most
     q_star where f <= (1 - q1/q0) K, K = sqrt(p/(1 - 2 q_star)): for Poisson
     noise that bounds x = e^(-d_eff) below, for thermal noise it is a
-    quadratic in 1 + m.  Unchecked; quietly NaN, infinite or negative where
-    no bracket is open.
+    quadratic in 1 + m.  Unchecked but for ``statistics``; quietly NaN,
+    infinite or negative where no bracket is open.
     """
+    statistics = check_choice("noise statistics", NoiseStatistics, statistics)
     t_e, d = t * det.eta, det.dark
     per_nu = det.eta * (1.0 - t)  # noise reaching the detector per unit nu
     thermal = statistics == NoiseStatistics.THERMAL

@@ -53,6 +53,8 @@ PRESETS = {
 # namespace entries that steer the run rather than describe it
 _DISPATCH = ("command", "handler", "preset", "config")
 _FORMATS = ("csv", "json")
+# the interpreter and numpy behind a result, recorded by eval's manifest and scan's diagnostics
+_VERSIONS = {"python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__}
 
 # exit's final collections skip frozen objects: numpy's ~22k cost 11-25 ms a run
 atexit.register(gc.freeze)
@@ -134,8 +136,9 @@ def _cmd_eval(args: SimpleNamespace) -> int:
         "witness": {"passed": assessment.nongauss, "margin": assessment.witness.margin},
         "coincidence_defined": assessment.coincidence_defined,
         "region": {proto.value: label.value for proto, label in regions.items()},
-        "manifest": _manifest(args,
-                              effective_detector_mapping=DETECTOR_INPUT[noise.statistics]),
+        "manifest": {**_manifest(args,
+                                 effective_detector_mapping=DETECTOR_INPUT[noise.statistics]),
+                     **_VERSIONS},
     }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -233,7 +236,7 @@ def _cmd_scan(args: SimpleNamespace) -> int:
     phase_s = {"resolve": time.perf_counter() - started, "sweep": 0.0, "write": 0.0}
     diagnostics = {"sweeps": 0, "bisection_steps": 0, "evaluations": 0, "boundaries": 0,
                    "capped": 0, "undefined": 0, "monotone_warning": 0, "phase_s": phase_s,
-                   "python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__}
+                   **_VERSIONS}
     curves = _sweeps(chain([first], configs), diagnostics)  # lazy: swept as rows are written
     lines = _csv_lines(curves) if args.format == "csv" else _json_lines(first.criteria, curves)
     out = Path(args.out)

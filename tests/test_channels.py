@@ -674,6 +674,11 @@ class TestConfigValidation:
     BAD_CHOICES = {
         "NoiseModel": (lambda: NoiseModel("foo", 1.0), "one of thermal, poisson, got 'foo'"),
         "DetectorModel": (lambda: DetectorModel("foo"), "one of spad, pnrd, got 'foo'"),
+        # the array entry points check nothing else: an unknown name must not reach a branch
+        "link_fields": (lambda: link_fields("thermall", 0.3, 0.05, 1.0, DetectorModel("pnrd")),
+                        "one of thermal, poisson, got 'thermall'"),
+        "noise_root": (lambda: noise_root("Thermal", 0.3, 0.11, 1.0, DetectorModel("pnrd")),
+                       "one of thermal, poisson, got 'Thermal'"),
         "ScanConfig.statistics": (lambda: replace(TINY_SCAN, statistics="foo"),
                                   "one of thermal, poisson"),
         "ScanConfig.criteria": (lambda: replace(TINY_SCAN, criteria=("x",)),

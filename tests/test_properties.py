@@ -1,4 +1,4 @@
-"""Physics invariants of both channel models, checked on generated points.
+"""Physics invariants of both channel models, checked on seeded samples.
 
 Bisection in ``qkdng.scan`` assumes that the QBER never falls as the noise
 mean grows at a fixed coupling; the monotonicity property checks that
@@ -15,14 +15,27 @@ Q = 1/2 - p (1 - q1/q0)^2/(2 f^2), f = c1 + c0 q1/q0, rises with f.  So
 Q = Q* has one root in the noise mean, and the root property checks the
 criterion's indicator on both sides of it.  Every property runs on all four
 noise/detector pairings; the two original pairings keep their short ids.
+
+Each property runs over fixed cases (``seeded``): listed rows, every corner of
+its input ranges, then draws from ``random.Random(seed)``, 40 unless a test
+filters them.  So every run checks the same inputs, whatever else is loaded,
+and a failure names its seed, the case's index and its inputs.
 """
 
+import contextlib
+import functools
+import hashlib
+import inspect
+import itertools
 import math
+import random
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
 
 from qkdng.channels import (
     ChannelConfig,
@@ -46,11 +59,76 @@ PAIRINGS = ("statistics, kind", [
     pytest.param(NoiseStatistics.THERMAL, DetectorKind.SPAD, id="thermal-spad"),
     pytest.param(NoiseStatistics.POISSON, DetectorKind.PNRD, id="poisson-pnrd"),
 ])
-EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
+DRAWS = 40  # seeded cases per test id, besides its rows and corners
+OPEN_DRAWS = 160  # noise-root draws, of which at least DRAWS open a bracket on each test id
 
-unit = st.floats(0.0, 1.0)
-noise_mean = st.floats(0.0, 50.0)
-dark = st.floats(0.0, 0.2)
+
+class Span(NamedTuple):
+    """Inputs in [lo, hi].  A wide span draws half its values log-uniformly over its
+    top 12 decades, so small magnitudes stay covered."""
+
+    lo: float
+    hi: float
+    wide: bool = False
+
+    def draw(self, rng: random.Random) -> float:
+        if self.wide and rng.random() < 0.5:
+            return self.hi * 10.0 ** -rng.uniform(0.0, 12.0)
+        return rng.uniform(self.lo, self.hi)
+
+
+UNIT = Span(0.0, 1.0)
+NOISE_MEAN = Span(0.0, 50.0, wide=True)
+HUGE_NOISE = Span(0.0, 1e6, wide=True)
+DARK = Span(0.0, 0.2, wide=True)
+
+
+@contextlib.contextmanager
+def seeded_case(seed, index, inputs):
+    """Name the seed, index and inputs of the case a failure comes from."""
+    try:
+        yield
+    except (Exception, SystemExit) as exc:  # SystemExit: argparse refusing a line
+        raise AssertionError(f"seed {seed}, case {index}: {inputs!r}") from exc
+
+
+def seeded(seed, *rows, draws=DRAWS, least=0, **spans):
+    """Run the decorated test once per case, beside the arguments pytest passes.
+
+    The cases are ``rows``, every corner of ``spans``, then ``draws`` draws from
+    ``random.Random(seed)``; they are made once, at import.  With ``least``, the
+    test returns whether it checked its case, and at least ``least`` must be.
+    """
+    rng = random.Random(seed)
+    corners = itertools.product(*[(span.lo, span.hi) for span in spans.values()])
+    cases = [*rows, *(dict(zip(spans, ends)) for ends in corners),
+             *({name: span.draw(rng) for name, span in spans.items()} for _ in range(draws))]
+
+    def decorate(test):
+        @functools.wraps(test)
+        def run(**fixed):
+            checked = 0
+            for index, case in enumerate(cases):
+                with seeded_case(seed, index, case):
+                    checked += bool(test(**fixed, **case))
+            assert checked >= least, f"seed {seed}: {checked} cases checked, fewer than {least}"
+
+        signature = inspect.signature(test)
+        run.__signature__ = signature.replace(parameters=[
+            param for name, param in signature.parameters.items() if name not in spans])
+        run.cases = cases
+        return run
+
+    return decorate
+
+
+def case_digest() -> str:
+    """SHA-256 of every seeded test's cases and of ``test_cli``'s reader fuzz lines."""
+    import test_cli  # imported here: test_cli imports this module
+
+    cases = sorted((name, test.cases) for name, test in globals().items()
+                   if hasattr(test, "cases"))
+    return hashlib.sha256(repr([cases, test_cli.TestReader.lines()]).encode()).hexdigest()
 
 
 def link(statistics, kind, t, nu, eta, d, p):
@@ -69,8 +147,7 @@ def assert_decisions_agree(fields, a):
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-@given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
+@seeded(3201, t=UNIT, nu=NOISE_MEAN, eta=UNIT, d=DARK, p=UNIT)
 def test_qber_range_and_bell_score(statistics, kind, t, nu, eta, d, p):
     a = link(statistics, kind, t, nu, eta, d, p)
     if not a.coincidence_defined:
@@ -81,8 +158,7 @@ def test_qber_range_and_bell_score(statistics, kind, t, nu, eta, d, p):
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-@given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
+@seeded(3202, t=UNIT, nu=NOISE_MEAN, eta=UNIT, d=DARK, p=UNIT)
 def test_assessment_needs_no_second_check(statistics, kind, t, nu, eta, d, p):
     # ``assess`` passes these values to no checking function; each check would pass
     det = DetectorModel(kind, eta=eta, dark=d)
@@ -97,8 +173,7 @@ def test_assessment_needs_no_second_check(statistics, kind, t, nu, eta, d, p):
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-@given(t=unit, nu=noise_mean, extra=noise_mean, eta=unit, d=dark, p=unit)
+@seeded(3203, t=UNIT, nu=NOISE_MEAN, extra=NOISE_MEAN, eta=UNIT, d=DARK, p=UNIT)
 def test_qber_nondecreasing_in_noise(statistics, kind, t, nu, extra, eta, d, p):
     quiet = link(statistics, kind, t, nu, eta, d, p)
     noisy = link(statistics, kind, t, nu + extra, eta, d, p)
@@ -107,8 +182,7 @@ def test_qber_nondecreasing_in_noise(statistics, kind, t, nu, extra, eta, d, p):
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-@given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
+@seeded(3204, t=UNIT, nu=NOISE_MEAN, eta=UNIT, d=DARK, p=UNIT)
 def test_bb84_rate_bounds_di_rate(statistics, kind, t, nu, eta, d, p):
     rates = link(statistics, kind, t, nu, eta, d, p).rates
     if rates.di_defined:
@@ -116,8 +190,7 @@ def test_bb84_rate_bounds_di_rate(statistics, kind, t, nu, eta, d, p):
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-@given(t=unit, nu=noise_mean, eta=unit, d=dark, p=unit)
+@seeded(3205, t=UNIT, nu=NOISE_MEAN, eta=UNIT, d=DARK, p=UNIT)
 def test_array_model_equals_scalar_model(statistics, kind, t, nu, eta, d, p):
     det = DetectorModel(kind, eta=eta, dark=d)
     a = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
@@ -131,8 +204,7 @@ def test_array_model_equals_scalar_model(statistics, kind, t, nu, eta, d, p):
     assert_decisions_agree(fields, a)
 
 
-@EXAMPLES
-@given(t=unit, nu=st.floats(0.0, 1e6), extra=st.floats(0.0, 1e6), eta=unit, d=dark, p=unit)
+@seeded(3206, t=UNIT, nu=HUGE_NOISE, extra=HUGE_NOISE, eta=UNIT, d=DARK, p=UNIT)
 def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
     # far past e^(d_eff) overflow: Q still lies in [0, 1/2], grows with the
     # noise mean, and the array model still equals the scalar one
@@ -153,11 +225,11 @@ def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-# the Poisson/SPAD band where P_s and P_e underflowed and the witness passed again
-@example(t=0.3, nu=100.0, extra=658.0, eta=0.7, d=0.001)
-@example(t=0.3, nu=100.0, extra=658.5, eta=0.7, d=0.0)
-@given(t=unit, nu=st.floats(0.0, 1e6), extra=st.floats(0.0, 1e6), eta=unit, d=dark)
+@seeded(3207,
+        # the Poisson/SPAD band where P_s and P_e underflowed and the witness passed again
+        dict(t=0.3, nu=100.0, extra=658.0, eta=0.7, d=0.001),
+        dict(t=0.3, nu=100.0, extra=658.5, eta=0.7, d=0.0),
+        t=UNIT, nu=HUGE_NOISE, extra=HUGE_NOISE, eta=UNIT, d=DARK)
 def test_witness_never_returns_as_noise_grows(statistics, kind, t, nu, extra, eta, d):
     quiet = link(statistics, kind, t, nu, eta, d, 1.0)
     noisy = link(statistics, kind, t, nu + extra, eta, d, 1.0)
@@ -172,30 +244,32 @@ def test_witness_never_returns_as_noise_grows(statistics, kind, t, nu, extra, et
 
 @pytest.mark.parametrize(*PAIRINGS)
 @pytest.mark.parametrize("criterion", PROTOCOLS)
-@EXAMPLES
-# below p = 1 - 2 Q* or with much dark noise no link is secure at all
-@given(t=unit, eta=st.floats(0.05, 1.0), d=st.floats(0.0, 0.01), p=st.floats(0.8, 1.0))
+# below p = 1 - 2 Q* or with much dark noise no link is secure at all; only cases
+# with an open bracket are checked, at least DRAWS of them on each test id
+@seeded(3208, draws=OPEN_DRAWS, least=DRAWS,
+        t=UNIT, eta=Span(0.05, 1.0), d=Span(0.0, 0.01), p=Span(0.8, 1.0))
 def test_noise_root_separates_secure_from_insecure(statistics, kind, criterion, t, eta, d, p):
     det = DetectorModel(kind, eta=eta, dark=d)
     config = ScanConfig(t_grid=(t,), statistics=statistics, detector=det, p=p, nu_cap=50.0)
     root = float(noise_root(statistics, np.array([t]), Q_STAR[criterion], p, det)[0])
     # an open bracket: the criterion holds at nu = 0 and the root lies below the cap
-    assume(indicator(criterion, t, 0.0, config) and 0.0 < root < config.nu_cap)
+    if not (indicator(criterion, t, 0.0, config) and 0.0 < root < config.nu_cap):
+        return False
     assert indicator(criterion, t, root * (1.0 - 1e-6), config)
     assert not indicator(criterion, t, root * (1.0 + 1e-6), config)
+    return True
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-# a subnormal eta loses bits in t eta, far more than rounding elsewhere
-@given(etas=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=2, max_size=2),
-       darks=st.lists(dark, min_size=2, max_size=2), p=st.floats(0.8, 1.0))
-def test_noise_root_falls_with_dark_counts_and_rises_with_efficiency(statistics, kind, etas,
-                                                                    darks, p):
+# eta is not a wide span: a subnormal eta loses bits in t eta, far more than rounding
+# elsewhere
+@seeded(3209, eta_a=UNIT, eta_b=UNIT, d_a=DARK, d_b=DARK, p=Span(0.8, 1.0))
+def test_noise_root_falls_with_dark_counts_and_rises_with_efficiency(statistics, kind, eta_a,
+                                                                    eta_b, d_a, d_b, p):
     # where a bracket is open (root > 0) the worse detector's root is the smaller,
     # up to rounding: with no dark counts the root hardly depends on a tiny eta
     t = np.linspace(0.0, 1.0, 201)
-    (eta, more_eta), (d, more_d) = sorted(etas), sorted(darks)
+    (eta, more_eta), (d, more_d) = sorted((eta_a, eta_b)), sorted((d_a, d_b))
     for q_star in Q_STAR.values():
         def root(eta, d):
             return noise_root(statistics, t, q_star, p, DetectorModel(kind, eta=eta, dark=d))
@@ -211,14 +285,12 @@ def test_noise_root_falls_with_dark_counts_and_rises_with_efficiency(statistics,
 
 
 @pytest.mark.parametrize(*PAIRINGS)
-@EXAMPLES
-@given(etas=st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=2, max_size=2),
-       darks=st.lists(dark, min_size=2, max_size=2))
+@seeded(3210, eta_a=UNIT, eta_b=UNIT, d_a=DARK, d_b=DARK)
 def test_witness_boundary_falls_with_dark_counts_and_rises_with_efficiency(statistics, kind,
-                                                                          etas, darks):
+                                                                          eta_a, eta_b, d_a, d_b):
     # on rows the sweep neither capped, left undefined nor flagged, the worse
     # detector's witness boundary lies above the better one's by at most 2 tol
-    (eta, more_eta), (d, more_d) = sorted(etas), sorted(darks)
+    (eta, more_eta), (d, more_d) = sorted((eta_a, eta_b)), sorted((d_a, d_b))
     tol = ScanConfig.tol
 
     def boundary(eta, d):
@@ -234,3 +306,14 @@ def test_witness_boundary_falls_with_dark_counts_and_rises_with_efficiency(stati
             assert dk <= b + 2.0 * tol
         if b is not None and k is not None:
             assert k >= b - 2.0 * tol
+
+
+def test_cases_do_not_depend_on_what_is_loaded():
+    # a fresh interpreter loads this file, test_cli and their imports; the suite loads far more
+    tests = Path(__file__).resolve().parent
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_properties; "
+            "print(test_properties.case_digest())")
+    fresh = subprocess.run([sys.executable, "-c", code, str(tests), str(tests.parent / "src")],
+                           capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == case_digest() + "\n"
