@@ -39,7 +39,7 @@ for t, nu, label in points:
     else:
         print("  r_DI undefined (no CHSH violation)")
     print(f"    P_s={out.stats.p_s:.4f}  P_e={out.stats.p_e:.5f}  "
-          f"witness {'passed' if out.nongauss else 'failed'}")
+          f"witness {'passed' if out.witness.passed else 'failed'}")
 
 print("\nregion labels per protocol:")
 config = ScanConfig(

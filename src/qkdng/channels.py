@@ -22,7 +22,8 @@ sweep's arrays) are the two faces of the one model; ``thermal_observables``
 and ``poisson_observables`` only check the statistics and return ``assess``.
 Both faces take their decision from one elementwise body, ``_decide``: it
 clamps the terms, tests the coincidence floor and forms Q.
-``_assessment`` makes a point's ``LinkAssessment`` of it and checks nothing
+``_assessment`` makes a point's ``LinkAssessment`` of it, whose witness
+passes by the sweep's rule (defined and margin > 0), and checks nothing
 again: the cores it calls (``witness_margin``, ``_bb84``, ``_di``) are
 unchecked, and their public wrappers check their inputs.
 """
@@ -102,9 +103,11 @@ class ChannelConfig:
 class LinkAssessment(NamedTuple):
     """Everything the security and witness decisions consume at one point.
 
-    When no coincidences can occur (``coincidence_defined`` False) the QBER
-    and CHSH score are NaN, the rates carry the insecure sentinel and the
-    witness is not granted.
+    ``witness.passed`` is the sweep's rule (``scan._holds``): coincidences
+    occur and the margin is positive.  When none can occur
+    (``coincidence_defined`` False) the QBER and CHSH score are NaN, the
+    rates carry the insecure sentinel and the witness fails, whatever the
+    sign of its margin.
     """
 
     q: float
@@ -113,10 +116,6 @@ class LinkAssessment(NamedTuple):
     stats: CoincidenceStats
     witness: WitnessVerdict
     coincidence_defined: bool
-
-    @property
-    def nongauss(self) -> bool:
-        return self.coincidence_defined and self.witness.passed
 
 
 class LinkFields(NamedTuple):
@@ -199,7 +198,7 @@ def _assessment(kind: DetectorKind, p_s, p_e, norm, two_nq, scale) -> LinkAssess
     (defined, margin, q), p_s, p_e = _decide(kind, p_s, p_e, norm, two_nq, scale)
     k = scale * scale
     stats = CoincidenceStats(p_s * k, p_e * k)
-    verdict = WitnessVerdict(margin > 0.0, margin)
+    verdict = WitnessVerdict(defined and margin > 0.0, margin)
     if not defined:
         return LinkAssessment(math.nan, math.nan, _NO_RATES, stats, verdict, False)
     s = S_MAX * (1.0 - 2.0 * q)

@@ -133,7 +133,7 @@ def _cmd_eval(args: SimpleNamespace) -> int:
         "di_defined": assessment.rates.di_defined,
         "p_s": assessment.stats.p_s,
         "p_e": assessment.stats.p_e,
-        "witness": {"passed": assessment.nongauss, "margin": assessment.witness.margin},
+        "witness": {"passed": assessment.witness.passed, "margin": assessment.witness.margin},
         "coincidence_defined": assessment.coincidence_defined,
         "region": {proto.value: label.value for proto, label in regions.items()},
         "manifest": {**_manifest(args,

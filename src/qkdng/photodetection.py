@@ -160,19 +160,24 @@ class PhotocountDistribution:
     thermal noise of mean ``m``.  ``probs`` tabulates it from ``s = 0`` up to
     where the remaining tail, reported as ``truncation_tail``, drops below
     double round-off, so ``sum(probs) + truncation_tail`` is 1.  Only output
-    and tests read the table; ``detect_pmf`` uses the closed form.
+    and tests read the table; ``detect_pmf`` uses the closed form.  The
+    fields are checked where the record is built, so neither the table nor
+    ``detect_pmf`` sees a negative, fractional or non-finite one.
     """
 
     incident_l: int
     t: float
     m: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "incident_l",
+                           _fock_index("incident Fock number", self.incident_l))
+        object.__setattr__(self, "t", check_range("transmittance", self.t, 0.0, 1.0))
+        object.__setattr__(self, "m", check_range("thermal mean m", self.m, 0.0))
+
     @cached_property
     def _table(self) -> tuple[np.ndarray, float]:
-        # checked here, off detect_pmf's path: a hand-built NaN field would never end the table
-        l = _fock_index("incident Fock number", self.incident_l)
-        t = check_range("transmittance", self.t, 0.0, 1.0)
-        m = check_range("thermal mean m", self.m, 0.0)
+        l, t, m = self.incident_l, self.t, self.m
         # rows the geometric factor r^s needs to fall below the floor, from
         # log r = -log(1 + 1/m): log1p(-1/(1 + m)) is log1p(-1.0) below m = 2^-53
         rows = math.log(_TAIL_FLOOR) / -math.log1p(1.0 / m) if m > 0.0 else 0.0
@@ -281,8 +286,7 @@ def photocount_pmf(l: int, nbar: float, t: float) -> PhotocountDistribution:
     Raises:
         DomainError: arguments out of range or not finite.
     """
-    l = _fock_index("incident Fock number", l)
-    nbar = check_range("thermal mean", nbar, 0.0)
+    nbar = check_range("thermal mean", nbar, 0.0)  # both checked before they form m
     t = check_range("transmittance", t, 0.0, 1.0)
     return PhotocountDistribution(incident_l=l, t=t, m=(1.0 - t) * nbar)
 

@@ -6,6 +6,8 @@ import sys
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from qkdng.keyrates import (
 from qkdng.photodetection import (
     DetectorKind, DetectorModel, PhotocountDistribution, _dark_counts, detect_pmf, photocount_pmf,
 )
-from qkdng.scan import Criterion, ScanConfig, indicator, max_noise, sweep
+from qkdng.scan import Criterion, ScanConfig, _holds, indicator, max_noise, sweep
 from qkdng.witness import CoincidenceStats, evaluate, pnrd_threshold, spad_threshold
 
 PERFECT_PNRD = DetectorModel(DetectorKind.PNRD)
@@ -125,7 +127,7 @@ class TestThermalObservables:
         assert math.isnan(out.q)
         assert out.rates.bb84 <= 0.0
         assert not out.rates.di_defined
-        assert not out.nongauss
+        assert not out.witness.passed
 
     @pytest.mark.parametrize("t", [0.2, 0.5, 0.9])
     def test_pure_loss_creates_no_errors(self, t):
@@ -294,19 +296,6 @@ class TestNoiseAndDetectorFactors:
         assert empty == detect_pmf(photocount_pmf(0, nu, t), det)
         assert occupied == detect_pmf(photocount_pmf(1, nu, t), det)
 
-    @pytest.mark.parametrize("eta, dark", [(1.0, 0.0), (0.7, 1e-3), (0.2, 0.3)])
-    @pytest.mark.parametrize("p", [1.0, 0.9])
-    def test_thermal_spad_scalar_equals_arrays(self, eta, dark, p):
-        # both read the click as p1 + w, so margin and Q agree bit for bit
-        det = DetectorModel(DetectorKind.SPAD, eta=eta, dark=dark)
-        rng = np.random.default_rng(13)
-        t, nu = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-6.0, 2.0, 200)
-        fields = link_fields(NoiseStatistics.THERMAL, t, nu, p, det)
-        for k in range(t.size):
-            out = thermal(float(t[k]), float(nu[k]), p=p, det=det)
-            assert fields.margin[k] == out.witness.margin
-            assert fields.q[k] == out.q
-
     @pytest.mark.parametrize("m", [1e-15, 1e-12, 0.3])
     def test_no_click_ratio_exact_near_unit_coupling(self, m):
         # (1 - t + m)/(1 + m) at t 3 ulps below 1: 1 - t is exact, so three roundings
@@ -316,16 +305,6 @@ class TestNoiseAndDetectorFactors:
         exact = (1 - Fraction(t) + Fraction(m)) / (1 + Fraction(m))
         got = channels._no_click_ratio(t, m)
         assert abs(Fraction(got) - exact) <= 3 * 2.0**-53 * exact
-
-    def test_thermal_pnrd_scalar_equals_arrays(self):
-        # N is squared as n * n: ``** 2`` on a float is libm pow, which rounds
-        # this point's Q one ulp away from the array model's exact square
-        det = DetectorModel(DetectorKind.PNRD, eta=0.16, dark=0.0)
-        out = thermal(0.45, 3.0074, det=det)
-        fields = link_fields(NoiseStatistics.THERMAL, np.array([0.45]), np.array([3.0074]),
-                             1.0, det)
-        assert out.q == float.fromhex("0x1.faa2307e487aap-2") == fields.q[0]
-        assert out.witness.margin == fields.margin[0]
 
 
 class TestPairingByValue:
@@ -361,27 +340,25 @@ def checked_assessment(statistics, t, nu, p, det):
     verdict = evaluate(det.kind, scaled, scale)
     k = scale * scale
     stats = CoincidenceStats(p_s=scaled.p_s * k, p_e=scaled.p_e * k)
-    if norm < _COINCIDENCE_FLOOR * k:
-        return LinkAssessment(math.nan, math.nan, KeyRates(0.0, 0.0, False), stats, verdict,
-                              False)
+    if norm < _COINCIDENCE_FLOOR * k:  # no coincidences: the witness fails whatever its margin
+        return LinkAssessment(math.nan, math.nan, KeyRates(0.0, 0.0, False), stats,
+                              verdict._replace(passed=False), False)
     q = min(max(two_nq / (2.0 * norm), 0.0), 0.5)
     s = bell_from_qber(q)
     return LinkAssessment(q, s, key_rates(q, s), stats, verdict, True)
 
 
-def assert_identical(got, want):
+def identical(got, want) -> bool:
     """Equal field for field and of the same types; floats bit for bit, NaN included."""
-    assert type(got) is type(want)
+    if type(got) is not type(want):
+        return False
     if isinstance(got, float):
-        assert got.hex() == want.hex()
-    elif dataclasses.is_dataclass(got):
-        assert_identical(dataclasses.astuple(got), dataclasses.astuple(want))
-    elif isinstance(got, tuple):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_identical(g, w)
-    else:
-        assert got == want
+        return got.hex() == want.hex()
+    if dataclasses.is_dataclass(got):
+        return identical(dataclasses.astuple(got), dataclasses.astuple(want))
+    if isinstance(got, (tuple, list)):
+        return len(got) == len(want) and all(map(identical, got, want))
+    return got == want
 
 
 def seeded_points(seed):
@@ -400,16 +377,151 @@ def seeded_points(seed):
     return points
 
 
-class TestAssessmentChecksOnce:
-    """``assess`` checks each value where it enters, and equals the fully checked route."""
+PAIRINGS = list(itertools.product(NoiseStatistics, DetectorKind))
+# single points (T, nu, eta, dark, p) where two faces of the model once answered apart
+ROWS = {
+    # Q: N squared as ``** 2``, libm pow on a float, lies one ulp from the arrays' square
+    (NoiseStatistics.THERMAL, DetectorKind.PNRD): {"n-squared": [(0.45, 3.0074, 0.16, 0.0, 1.0)]},
+    # the witness: undefined, margin 6e-34 and 1.4e-78, passed in ``assess``, failed in eval
+    (NoiseStatistics.POISSON, DetectorKind.SPAD): {
+        "faint-detector": [(0.5, 0.0, 1e-16, 0.0, 1.0)]},
+    (NoiseStatistics.POISSON, DetectorKind.PNRD): {"dead-coupler": [
+        (0.0, 233.30005148627995, 0.40364369607195905, 9.869054838757685e-08, 1.0)]},
+}
 
-    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+
+def point_sets(statistics, kind):
+    """A pairing's points (T, nu, eta, dark, p) by set: edge grid, seeded draws, named rows."""
+    edge = itertools.product(  # eta, dark, p, nu, T at 0, the smallest subnormal, 1 and 1e308
+        (0.0, 1e-12, 0.5, 1.0), (0.0, 5e-324, 1e-3, 0.5, 700.0, 1e308), (0.0, 1.0),
+        (0.0, 5e-324, 1.0, 1e6, 1e308), (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0))
+    sets = {"edge": [(t, nu, eta, dark, p) for eta, dark, p, nu, t in edge],  # 1,440 points
+            "seeded": seeded_points(2207), **ROWS.get((statistics, kind), {})}
+    if (statistics, kind) == (NoiseStatistics.THERMAL, DetectorKind.SPAD):
+        rng = np.random.default_rng(13)  # 200 (T, nu) behind three detectors at two p
+        t, nu = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-6.0, 2.0, 200)
+        sets["sweep"] = [(*point, eta, dark, p)
+                         for eta, dark in ((1.0, 0.0), (0.7, 1e-3), (0.2, 0.3))
+                         for p in (1.0, 0.9) for point in zip(t.tolist(), nu.tolist())]
+    if statistics == NoiseStatistics.POISSON:
+        rng = random.Random(2903)  # 3,000 points, each with its own detector and p
+        draws = ((rng.random(), 10.0 ** rng.uniform(-4.0, 1.5), rng.random(), rng.random())
+                 for _ in range(3000))
+        sets["draws"] = [(t, nu, eta, 10.0 ** rng.uniform(-6.0, -0.3), p)
+                         for t, nu, eta, p in draws]
+    return sets
+
+
+class Row(NamedTuple):
+    """One point of a pairing's table and the model's four answers there, as Python values."""
+
+    label: str                # the point's set
+    point: tuple              # (T, nu, eta, dark, p)
+    assessed: LinkAssessment  # ``assess``
+    checked: LinkAssessment   # ``checked_assessment``
+    fields: tuple             # ``link_fields``' (defined, margin, q)
+    terms: tuple              # ``_terms`` of the arrays: P_s, P_e, N, 2 N Q, scale
+    decided: LinkAssessment   # ``_assessment`` of those terms
+
+
+def tabulate(statistics, kind) -> list[Row]:
+    """Every point of ``point_sets`` answered four ways."""
+    labelled = [(name, point) for name, points in point_sets(statistics, kind).items()
+                for point in points]
+    dets = [DetectorModel(kind, eta=eta, dark=dark) for _, (_, _, eta, dark, _) in labelled]
+    t, nu, eta, dark, p = map(np.array, zip(*(point for _, point in labelled)))
+    # link_fields is arithmetic on its inputs and detector: one call answers every point
+    det = SimpleNamespace(kind=kind, eta=eta, dark=dark,
+                          _dark_probs=tuple(map(np.array, zip(*(d._dark_probs for d in dets)))))
+    fields = zip(*(f.tolist() for f in link_fields(statistics, t, nu, p, det)))
+    counts = _counts(*_detector_input(statistics, t, nu, det))
+    terms = zip(*(x.tolist() for x in np.broadcast_arrays(*_terms(kind, *counts, p))))
+    rows = []
+    for (label, point), d, f, x in zip(labelled, dets, fields, terms, strict=True):
+        t, nu, _, _, p = point
+        a = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), d)
+        rows.append(Row(label, point, a, checked_assessment(statistics, t, nu, p, d), f, x,
+                        _assessment(kind, *x)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """Each pairing's rows, made once; a numpy warning while they are made errs them all."""
+    # assess holds the one body of the scalar model: it must answer with the wrappers gone
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("thermal_observables", "poisson_observables"):
+            patch.delattr(channels, name)
+        return {pairing: tabulate(*pairing) for pairing in PAIRINGS}
+
+
+def decision(a: LinkAssessment):
+    return a.coincidence_defined, a.witness.margin, a.q
+
+
+class TestModelTable:
+    """The faces of the link model answer alike on one table of points per pairing."""
+
+    @pytest.mark.parametrize("statistics,kind", PAIRINGS)
+    def test_checked_route_matches_bit_for_bit(self, tables, statistics, kind):
+        rows = tables[statistics, kind]
+        assert [r.point for r in rows if not identical(r.assessed, r.checked)] == []
+
     @pytest.mark.parametrize("kind", list(DetectorKind))
-    def test_equals_the_checked_route(self, statistics, kind):
-        for t, nu, eta, dark, p in seeded_points(2207):
-            det = DetectorModel(kind, eta=eta, dark=dark)
-            got = assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu), det)
-            assert_identical(got, checked_assessment(statistics, t, nu, p, det))
+    def test_thermal_scalar_equals_arrays(self, tables, kind):
+        # the counts are _counts', the click is p1 + w and N is squared as n * n
+        rows = tables[NoiseStatistics.THERMAL, kind]
+        assert [r.point for r in rows if not identical(decision(r.assessed), r.fields)] == []
+        if kind == DetectorKind.PNRD:  # the n-squared row keeps the arrays' bits
+            (row,) = (r for r in rows if r.label == "n-squared")
+            assert row.assessed.q == float.fromhex("0x1.faa2307e487aap-2")
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_poisson_scalar_within_band_of_arrays(self, tables, kind):
+        # math's exp and expm1 on a point's float d_eff and numpy's on the arrays may
+        # round apart in the last bit (2.2e-16 at most here); decisions agree outside 1e-15
+        band = 1e-15
+        for r in tables[NoiseStatistics.POISSON, kind]:
+            (defined, margin, q), a = r.fields, r.assessed
+            assert a.coincidence_defined == defined, r.point
+            assert abs(a.witness.margin - margin) <= band, r.point
+            if abs(a.witness.margin) > band:
+                assert a.witness.passed == (defined and margin > 0.0), r.point
+            if defined:
+                assert abs(a.q - q) <= band, r.point
+                assert all((a.q <= q_star) == (q <= q_star) for q_star in (Q_STAR_BB84, Q_STAR_DI)
+                           if abs(a.q - q_star) > band), r.point
+
+    @pytest.mark.parametrize("statistics,kind", PAIRINGS)
+    def test_edge_points_answer_and_decide_as_the_arrays(self, tables, statistics, kind):
+        for r in (r for r in tables[statistics, kind] if r.label == "edge"):
+            (defined, margin, q), a = r.fields, r.assessed
+            numbers = (*a.rates[:2], a.stats.p_s, a.stats.p_e, a.witness.margin, margin)
+            assert not any(map(math.isnan, numbers)), r.point
+            assert a.coincidence_defined == defined, r.point
+            assert math.isnan(a.q) == math.isnan(a.s) == math.isnan(q) == (not defined), r.point
+            assert a.witness.passed == (defined and margin > 0.0), r.point
+            assert all((a.q <= q_star) == (q <= q_star) for q_star in (Q_STAR_BB84, Q_STAR_DI))
+
+    @pytest.mark.parametrize("statistics,kind", PAIRINGS)
+    def test_points_decide_as_the_arrays(self, tables, statistics, kind):
+        # _assessment of the arrays' own terms, so math's and numpy's exp do not enter
+        rows = tables[statistics, kind]
+        assert [r.point for r in rows if not identical(decision(r.decided), r.fields)] == []
+        # rows where 1 stands in for N, and where the floor is 0 (a PNRD's scale is 1)
+        assert any(r.terms[2] == 0.0 for r in rows)
+        assert any(r.terms[4] == 0.0 for r in rows) == (kind == DetectorKind.SPAD)
+
+    @pytest.mark.parametrize("statistics,kind", PAIRINGS)
+    def test_point_verdict_is_the_sweeps_rule(self, tables, statistics, kind):
+        for r in tables[statistics, kind]:
+            assert r.decided.witness.passed is _holds(Criterion.NONGAUSS, *r.fields), r.point
+            for a in (r.assessed, r.checked):
+                assert a.witness.passed is _holds(Criterion.NONGAUSS, *decision(a)), r.point
+
+
+class TestAssessmentChecksOnce:
+    """``assess`` checks each value where it enters; ``TestModelTable`` compares the routes."""
 
     @pytest.mark.parametrize("kind", list(DetectorKind))
     @pytest.mark.parametrize("t", [0.0, 0.5])
@@ -420,7 +532,7 @@ class TestAssessmentChecksOnce:
         got = assess(ChannelConfig(t=t), NoiseModel(NoiseStatistics.POISSON, nu), det)
         limit = assess(ChannelConfig(t=t), NoiseModel(NoiseStatistics.POISSON, 800.0),
                        replace(det, dark=800.0))
-        assert_identical(got, limit)
+        assert identical(got, limit)
         assert _detector_input(NoiseStatistics.POISSON, t, nu, det)[2] == nu
 
 
@@ -459,7 +571,7 @@ class TestDetectorDarkCounts:
 
         for module in (photodetection, channels):
             monkeypatch.setattr(module, "_dark_counts", refuse)
-        assert_identical(self.evaluations(NoiseStatistics.THERMAL), want)
+        assert identical(self.evaluations(NoiseStatistics.THERMAL), want)
         assert self.roots() == want_roots
         assert self.fields() == want_fields
         assert self.sweeps() == want_sweeps
@@ -468,94 +580,10 @@ class TestDetectorDarkCounts:
             self.evaluations(NoiseStatistics.POISSON)
 
 
-class TestEdgeGrid:
-    """Every pairing answers at the edges of its domain, and its twins decide alike.
-
-    T, eta, dark, nu and p at 0, the smallest subnormal, 1 and 1e308: 5,760
-    points, one ``link_fields`` call per detector and p.  A numpy warning
-    fails the test (``filterwarnings = error``).
-    """
-
-    TS = (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0)
-    ETAS = (0.0, 1e-12, 0.5, 1.0)
-    DARKS = (0.0, 5e-324, 1e-3, 0.5, 700.0, 1e308)
-    NUS = (0.0, 5e-324, 1.0, 1e6, 1e308)
-
-    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
-    @pytest.mark.parametrize("kind", list(DetectorKind))
-    def test_points_answer_and_match_the_arrays(self, statistics, kind):
-        t, nu = np.array(self.TS), np.array(self.NUS)[:, np.newaxis]
-        for eta, dark, p in itertools.product(self.ETAS, self.DARKS, (0.0, 1.0)):
-            det = DetectorModel(kind, eta=eta, dark=dark)
-            fields = link_fields(statistics, t, nu, p, det)
-            assert not np.isnan(fields.margin).any()
-            assert np.isnan(fields.q).tolist() == (~fields.defined).tolist()
-            for i, j in np.ndindex(fields.q.shape):
-                out = assess(ChannelConfig(t=self.TS[j], p=p),
-                             NoiseModel(statistics, self.NUS[i]), det)
-                numbers = (*out.rates[:2], out.stats.p_s, out.stats.p_e, out.witness.margin)
-                assert not any(map(math.isnan, numbers))
-                assert math.isnan(out.q) == math.isnan(out.s) == (not out.coincidence_defined)
-                assert out.coincidence_defined == fields.defined[i, j]
-                assert out.witness.passed == (fields.margin[i, j] > 0.0)
-                for q_star in (Q_STAR_BB84, Q_STAR_DI):
-                    assert (out.q <= q_star) == (fields.q[i, j] <= q_star)
-
-
-class TestOneScalarModel:
-    """``assess`` holds the one body of the scalar model: the statistics checks only delegate."""
-
-    @staticmethod
-    def records():
-        grid = TestEdgeGrid
-        return tuple(
-            assess(ChannelConfig(t=t, p=p), NoiseModel(statistics, nu),
-                   DetectorModel(kind, eta=eta, dark=dark))
-            for statistics, kind in itertools.product(NoiseStatistics, DetectorKind)
-            for t, eta, dark, nu, p in itertools.product(grid.TS, grid.ETAS, grid.DARKS,
-                                                          grid.NUS, (0.0, 1.0))
-        )
-
-    def test_assess_calls_neither_statistics_check(self, monkeypatch):
-        want = self.records()
-
-        def refuse(*args):
-            raise AssertionError("assess delegated to a statistics check")
-
-        for name in ("thermal_observables", "poisson_observables"):
-            monkeypatch.setattr(channels, name, refuse)
-        assert_identical(self.records(), want)
-
 
 class TestOneDecision:
-    """``_assessment`` and ``link_fields`` take one decision from the same terms, bit for bit.
+    """``_assessment`` and the arrays' ``_decide`` draw the coincidence floor at one place."""
 
-    Below ``TestEdgeGrid``: the terms are the arrays' own, so math's and
-    numpy's exp (which the Poisson models may round apart) do not enter.
-    """
-
-    def test_points_decide_as_the_arrays(self):
-        grid = TestEdgeGrid
-        t, nu = np.array(grid.TS), np.array(grid.NUS)[:, np.newaxis]
-        zero_norms = zero_scales = 0
-        for statistics, kind in itertools.product(NoiseStatistics, DetectorKind):
-            for eta, dark, p in itertools.product(grid.ETAS, grid.DARKS, (0.0, 1.0)):
-                det = DetectorModel(kind, eta=eta, dark=dark)
-                counts = _counts(*_detector_input(statistics, t, nu, det))
-                terms = np.broadcast_arrays(*_terms(kind, *counts, p))
-                points = zip(*(term.ravel().tolist() for term in terms))  # Python floats
-                fields = (f.ravel().tolist() for f in link_fields(statistics, t, nu, p, det))
-                zero_norms += np.count_nonzero(terms[2] == 0.0)
-                zero_scales += np.count_nonzero(terms[4] == 0.0)
-                for point, defined, margin, q in zip(points, *fields, strict=True):
-                    out = _assessment(kind, *point)
-                    assert type(out.coincidence_defined) is bool
-                    assert out.coincidence_defined == defined
-                    assert type(out.witness.margin) is float and type(out.q) is float
-                    assert out.witness.margin.hex() == margin.hex()
-                    assert out.q.hex() == q.hex()  # NaN equals NaN
-        # the rows where 1 stands in for N, and where the floor is 0
-        assert zero_norms > 0 and zero_scales > 0
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 1e-10])
     def test_norm_at_the_floor_is_defined(self, scale):
@@ -569,36 +597,6 @@ class TestOneDecision:
                 assert fields.defined.tolist() is defined
 
 
-class TestPoissonLastBit:
-    """Under Poisson noise ``assess`` and ``link_fields`` differ by at most 1e-15.
-
-    ``_dark_counts`` takes math's exp and expm1 on a point's float d_eff and
-    numpy's on the arrays, which may round apart in the last bit, so margin and
-    Q may differ there (2.2e-16 at most on this sample).  Every decision agrees
-    wherever the field it reads lies more than that band from its threshold.
-    """
-
-    BAND = 1e-15
-
-    @pytest.mark.parametrize("kind", list(DetectorKind))
-    def test_points_decide_as_the_arrays_outside_the_band(self, kind):
-        rng = random.Random(2903)
-        for _ in range(3000):
-            t, nu = rng.random(), 10.0 ** rng.uniform(-4.0, 1.5)
-            eta, p = rng.random(), rng.random()
-            det = DetectorModel(kind, eta=eta, dark=10.0 ** rng.uniform(-6.0, -0.3))
-            a = assess(ChannelConfig(t=t, p=p), NoiseModel(NoiseStatistics.POISSON, nu), det)
-            fields = link_fields(NoiseStatistics.POISSON, np.array([t]), np.array([nu]), p, det)
-            defined, margin, q = (field.item() for field in fields)
-            assert a.coincidence_defined == defined
-            assert abs(a.witness.margin - margin) <= self.BAND
-            if abs(a.witness.margin) > self.BAND:
-                assert a.witness.passed == (margin > 0.0)
-            if defined:
-                assert abs(a.q - q) <= self.BAND
-                for q_star in (Q_STAR_BB84, Q_STAR_DI):
-                    if abs(a.q - q_star) > self.BAND:
-                        assert (a.q <= q_star) == (q <= q_star)
 
 
 class TestCrossModelConsistency:

@@ -13,7 +13,7 @@ import pytest
 
 import qkdng.cli
 import qkdng.scan
-from qkdng.channels import NoiseStatistics
+from qkdng.channels import ChannelConfig, NoiseModel, NoiseStatistics, assess
 from qkdng.cli import CHUNK_T, CSV_HEADER, main
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import ALL_CRITERIA, Criterion, ScanConfig, sweep
@@ -132,6 +132,20 @@ class TestEval:
         assert doc["witness"]["margin"] == pytest.approx(1e-76 - math.sqrt(5e-77), rel=1e-15,
                                                          abs=0.0)
         assert doc["witness"]["passed"] is False and doc["coincidence_defined"] is False
+
+    def test_witness_verdict_is_assess_verdict(self, capsys):
+        # no coincidences but a positive margin: eval printed false while assess passed
+        code, out, _ = run_cli(
+            capsys, "eval", "--noise", "poisson", "--detector", "spad",
+            "--T", "0.5", "--nu", "0", "--eta", "1e-16", "--dark", "0",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        point = assess(ChannelConfig(t=0.5), NoiseModel(NoiseStatistics.POISSON, 0.0),
+                       DetectorModel(DetectorKind.SPAD, eta=1e-16))
+        assert doc["witness"] == {"passed": point.witness.passed, "margin": point.witness.margin}
+        assert doc["witness"]["margin"] > 0.0 and doc["coincidence_defined"] is False
+        assert doc["witness"]["passed"] is False
 
     def test_manifest_names_the_poisson_mapping(self, capsys):
         code, out, _ = run_cli(

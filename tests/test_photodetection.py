@@ -313,18 +313,21 @@ class TestPhotocountPmf:
         assert np.array_equal(pmf.probs, photocount_pmf(2, 0.1, 0.5).probs)
 
     @pytest.mark.parametrize("fields,what", [
-        ((1, 0.5, math.inf), "thermal mean m"),  # once a ZeroDivisionError
-        ((1, 2.0, -0.5), "transmittance"),       # once a table of -6 and 22
-        ((1, 0.5, -0.1), "thermal mean m"),
-        ((1.5, 0.5, 0.5), "incident Fock number"),
-        ((-1, 0.5, 0.5), "incident Fock number"),
+        pytest.param((1, 0.5, math.inf), "thermal mean m", id="m-inf"),  # once a ZeroDivisionError
+        pytest.param((1, 2.0, -0.5), "transmittance", id="t-2"),  # once a table of -6 and 22
+        pytest.param((1, 0.5, -0.1), "thermal mean m", id="m-neg"),
+        pytest.param((1.5, 0.5, 0.5), "incident Fock number", id="l-1.5"),
+        pytest.param((-1, 0.5, 0.5), "incident Fock number", id="l-neg"),
+        # what detect_pmf made of these (pnrd, eta 0.7, dark 0.001) before they were checked
+        pytest.param((-1, 0.5, 0.1), "incident Fock number", id="p0-1.39"),
+        pytest.param((1, 0.5, -0.3), "thermal mean m", id="w-neg"),
+        pytest.param((1, math.nan, 0.5), "transmittance", id="nan"),
+        pytest.param((2.5, 0.5, 0.1), "incident Fock number", id="l-2.5"),
     ])
-    def test_record_built_by_hand_checked_where_tabulated(self, fields, what):
+    def test_record_built_by_hand_checked_where_built(self, fields, what):
         # NaN fields, which once tabulated without end, are tests/test_process.py's
-        pmf = PhotocountDistribution(*fields)
-        for read in ("probs", "truncation_tail"):
-            with pytest.raises(DomainError, match=f"^{what}"):
-                getattr(pmf, read)
+        with pytest.raises(DomainError, match=f"^{what}"):
+            PhotocountDistribution(*fields)
 
 
 class TestSpadWeights:

@@ -233,9 +233,9 @@ def test_poisson_model_at_huge_noise(t, nu, extra, eta, d, p):
 def test_witness_never_returns_as_noise_grows(statistics, kind, t, nu, extra, eta, d):
     quiet = link(statistics, kind, t, nu, eta, d, 1.0)
     noisy = link(statistics, kind, t, nu + extra, eta, d, 1.0)
-    if not quiet.nongauss:
-        assert not noisy.nongauss
-    assert noisy.witness.passed == (noisy.witness.margin > 0.0)
+    if not quiet.witness.passed:
+        assert not noisy.witness.passed
+    assert noisy.witness.passed == (noisy.coincidence_defined and noisy.witness.margin > 0.0)
     det = DetectorModel(kind, eta=eta, dark=d)
     fields = link_fields(statistics, np.array([t, t]), np.array([nu, nu + extra]), 1.0, det)
     witness = _holds(Criterion.NONGAUSS, *fields).tolist()
