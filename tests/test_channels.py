@@ -306,6 +306,19 @@ class TestNoiseAndDetectorFactors:
         got = channels._no_click_ratio(t, m)
         assert abs(Fraction(got) - exact) <= 3 * 2.0**-53 * exact
 
+    @pytest.mark.parametrize("eta, dark", [(1.0, 0.0), (0.7, 1e-3), (0.2, 0.3)])
+    @pytest.mark.parametrize("p", [1.0, 0.9])
+    def test_thermal_spad_scalar_equals_arrays(self, eta, dark, p):
+        # both read the click as p1 + w, so margin and Q agree bit for bit
+        det = DetectorModel(DetectorKind.SPAD, eta=eta, dark=dark)
+        rng = np.random.default_rng(13)
+        t, nu = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-6.0, 2.0, 200)
+        fields = link_fields(NoiseStatistics.THERMAL, t, nu, p, det)
+        for k in range(t.size):
+            out = thermal(float(t[k]), float(nu[k]), p=p, det=det)
+            assert fields.margin[k] == out.witness.margin
+            assert fields.q[k] == out.q
+
 
 class TestPairingByValue:
     """Each pairing branch compares by value: a plain string takes its enum member's branch."""
@@ -397,12 +410,6 @@ def point_sets(statistics, kind):
         (0.0, 5e-324, 1.0, 1e6, 1e308), (0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0))
     sets = {"edge": [(t, nu, eta, dark, p) for eta, dark, p, nu, t in edge],  # 1,440 points
             "seeded": seeded_points(2207), **ROWS.get((statistics, kind), {})}
-    if (statistics, kind) == (NoiseStatistics.THERMAL, DetectorKind.SPAD):
-        rng = np.random.default_rng(13)  # 200 (T, nu) behind three detectors at two p
-        t, nu = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-6.0, 2.0, 200)
-        sets["sweep"] = [(*point, eta, dark, p)
-                         for eta, dark in ((1.0, 0.0), (0.7, 1e-3), (0.2, 0.3))
-                         for p in (1.0, 0.9) for point in zip(t.tolist(), nu.tolist())]
     if statistics == NoiseStatistics.POISSON:
         rng = random.Random(2903)  # 3,000 points, each with its own detector and p
         draws = ((rng.random(), 10.0 ** rng.uniform(-4.0, 1.5), rng.random(), rng.random())
