@@ -25,7 +25,10 @@ clamps the terms, tests the coincidence floor and forms Q.
 ``_assessment`` makes a point's ``LinkAssessment`` of it, whose witness
 passes by the sweep's rule (defined and margin > 0), and checks nothing
 again: the cores it calls (``witness_margin``, ``_bb84``, ``_di``) are
-unchecked, and their public wrappers check their inputs.
+unchecked, and their public wrappers check their inputs.  For the sweep,
+``noise_root`` solves the security criteria for the noise mean, and
+``witness_holds`` gives ``link_fields``' witness verdict by a closed-form
+sign, on three of the four pairings.
 """
 
 from __future__ import annotations
@@ -72,9 +75,14 @@ def _detector_input(statistics: NoiseStatistics, t, nu, det: DetectorModel):
     """
     if statistics == NoiseStatistics.THERMAL:
         return t * det.eta, (1.0 - t) * nu * det.eta, det.dark, det._dark_probs
-    added = det.eta * (1.0 - t) * nu  # at most nu, so finite; only the sum can overflow
-    d_eff = det.dark + _elementary(added).minimum(added, sys.float_info.max - det.dark)
+    d_eff = _d_eff(t, nu, det)
     return t * det.eta, 0.0, d_eff, _dark_counts(d_eff)
+
+
+def _d_eff(t, nu, det: DetectorModel):
+    """Poisson noise joined to the dark counts: dark + eta (1-t) nu, at most the largest float."""
+    added = det.eta * (1.0 - t) * nu  # at most nu, so finite; only the sum can overflow
+    return det.dark + _elementary(added).minimum(added, sys.float_info.max - det.dark)
 
 
 @dataclass(frozen=True)
@@ -285,4 +293,60 @@ def noise_root(statistics: NoiseStatistics, t, q_star: float, p: float, det: Det
         c = d * (1.0 - t_e) - t_e * 2.0 * k / (s * (1.0 + s))
         m = -2.0 * c / (b + np.sqrt(b * b - 4.0 * (1.0 + d) * c))
         return m / per_nu
+
+
+def _spad_holds(q0, rho, c0, c1):
+    """A SPAD witness from no clicks q0, q1 = rho q0 and clicks c_l = 1 - q_l, in closed form.
+
+    In units of q0^2, P_s = f^2/4 and P_e = e = rho c0 c1 with f = c1 + rho c0,
+    so 2 P_s - P_e = q0^2 h/2 with h = c1^2 + (rho c0)^2 >= 0.  P_s exceeds the
+    threshold exactly where h > 0 and (8 + P_e)(2 P_s - P_e)^2 > P_e (2 + P_e)^2,
+    that is q0^2 h^2 (8 + u) > 4 e (2 + u)^2 with u = q0^2 e = P_e.
+    """
+    rc = rho * c0
+    f = c1 + rc
+    e = rc * c1
+    h = c1 * c1 + rc * rc
+    k = q0 * q0
+    u = k * e
+    w = 2.0 + u
+    return (f * f >= _COINCIDENCE_FLOOR * k) & (h * h * (8.0 + u) * k > 4.0 * e * w * w)
+
+
+def witness_holds(statistics: NoiseStatistics, t, nu, det: DetectorModel):
+    """Where the witness holds (defined and margin > 0), elementwise in closed form.
+
+    ``link_fields``' verdict up to rounding, without a square root or a
+    division by the terms: a PNRD's P_s > sqrt(P_e) - P_e holds exactly where
+    (P_s + P_e)^2 > P_e, and a SPAD's test is ``_spad_holds``.  Every
+    variable lies in [0, 1], so nothing overflows at any noise mean: thermal
+    noise is written in g = 1/(1 + m), Poisson noise on a SPAD in
+    x = e^(-d_eff), which needs no dark-count series.  Poisson noise on a
+    PNRD mixes d_eff and e^(-d_eff), so it has no such form: there this
+    returns None.  Unchecked but for ``statistics``, like ``link_fields``.
+    """
+    statistics = check_choice("noise statistics", NoiseStatistics, statistics)
+    if statistics == NoiseStatistics.POISSON:
+        if det.kind == DetectorKind.PNRD:
+            return None
+        minus_d = -_d_eff(t, nu, det)
+        x, c0, t_e = np.exp(minus_d), -np.expm1(minus_d), t * det.eta
+        return _spad_holds(x, 1.0 - t_e, c0, c0 + t_e * x)
+    t_e, m, dark, (damp, lost, doubles) = _detector_input(statistics, t, nu, det)
+    g = 1.0 / (1.0 + m)
+    a = ((1.0 - t_e) + m) * g  # q1/q0 = 1 - t_e g without cancellation
+    tg = t_e * g
+    q0 = damp * g
+    if det.kind == DetectorKind.SPAD:
+        c0 = (m + lost) * g  # 1 - e^-dark g without cancellation
+        return _spad_holds(q0, a, c0, c0 + tg * q0)
+    # p11, P_e = w1 and n (N = n^2) by _detected's and _terms' own operations, to the bit
+    r = m * g
+    miss = g * a
+    single = g * (r * a + tg * g)
+    p11 = damp * (single + dark * miss)
+    w1 = a * r * r + tg * r * (1.0 + g) + single * lost + miss * doubles
+    n = p11 * q0 + damp * (g * r + dark * g) * (damp * miss)
+    s = p11 * p11 + w1
+    return (n * n >= _COINCIDENCE_FLOOR) & (s * s > w1)
 

@@ -164,6 +164,7 @@ def _sweeps(configs: Iterable[ScanConfig], diagnostics: dict) -> Iterator[Bounda
         diagnostics["sweeps"] += 1
         diagnostics["bisection_steps"] = max(diagnostics["bisection_steps"], curve.bisection_steps)
         diagnostics["evaluations"] += curve.evaluations
+        diagnostics["closed_form_steps"] += curve.closed_form_steps
         diagnostics["boundaries"] += len(curve.criteria) * len(curve.t_grid)
         for outcome in ("capped", "undefined", "monotone_warning"):
             diagnostics[outcome] += sum(sum(getattr(column, outcome)) for column in curve.columns)
@@ -234,9 +235,9 @@ def _cmd_scan(args: SimpleNamespace) -> int:
         flags = "--t-min/--t-max/--t-points/--nu-cap/--tol/--criteria"
         raise ConfigurationError(f"{flags}: {exc}") from exc
     phase_s = {"resolve": time.perf_counter() - started, "sweep": 0.0, "write": 0.0}
-    diagnostics = {"sweeps": 0, "bisection_steps": 0, "evaluations": 0, "boundaries": 0,
-                   "capped": 0, "undefined": 0, "monotone_warning": 0, "phase_s": phase_s,
-                   **_VERSIONS}
+    diagnostics = {"sweeps": 0, "bisection_steps": 0, "evaluations": 0, "closed_form_steps": 0,
+                   "boundaries": 0, "capped": 0, "undefined": 0, "monotone_warning": 0,
+                   "phase_s": phase_s, **_VERSIONS}
     curves = _sweeps(chain([first], configs), diagnostics)  # lazy: swept as rows are written
     lines = _csv_lines(curves) if args.format == "csv" else _json_lines(first.criteria, curves)
     out = Path(args.out)

@@ -16,9 +16,11 @@ either noise statistics, opens every bracket in one call: its (nu, T) array
 holds nu = 0 and nu = nu_cap and, when the witness is scanned, the
 witness bisection's first two levels of midpoints between them.  Those five
 rows take the witness's first two decisions and check it for a second
-crossing on every sweep.  From the third step on the witness row calls the
-model once per step on a (1, T) array of midpoints, so a sweep costs
-1 + steps - 2 calls.
+crossing on every sweep.  From the third step on, ``channels.witness_holds``
+decides the witness row's midpoints by a closed-form sign, so a sweep makes
+one model call.  Poisson noise on a PNRD has no closed form: its witness
+row calls the model once per step on a (1, T) array of midpoints, so its
+sweep costs 1 + steps - 2 calls.
 Rounding can leave a bracket a hair wider or narrower than its neighbours;
 each stops at its own width, as a scalar loop would.  ``max_noise`` is the
 same code with one element; single-point verdicts (``indicator``,
@@ -48,6 +50,7 @@ from .channels import (
     assess,
     link_fields,
     noise_root,
+    witness_holds,
 )
 from .errors import DomainError, check_choice, check_range
 from .keyrates import Q_STAR_BB84, Q_STAR_DI
@@ -152,7 +155,9 @@ class BoundaryCurve:
     ``columns[i]`` belongs to ``criteria[i]``.  Columns hold Python floats and
     bools, so curves compare with ``==``.  ``bisection_steps`` counts the
     lock-step halvings and ``evaluations`` the calls of the model's array
-    function: one opening call plus one per witness step.
+    function: one opening call, plus one per witness step from the third
+    where the witness has no closed form.  ``closed_form_steps`` counts the
+    witness steps ``witness_holds`` decided instead.
     """
 
     criteria: tuple[Criterion, ...]
@@ -160,6 +165,7 @@ class BoundaryCurve:
     columns: tuple[BoundaryColumn, ...]
     bisection_steps: int
     evaluations: int
+    closed_form_steps: int
 
     def column(self, criterion: Criterion | str) -> BoundaryColumn:
         criterion = check_choice("criterion", Criterion, criterion)
@@ -240,11 +246,13 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     noise means 0 and ``nu_cap``.  When the witness is scanned, its rows
     also hold the witness bisection's first two levels of midpoints, which
     decide its first two steps and, by any off-to-on flip across the five
-    rows, set ``monotone_warning``.  After that only the witness costs
-    evaluations, one per step while one of its brackets is open, so a sweep
-    costs ``1 + steps - 2``.  A boundary is, in order of precedence:
-    undefined (no coincidences at nu = 0), failing at nu = 0, capped (still
-    holding at ``nu_cap``) or bisected.
+    rows, set ``monotone_warning``.  After that only the witness is decided
+    anew, once per step while one of its brackets is open: by
+    ``witness_holds`` in closed form, so a sweep costs one evaluation, or,
+    for Poisson noise on a PNRD, which has no closed form, by one evaluation
+    per step, ``1 + steps - 2`` in all.  A boundary is, in order of
+    precedence: undefined (no coincidences at nu = 0), failing at nu = 0,
+    capped (still holding at ``nu_cap``) or bisected.
     """
     criteria = config.criteria
     statistics, p, det = config.statistics, config.p, config.detector
@@ -271,7 +279,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     # holds at lo, fails at hi; brackets decided without bisection start closed
     lo = np.zeros(at_zero.shape)
     hi = np.where(at_zero & ~capped, cap, 0.0)
-    steps = 0
+    steps = closed_form_steps = 0
     mid = 0.5 * lo + 0.5 * hi  # not 0.5 * (lo + hi): that sum overflows near the float limit
     # a bracket one float wide has no midpoint inside it, however wide tol allows
     while (active := (hi - lo > config.tol) & (lo < mid) & (mid < hi)).any():
@@ -279,9 +287,14 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
         if w is not None and steps < 2:
             ok[w] = opened[steps]
         elif w is not None and active[w].any():
-            fields = link_fields(statistics, t, mid[w:w + 1], p, det)
-            ok[w] = _holds(Criterion.NONGAUSS, *fields)[0]
-            evaluations += 1
+            held = witness_holds(statistics, t, mid[w], det)
+            if held is None:  # no closed form for this pairing: ask the model
+                fields = link_fields(statistics, t, mid[w:w + 1], p, det)
+                held = _holds(Criterion.NONGAUSS, *fields)[0]
+                evaluations += 1
+            else:
+                closed_form_steps += 1
+            ok[w] = held
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
         mid = 0.5 * lo + 0.5 * hi
@@ -295,7 +308,7 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     )
     return BoundaryCurve(
         criteria=criteria, t_grid=config.t_grid, columns=columns, bisection_steps=steps,
-        evaluations=evaluations,
+        evaluations=evaluations, closed_form_steps=closed_form_steps,
     )
 
 

@@ -539,9 +539,11 @@ class TestScan:
         )
         assert code == 0 and err == ""
         diag = json.loads((tmp_path / "diag.csv.manifest.json").read_text())["diagnostics"]
-        # ceil(log2(1 / 1e-3)) = 10 steps; one opening call decides the first two
+        # ceil(log2(1 / 1e-3)) = 10 steps; one opening call decides the first two,
+        # and the witness's closed form the other eight
         assert diag["bisection_steps"] == 10
-        assert diag["evaluations"] == 9
+        assert diag["evaluations"] == 1
+        assert diag["closed_form_steps"] == 8
         assert diag["boundaries"] == 15
         assert diag["undefined"] == 3    # T = 0, every criterion
         assert diag["capped"] >= 1       # T = 1 decouples the noise
@@ -549,11 +551,10 @@ class TestScan:
         assert diag["python"].count(".") == 2 and diag["numpy"]
 
     def test_monotone_warning_reported(self, capsys, tmp_path, monkeypatch):
-        import qkdng.scan
-        from test_scan import notched_fields
+        from test_scan import NOTCHED, fake_fields
 
         # the witness holds at 0 and nu_cap but not at nu_cap / 2; no flag asks for the check
-        monkeypatch.setattr(qkdng.scan, "link_fields", notched_fields)
+        fake_fields(monkeypatch, **NOTCHED)
         out = tmp_path / "banded.csv"
         code, _, err = run_cli(
             capsys, "scan", "--preset", "fig3", "--t-min", "0.5", "--t-points", "1",
@@ -782,6 +783,7 @@ class TestChunkedScan:
             assert data == whole
             assert (whole_diag["sweeps"], diag["sweeps"]) == (1, sweeps)
             assert diag["evaluations"] == sum(curve.evaluations for curve in chunks)
+            assert diag["closed_form_steps"] == sum(curve.closed_form_steps for curve in chunks)
             assert diag["bisection_steps"] == max(curve.bisection_steps for curve in chunks)
             for outcome in ("boundaries", "capped", "undefined", "monotone_warning"):
                 assert diag[outcome] == whole_diag[outcome]

@@ -146,13 +146,31 @@ class TestBisectionEnds:
             assert [float(row[column]) for row in rows] == root.tolist()
         assert all(0.0 < float(row[1]) < 10.0 for row in rows)
 
-    def test_scan_at_the_largest_cap_stays_quiet(self, tmp_path):
-        # 0.5 * (nu_cap/2 + nu_cap) overflows: no opening row may hand the model inf
+    LOSSY = ["--eta", "0.7", "--dark", "0.001"]
+
+    # each pairing's witness column as a bisection on the model itself writes it
+    @pytest.mark.parametrize("flags,witness", [
+        pytest.param(["--preset", "fig4"], ["0.005887265122454051", "0.08120962771855736",
+                                            "0.50849809538059"], id="fig4"),
+        pytest.param(["--preset", "fig5", *LOSSY], ["0.006002701693482562", "0.11682180988085294",
+                                                    "1.0489721209360776"], id="fig5"),
+        pytest.param(["--noise", "thermal", "--detector", "spad", *LOSSY],
+                     ["0.005944983407968307", "0.10389291392565972", "0.7206127946454787"],
+                     id="thermal-spad"),
+        pytest.param(["--noise", "poisson", "--detector", "pnrd", *LOSSY],
+                     ["0.012640304527621934", "0.23081542377150738", "1.912379953943824"],
+                     id="poisson-pnrd"),
+    ])
+    def test_scan_at_the_largest_cap_stays_quiet(self, tmp_path, flags, witness):
+        # 0.5 * (nu_cap/2 + nu_cap) overflows: no opening row may hand the model inf, and
+        # none of the 1,036 later witness steps may overflow in the closed form or the model
         out = tmp_path / "x.csv"
-        proc = python("-W", "error", *CLI, "scan", "--preset", "fig4", "--nu-cap", "1.7e308",
+        proc = python("-W", "error", *CLI, "scan", *flags, "--nu-cap", "1.7e308",
                       "--t-points", "5", "--out", str(out))
         assert proc.returncode == 0 and proc.stderr == ""
-        assert out.read_text().splitlines()[-1] == "1.0,1.7e+308,1.7e+308,1.7e+308,true,true,true"
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows[:-1]] == ["0.0", *witness]
+        assert rows[-1] == "1.0,1.7e+308,1.7e+308,1.7e+308,true,true,true"
 
     @pytest.mark.parametrize("protocol,q_star", [("bb84", Q_STAR_BB84), ("di", Q_STAR_DI)])
     def test_security_threshold_tolerance_below_float_spacing(self, protocol, q_star):

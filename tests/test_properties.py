@@ -13,8 +13,12 @@ and rho/(1-rho) rises with the noise reaching the detector: it is
 m = (1-T) nu eta and d_eff (1 - t_e)/t_e for Poisson noise.  SPAD:
 Q = 1/2 - p (1 - q1/q0)^2/(2 f^2), f = c1 + c0 q1/q0, rises with f.  So
 Q = Q* has one root in the noise mean, and the root property checks the
-criterion's indicator on both sides of it.  Every property runs on all four
-noise/detector pairings; the two original pairings keep their short ids.
+criterion's indicator on both sides of it.  From its third step on, the
+sweep decides the witness by ``witness_holds``, a closed-form sign, on every
+pairing but Poisson noise on a PNRD; the closed-form property checks it
+against ``link_fields`` wherever the margin is clear of rounding.  Every
+other property runs on all four noise/detector pairings; the two original
+pairings keep their short ids.
 
 Each property runs over fixed cases (``seeded``): listed rows, every corner of
 its input ranges, then draws from ``random.Random(seed)``, 40 unless a test
@@ -47,11 +51,12 @@ from qkdng.channels import (
     assess,
     link_fields,
     noise_root,
+    witness_holds,
 )
 from qkdng.keyrates import S_MAX, bell_from_qber, key_rates
 from qkdng.photodetection import DetectorKind, DetectorModel
 from qkdng.scan import PROTOCOLS, Q_STAR, Criterion, ScanConfig, _holds, indicator, sweep
-from qkdng.witness import CoincidenceStats
+from qkdng.witness import CoincidenceStats, _bound
 
 PAIRINGS = ("statistics, kind", [
     pytest.param(NoiseStatistics.THERMAL, DetectorKind.PNRD, id="thermal"),
@@ -59,6 +64,9 @@ PAIRINGS = ("statistics, kind", [
     pytest.param(NoiseStatistics.THERMAL, DetectorKind.SPAD, id="thermal-spad"),
     pytest.param(NoiseStatistics.POISSON, DetectorKind.PNRD, id="poisson-pnrd"),
 ])
+# the pairings whose witness steps ``witness_holds`` decides; Poisson noise on a PNRD has
+# no closed form, and ``test_scan.TestSweepCost`` shows its steps still call ``link_fields``
+CLOSED_FORM_PAIRINGS = (PAIRINGS[0], PAIRINGS[1][:3])
 DRAWS = 40  # seeded cases per test id, besides its rows and corners
 OPEN_DRAWS = 160  # noise-root draws, of which at least DRAWS open a bracket on each test id
 
@@ -306,6 +314,40 @@ def test_witness_boundary_falls_with_dark_counts_and_rises_with_efficiency(stati
             assert dk <= b + 2.0 * tol
         if b is not None and k is not None:
             assert k >= b - 2.0 * tol
+
+
+# nu = 0, every fourth decade from 1e-300, quarter decades where the witness boundaries
+# lie, and the largest cap a scan takes
+NU_LADDER = np.array(sorted({0.0, 1.7e308, *(10.0 ** k for k in range(-300, 309, 4)),
+                             *(10.0 ** (k / 4) for k in range(-40, 9))}))
+# a margin counts as clear of 0 above this share of the larger side of P_s > threshold(P_e),
+# far above the round-off of either side, and above the subnormal floats
+WITNESS_ROUNDING = 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(*CLOSED_FORM_PAIRINGS)
+@seeded(3211,
+        dict(t=1.0 - 4e-10, nu=1e-3, eta=1.0 - 5e-10, d=0.0),  # T eta within 1e-9 of 1
+        dict(t=1.0 - 4e-10, nu=0.5, eta=1.0 - 5e-10, d=0.001),
+        dict(t=1e-17, nu=0.0, eta=1.0, d=0.0),  # a positive margin, but no coincidences
+        dict(t=5e-324, nu=0.5, eta=1e-12, d=700.0),  # e^-dark near the float limit
+        dict(t=0.5, nu=1e-3, eta=0.5, d=1e308),
+        least=30, t=UNIT, nu=NOISE_MEAN, eta=UNIT, d=DARK)
+def test_closed_form_witness_equals_the_model(statistics, kind, t, nu, eta, d):
+    # at T = 0, t and 1, and on the noise ladder with nu added, quietly
+    det = DetectorModel(kind, eta=eta, dark=d)
+    t_grid, nus = np.array([0.0, t, 1.0]), np.append(NU_LADDER, nu)[:, np.newaxis]
+    model = link_fields(statistics, t_grid, nus, 1.0, det)
+    p_s, p_e, *_, scale = _terms(kind, *_counts(*_detector_input(statistics, t_grid, nus, det)),
+                                 1.0)
+    sides = scale * np.maximum(scale * np.clip(p_s, 0.0, 1.0),
+                               _bound(kind, np.clip(p_e, 0.0, 1.0), scale))
+    clear = np.abs(model.margin) > np.maximum(WITNESS_ROUNDING * sides, sys.float_info.min)
+    closed = witness_holds(statistics, t_grid, nus, det)
+    assert closed.shape == clear.shape
+    assert (closed == _holds(Criterion.NONGAUSS, *model))[clear].all()
+    return bool((closed & clear).any())  # 38-40 of the 61 cases see the witness hold
 
 
 def test_cases_do_not_depend_on_what_is_loaded():

@@ -361,43 +361,66 @@ def test_unread_security_roots_stay_quiet(statistics, eta, dark, p):
 
 
 class TestSweepCost:
-    """One opening evaluation, then one per witness step from the third, whatever the grid size.
+    """One opening evaluation; later witness steps in closed form, or on the model without one.
 
     The opening call decides nu = 0, nu = nu_cap and, when the witness is
     scanned, its first two bisection levels; security boundaries come from
-    the closed-form roots and cost nothing more.
+    the closed-form roots and cost nothing more.  From the third step on,
+    ``witness_holds`` decides the witness row, except for Poisson noise on a
+    PNRD, which has no closed form and calls the model once per step.
     """
 
     @staticmethod
     def count_calls(monkeypatch, statistics):
-        real = qkdng.scan.link_fields
-        calls = []
+        """The sweep's ``link_fields`` calls, and its ``witness_holds`` calls with their answers."""
+        real_fields, real_holds = qkdng.scan.link_fields, qkdng.scan.witness_holds
+        calls, decided = [], []
 
         def counted(*args):
             assert args[0] is statistics
             calls.append(args)
-            return real(*args)
+            return real_fields(*args)
+
+        def counted_holds(*args):
+            assert args[0] is statistics
+            decided.append((args, real_holds(*args)))
+            return decided[-1][1]
 
         monkeypatch.setattr(qkdng.scan, "link_fields", counted)
-        return calls
+        monkeypatch.setattr(qkdng.scan, "witness_holds", counted_holds)
+        return calls, decided
 
-    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    @pytest.mark.parametrize("statistics,kind", [
+        pytest.param(NoiseStatistics.THERMAL, DetectorKind.PNRD, id="thermal"),
+        pytest.param(NoiseStatistics.POISSON, DetectorKind.SPAD, id="poisson"),
+        pytest.param(NoiseStatistics.THERMAL, DetectorKind.SPAD, id="thermal-spad"),
+        pytest.param(NoiseStatistics.POISSON, DetectorKind.PNRD, id="poisson-pnrd"),
+    ])
     @pytest.mark.parametrize("points", [1, 7, 40])
     # nu_cap 2 * 10**decades: at 2e9 the witness already fails at both first-level rows
     @pytest.mark.parametrize("decades", [0, 9])
-    def test_evaluations_per_sweep(self, monkeypatch, statistics, points, decades):
-        calls = self.count_calls(monkeypatch, statistics)
+    def test_evaluations_per_sweep(self, monkeypatch, statistics, kind, points, decades):
+        calls, decided = self.count_calls(monkeypatch, statistics)
         config = oracle_config(statistics, t_grid=tuple(np.linspace(0.3, 0.9, points)),
-                               nu_cap=2.0 * 10**decades, tol=1e-3)
+                               nu_cap=2.0 * 10**decades, tol=1e-3,
+                               detector=DetectorModel(kind, eta=0.7))
         curve = sweep(config)
         steps = math.ceil(math.log2(config.nu_cap / config.tol))  # 11 or 41
         assert curve.bisection_steps == steps
         # the opening call decides the first two steps
-        assert len(calls) == curve.evaluations == 1 + steps - 2
         assert np.shape(calls[0][2]) == (5, 1)
         assert calls[0][2][:, 0].tolist() == list(opening_rows(config.nu_cap))
-        # each later step hands the model the witness row alone
-        assert [np.shape(nu) for _, _, nu, _, _ in calls[1:]] == [(1, points)] * (steps - 2)
+        # each later step hands the closed form the witness row alone
+        assert [np.shape(nu) for (_, _, nu, _), _ in decided] == [(points,)] * (steps - 2)
+        if (statistics, kind) != (NoiseStatistics.POISSON, DetectorKind.PNRD):
+            assert len(calls) == curve.evaluations == 1
+            assert curve.closed_form_steps == steps - 2
+            assert all(held.shape == (points,) for _, held in decided)
+        else:  # no closed form: every later step asks the model, on the same row
+            assert [held for _, held in decided] == [None] * (steps - 2)
+            assert len(calls) == curve.evaluations == 1 + steps - 2
+            assert curve.closed_form_steps == 0
+            assert [np.shape(nu) for _, _, nu, _, _ in calls[1:]] == [(1, points)] * (steps - 2)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("nu_cap", [0.3, 1e6, 1.7e308])
@@ -406,7 +429,7 @@ class TestSweepCost:
         # stays finite at 1.7e308, where 0.5 * (lo + hi) would overflow
         half = 0.5 * np.zeros(1) + 0.5 * nu_cap
         lower, upper = 0.5 * 0.0 + 0.5 * half, 0.5 * half + 0.5 * nu_cap
-        calls = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
+        calls, _ = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
         sweep(thermal_config(t_grid=(0.5, 0.9), nu_cap=nu_cap, criteria=(Criterion.NONGAUSS,)))
         rows = calls[0][2][:, 0].tolist()
         assert [x.hex() for x in rows] == [x.hex() for x in (
@@ -419,8 +442,7 @@ class TestSweepCost:
         # where a scalar bisection on the predicate ends
         tol = nu_cap / 2**6
         for c in (0.1 * nu_cap, 0.3 * nu_cap, 0.6 * nu_cap, 0.9 * nu_cap):
-            monkeypatch.setattr(qkdng.scan, "link_fields",
-                                fake_fields(lambda t, nu, c=c: nu <= c))
+            fake_fields(monkeypatch, lambda t, nu, c=c: nu <= c)
             bound = max_noise(Criterion.NONGAUSS, 0.5,
                               thermal_config(nu_cap=nu_cap, tol=tol))
             lo = bisect(lambda nu, c=c: nu <= c, nu_cap, tol)
@@ -431,7 +453,7 @@ class TestSweepCost:
         # a witness holding up to 1e308 under nu_cap 1.7e308: once lo passes
         # nu_cap / 2, the sum lo + hi overflows, its halves do not
         nu_cap, tol = 1.7e308, 1.7e308 / 2**40
-        monkeypatch.setattr(qkdng.scan, "link_fields", fake_fields(lambda t, nu: nu <= 1e308))
+        fake_fields(monkeypatch, lambda t, nu: nu <= 1e308)
         config = thermal_config(t_grid=(0.3, 0.6), nu_cap=nu_cap, tol=tol,
                                 criteria=(Criterion.NONGAUSS,))
         lo = bisect(lambda nu: nu <= 1e308, nu_cap, tol)
@@ -442,22 +464,24 @@ class TestSweepCost:
 
     @pytest.mark.parametrize("statistics", list(NoiseStatistics))
     def test_security_sweep_evaluates_only_the_ends(self, monkeypatch, statistics):
-        calls = self.count_calls(monkeypatch, statistics)
+        calls, decided = self.count_calls(monkeypatch, statistics)
         config = oracle_config(statistics, criteria=(Criterion.BB84, Criterion.DI))
         curve = sweep(config)
         assert curve.bisection_steps == math.ceil(math.log2(config.nu_cap / config.tol))
         assert any(0.0 < nu < config.nu_cap for column in curve.columns
                    for nu in column.nu_star)  # open brackets were bisected
         assert len(calls) == curve.evaluations == 1
+        assert decided == [] and curve.closed_form_steps == 0
         assert calls[0][2][:, 0].tolist() == [0.0, config.nu_cap]  # no witness rows
 
     def test_no_bisection_without_an_open_bracket(self, monkeypatch):
         # every boundary is undefined, dead or capped: nothing left to halve
-        calls = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
+        calls, decided = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
         curve = sweep(oracle_config(NoiseStatistics.THERMAL, t_grid=(0.0, 1.0),
                                     criteria=(Criterion.BB84,)))
         assert curve.bisection_steps == 0
         assert len(calls) == curve.evaluations == 1
+        assert decided == [] and curve.closed_form_steps == 0
 
 
 @pytest.mark.parametrize("statistics", list(NoiseStatistics))
@@ -477,11 +501,14 @@ def test_probe_leaves_boundaries_alone(statistics, kind):
     assert any(0.0 < nu < config.nu_cap for nu in witness.nu_star)  # and some are bisected
 
 
-def fake_fields(witness, bb84=lambda t, nu: False, di=lambda t, nu: False):
-    """Model whose criteria hold exactly where the given predicates of (t, nu) do.
+def fake_fields(monkeypatch, witness, bb84=lambda t, nu: False, di=lambda t, nu: False):
+    """Give the sweep a model whose criteria hold exactly where the given predicates of (t, nu) do.
 
-    Security is faked through ``q``: 0 where DI holds, ``Q_STAR_BB84`` where
-    only BB84 does and 1/2 elsewhere, so ``di`` must imply ``bb84``.
+    Both of the sweep's seams are replaced: ``link_fields`` and the
+    closed-form ``witness_holds``, which decides the witness from the third
+    step on.  Security is faked through ``q``: 0 where DI holds,
+    ``Q_STAR_BB84`` where only BB84 does and 1/2 elsewhere, so ``di`` must
+    imply ``bb84``.
     """
 
     def fields(statistics, t, nu, p, det):
@@ -490,7 +517,11 @@ def fake_fields(witness, bb84=lambda t, nu: False, di=lambda t, nu: False):
         return LinkFields(defined=np.ones(nu.shape, dtype=bool),
                           margin=np.where(witness(t, nu), 1.0, -1.0), q=q)
 
-    return fields
+    def holds(statistics, t, nu, det):
+        return np.asarray(witness(*np.broadcast_arrays(t, nu)))
+
+    monkeypatch.setattr(qkdng.scan, "link_fields", fields)
+    monkeypatch.setattr(qkdng.scan, "witness_holds", holds)
 
 
 # several crossings: the witness holds on [0, 0.3] and [0.9, 1.5], BB84 on
@@ -500,21 +531,18 @@ def banded_bb84(t, nu):
     return (nu <= 0.5) | (nu >= 1.0)
 
 
-banded_fields = fake_fields(
-    lambda t, nu: (nu <= 0.3) | ((nu >= 0.9) & (nu <= 1.5)),
-    banded_bb84,
-    lambda t, nu: nu >= 1.9,
-)
+BANDED = dict(witness=lambda t, nu: (nu <= 0.3) | ((nu >= 0.9) & (nu <= 1.5)),
+              bb84=banded_bb84, di=lambda t, nu: nu >= 1.9)
 
 # with nu_cap 2, the witness fails only around nu_cap / 2
-notched_fields = fake_fields(lambda t, nu: np.abs(nu - 1.0) > 0.25)
+NOTCHED = dict(witness=lambda t, nu: np.abs(nu - 1.0) > 0.25)
 
 
 class TestMonotoneProbe:
     """Every witness sweep checks its opening rows for an off-to-on flip."""
 
     def test_probe_flags_multiple_crossings(self, monkeypatch):
-        monkeypatch.setattr(qkdng.scan, "link_fields", banded_fields)
+        fake_fields(monkeypatch, **BANDED)
         config = thermal_config(t_grid=(0.3, 0.6), tol=1e-4)
         for point in sweep(config).points:
             witness, bb84, di = (point.bounds[c] for c in ALL_CRITERIA)
@@ -529,8 +557,7 @@ class TestMonotoneProbe:
     def test_probe_off_flags_nothing(self, monkeypatch):
         # a witness that crosses once is not flagged, and a sweep without the
         # witness checks nothing, though the faked BB84 flips on at nu = 1
-        monkeypatch.setattr(qkdng.scan, "link_fields",
-                            fake_fields(lambda t, nu: nu <= 0.7, banded_bb84))
+        fake_fields(monkeypatch, lambda t, nu: nu <= 0.7, banded_bb84)
         for criteria in (ALL_CRITERIA, (Criterion.BB84,)):
             curve = sweep(thermal_config(t_grid=(0.3,), criteria=criteria))
             assert not any(b.monotone_warning for b in curve.points[0].bounds.values())
@@ -538,7 +565,7 @@ class TestMonotoneProbe:
     def test_check_runs_by_default(self, monkeypatch):
         # the witness holds at 0 and at nu_cap but not at nu_cap / 2: a plain
         # sweep caps it and flags the boundary
-        monkeypatch.setattr(qkdng.scan, "link_fields", notched_fields)
+        fake_fields(monkeypatch, **NOTCHED)
         bound = max_noise(Criterion.NONGAUSS, 0.5, thermal_config())
         assert bound == CriterionBoundary(2.0, capped=True, undefined=False,
                                           monotone_warning=True)
@@ -550,7 +577,7 @@ def test_each_bracket_stops_at_its_own_width(monkeypatch):
     def below(t, nu):
         return nu <= t
 
-    monkeypatch.setattr(qkdng.scan, "link_fields", fake_fields(below))
+    fake_fields(monkeypatch, below)
     nu_cap = 0.7402473781645857
     config = thermal_config(t_grid=tuple(np.linspace(0.01, 0.73, 50)), nu_cap=nu_cap,
                             tol=nu_cap / 2**6, criteria=(Criterion.NONGAUSS,))

@@ -2,8 +2,8 @@
 
 ``tests/golden/model-snapshot.txt`` holds, for all four noise/detector
 pairings at the same points, what ``assess``, ``link_fields`` and
-``noise_root`` (at both Q*) return.  The points are part of the edge grid of
-``test_channels.TestEdgeGrid``, points with T·eta within 1e-9 of 1, and
+``noise_root`` (at both Q*) return.  The points are part of the ``edge`` set
+of ``test_channels.point_sets``, points with T·eta within 1e-9 of 1, and
 seeded random points; ``points()`` makes them without any randomness the
 run could change.
 
