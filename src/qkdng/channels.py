@@ -28,7 +28,7 @@ again: the cores it calls (``witness_margin``, ``_bb84``, ``_di``) are
 unchecked, and their public wrappers check their inputs.  For the sweep,
 ``noise_root`` solves the security criteria for the noise mean, and
 ``witness_holds`` gives ``link_fields``' witness verdict by a closed-form
-sign, on three of the four pairings.
+sign, on all four pairings.
 """
 
 from __future__ import annotations
@@ -322,13 +322,11 @@ def witness_holds(statistics: NoiseStatistics, t, nu, det: DetectorModel):
     variable lies in [0, 1], so nothing overflows at any noise mean: thermal
     noise is written in g = 1/(1 + m), Poisson noise on a SPAD in
     x = e^(-d_eff), which needs no dark-count series.  Poisson noise on a
-    PNRD mixes d_eff and e^(-d_eff), so it has no such form: there this
-    returns None.  Unchecked but for ``statistics``, like ``link_fields``.
+    PNRD takes the PNRD terms at m = 0 with d_eff's dark counts, as
+    ``_detected`` does.  Unchecked but for ``statistics``, like ``link_fields``.
     """
     statistics = check_choice("noise statistics", NoiseStatistics, statistics)
-    if statistics == NoiseStatistics.POISSON:
-        if det.kind == DetectorKind.PNRD:
-            return None
+    if statistics == NoiseStatistics.POISSON and det.kind == DetectorKind.SPAD:
         minus_d = -_d_eff(t, nu, det)
         x, c0, t_e = np.exp(minus_d), -np.expm1(minus_d), t * det.eta
         return _spad_holds(x, 1.0 - t_e, c0, c0 + t_e * x)

@@ -137,16 +137,15 @@ def _detected(l: int, t, m, dark, dark_counts) -> DetectionPmf:
         miss, single, two = g, g * r, r * r
     else:
         a = ((1.0 - t) + m) * g  # 1 - t g without cancellation
-        power = a ** (l - 1)
-        lead = g * power
-        miss, single = lead * a, lead * (r * a + l * (t * g * g))
-        two = power * (a * r * r + l * t * g * r * (1.0 + g))
-        if l > 1:
+        lead, two = g, a * r * r + l * t * g * r * (1.0 + g)
+        if l > 1:  # for l = 1, a^(l-1) is 1: no power and no multiply by it
+            power = a ** (l - 1)
             # sum_{j<l} j a^(j-1), the derivative of 1 + a + ... + a^(l-1), by Horner
             geo, slope = 1.0, 0.0
             for _ in range(l - 1):
                 geo, slope = 1.0 + a * geo, geo + a * slope
-            two = two + (t * g) ** 2 * slope
+            lead, two = g * power, power * two + (t * g) ** 2 * slope
+        miss, single = lead * a, lead * (r * a + l * (t * g * g))
     damp, lost, doubles = dark_counts
     return DetectionPmf(damp * miss, damp * (single + dark * miss),
                         two + single * lost + miss * doubles)

@@ -12,15 +12,12 @@ steps and advance in lock step; under a ``tol`` finer than the float
 spacing a bracket ends once it is one float wide instead.  A security row
 decides a midpoint by ``mid <= root``, replaying the bisection without a
 model call.  ``channels.link_fields``, the model's array function for
-either noise statistics, opens every bracket in one call: its (nu, T) array
-holds nu = 0 and nu = nu_cap and, when the witness is scanned, the
-witness bisection's first two levels of midpoints between them.  Those five
-rows take the witness's first two decisions and check it for a second
-crossing on every sweep.  From the third step on, ``channels.witness_holds``
-decides the witness row's midpoints by a closed-form sign, so a sweep makes
-one model call.  Poisson noise on a PNRD has no closed form: its witness
-row calls the model once per step on a (1, T) array of midpoints, so its
-sweep costs 1 + steps - 2 calls.
+either noise statistics, opens every bracket in one call on the rows
+nu = 0 and nu = nu_cap.  ``channels.witness_holds`` decides the witness by
+a closed-form sign on every pairing: once on five rows, 0, the witness
+bisection's first two levels of midpoints and nu_cap, to check it for a
+second crossing, and then once per step on the row of midpoints.  So every
+sweep makes one model call.
 Rounding can leave a bracket a hair wider or narrower than its neighbours;
 each stops at its own width, as a scalar loop would.  ``max_noise`` is the
 same code with one element; single-point verdicts (``indicator``,
@@ -150,22 +147,18 @@ class BoundaryColumn(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Boundaries in grid order, one column per criterion, with what the search cost.
+    """Boundaries in grid order, one column per criterion, with the search's step count.
 
     ``columns[i]`` belongs to ``criteria[i]``.  Columns hold Python floats and
     bools, so curves compare with ``==``.  ``bisection_steps`` counts the
-    lock-step halvings and ``evaluations`` the calls of the model's array
-    function: one opening call, plus one per witness step from the third
-    where the witness has no closed form.  ``closed_form_steps`` counts the
-    witness steps ``witness_holds`` decided instead.
+    lock-step halvings; every sweep makes one call of the model's array
+    function, whatever its grid or steps.
     """
 
     criteria: tuple[Criterion, ...]
     t_grid: tuple[float, ...]
     columns: tuple[BoundaryColumn, ...]
     bisection_steps: int
-    evaluations: int
-    closed_form_steps: int
 
     def column(self, criterion: Criterion | str) -> BoundaryColumn:
         criterion = check_choice("criterion", Criterion, criterion)
@@ -241,16 +234,14 @@ def max_noise(criterion: Criterion | str, t: float, config: ScanConfig) -> Crite
 def sweep(config: ScanConfig) -> BoundaryCurve:
     """One boundary per (criterion, grid transmittance), as columns over the grid.
 
-    All (t, criterion) brackets advance together.  One opening evaluation
-    on a (nu, t) array decides every bracket's ends for all criteria: the
-    noise means 0 and ``nu_cap``.  When the witness is scanned, its rows
-    also hold the witness bisection's first two levels of midpoints, which
-    decide its first two steps and, by any off-to-on flip across the five
-    rows, set ``monotone_warning``.  After that only the witness is decided
-    anew, once per step while one of its brackets is open: by
-    ``witness_holds`` in closed form, so a sweep costs one evaluation, or,
-    for Poisson noise on a PNRD, which has no closed form, by one evaluation
-    per step, ``1 + steps - 2`` in all.  A boundary is, in order of
+    All (t, criterion) brackets advance together.  One model call on a
+    (2, t) array decides every bracket's ends for all criteria: the noise
+    means 0 and ``nu_cap``.  When the witness is scanned, one
+    ``witness_holds`` call on five rows, 0, the witness bisection's first
+    two levels of midpoints and ``nu_cap``, sets ``monotone_warning`` by any
+    off-to-on flip across them.  After that only the witness is decided
+    anew, by ``witness_holds`` once per step while one of its brackets is
+    open, so a sweep makes one model call.  A boundary is, in order of
     precedence: undefined (no coincidences at nu = 0), failing at nu = 0,
     capped (still holding at ``nu_cap``) or bisected.
     """
@@ -259,42 +250,29 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
     cap = config.nu_cap
     t = np.array(config.t_grid)
     w = criteria.index(Criterion.NONGAUSS) if Criterion.NONGAUSS in criteria else None
-    # the floats the loop's midpoints take in its first two steps
-    half = 0.5 * cap
-    nus = np.array([0.0, cap] if w is None
-                   else [0.0, 0.5 * half, half, 0.5 * half + 0.5 * cap, cap])
-    opening = link_fields(statistics, t, nus[:, np.newaxis], p, det)
+    opening = link_fields(statistics, t, np.array([[0.0], [cap]]), p, det)
     flags = np.stack([_holds(criterion, *opening) for criterion in criteria])  # (c, nu, t)
     at_zero = flags[:, 0]
-    capped = at_zero & flags[:, -1]
-    evaluations = 1
+    capped = at_zero & flags[:, 1]
     warning = np.zeros_like(at_zero)
     if w is not None:  # any off-to-on flip of the witness means multiple crossings
-        warning[w] = at_zero[w] & (~flags[w, :-1] & flags[w, 1:]).any(axis=0)
-        # its decisions at the first midpoint (row 2) and then at row 3 or row 1
-        opened = (flags[w, 2], np.where(flags[w, 2], flags[w, 3], flags[w, 1]))
-    # NaN in the witness row, whose midpoints are decided on the model
+        half = 0.5 * cap  # the floats the loop's midpoints take in its first two steps
+        rows = np.array([[0.0], [0.5 * half], [half], [0.5 * half + 0.5 * cap], [cap]])
+        held = witness_holds(statistics, t, rows, det)
+        warning[w] = at_zero[w] & (~held[:-1] & held[1:]).any(axis=0)
+    # NaN in the witness row, whose midpoints ``witness_holds`` decides
     root = np.stack([noise_root(statistics, t, Q_STAR[c], p, det)
                      if c in Q_STAR else np.full_like(t, np.nan) for c in criteria])
     # holds at lo, fails at hi; brackets decided without bisection start closed
     lo = np.zeros(at_zero.shape)
     hi = np.where(at_zero & ~capped, cap, 0.0)
-    steps = closed_form_steps = 0
+    steps = 0
     mid = 0.5 * lo + 0.5 * hi  # not 0.5 * (lo + hi): that sum overflows near the float limit
     # a bracket one float wide has no midpoint inside it, however wide tol allows
     while (active := (hi - lo > config.tol) & (lo < mid) & (mid < hi)).any():
         ok = mid <= root
-        if w is not None and steps < 2:
-            ok[w] = opened[steps]
-        elif w is not None and active[w].any():
-            held = witness_holds(statistics, t, mid[w], det)
-            if held is None:  # no closed form for this pairing: ask the model
-                fields = link_fields(statistics, t, mid[w:w + 1], p, det)
-                held = _holds(Criterion.NONGAUSS, *fields)[0]
-                evaluations += 1
-            else:
-                closed_form_steps += 1
-            ok[w] = held
+        if w is not None and active[w].any():
+            ok[w] = witness_holds(statistics, t, mid[w], det)
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
         mid = 0.5 * lo + 0.5 * hi
@@ -306,10 +284,8 @@ def sweep(config: ScanConfig) -> BoundaryCurve:
         for fields in zip(nu_star.tolist(), capped.tolist(), undefined.tolist(),
                           warning.tolist())
     )
-    return BoundaryCurve(
-        criteria=criteria, t_grid=config.t_grid, columns=columns, bisection_steps=steps,
-        evaluations=evaluations, closed_form_steps=closed_form_steps,
-    )
+    return BoundaryCurve(criteria=criteria, t_grid=config.t_grid, columns=columns,
+                         bisection_steps=steps)
 
 
 def classify_assessment(assessment: LinkAssessment) -> dict[Criterion, RegionLabel]:

@@ -13,12 +13,11 @@ and rho/(1-rho) rises with the noise reaching the detector: it is
 m = (1-T) nu eta and d_eff (1 - t_e)/t_e for Poisson noise.  SPAD:
 Q = 1/2 - p (1 - q1/q0)^2/(2 f^2), f = c1 + c0 q1/q0, rises with f.  So
 Q = Q* has one root in the noise mean, and the root property checks the
-criterion's indicator on both sides of it.  From its third step on, the
-sweep decides the witness by ``witness_holds``, a closed-form sign, on every
-pairing but Poisson noise on a PNRD; the closed-form property checks it
-against ``link_fields`` wherever the margin is clear of rounding.  Every
-other property runs on all four noise/detector pairings; the two original
-pairings keep their short ids.
+criterion's indicator on both sides of it.  The sweep decides every
+witness step by ``witness_holds``, a closed-form sign; the closed-form
+property checks it against ``link_fields`` wherever the margin is clear of
+rounding.  Every property runs on all four noise/detector pairings; the two
+original pairings keep their short ids.
 
 Each property runs over fixed cases (``seeded``): listed rows, every corner of
 its input ranges, then draws from ``random.Random(seed)``, 40 unless a test
@@ -64,9 +63,6 @@ PAIRINGS = ("statistics, kind", [
     pytest.param(NoiseStatistics.THERMAL, DetectorKind.SPAD, id="thermal-spad"),
     pytest.param(NoiseStatistics.POISSON, DetectorKind.PNRD, id="poisson-pnrd"),
 ])
-# the pairings whose witness steps ``witness_holds`` decides; Poisson noise on a PNRD has
-# no closed form, and ``test_scan.TestSweepCost`` shows its steps still call ``link_fields``
-CLOSED_FORM_PAIRINGS = (PAIRINGS[0], PAIRINGS[1][:3])
 DRAWS = 40  # seeded cases per test id, besides its rows and corners
 OPEN_DRAWS = 160  # noise-root draws, of which at least DRAWS open a bracket on each test id
 
@@ -326,13 +322,20 @@ WITNESS_ROUNDING = 1e-9
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(*CLOSED_FORM_PAIRINGS)
+@pytest.mark.parametrize(*PAIRINGS)
 @seeded(3211,
         dict(t=1.0 - 4e-10, nu=1e-3, eta=1.0 - 5e-10, d=0.0),  # T eta within 1e-9 of 1
         dict(t=1.0 - 4e-10, nu=0.5, eta=1.0 - 5e-10, d=0.001),
         dict(t=1e-17, nu=0.0, eta=1.0, d=0.0),  # a positive margin, but no coincidences
         dict(t=5e-324, nu=0.5, eta=1e-12, d=700.0),  # e^-dark near the float limit
         dict(t=0.5, nu=1e-3, eta=0.5, d=1e308),
+        # Poisson d_eff = d + nu / 2 at t: just below and just above 1/2, where _dark_counts
+        # leaves its series, and past 745, where e^(-d_eff) underflows to 0
+        dict(t=0.5, nu=1.0 - 2.0**-30, eta=1.0, d=0.0),
+        dict(t=0.5, nu=1.0 + 2.0**-30, eta=1.0, d=0.0),
+        dict(t=0.5, nu=1491.0, eta=1.0, d=0.0),
+        dict(t=0.5, nu=0.998 - 2.0**-30, eta=1.0, d=0.001),  # the same with dark counts
+        dict(t=0.5, nu=0.998 + 2.0**-30, eta=1.0, d=0.001),
         least=30, t=UNIT, nu=NOISE_MEAN, eta=UNIT, d=DARK)
 def test_closed_form_witness_equals_the_model(statistics, kind, t, nu, eta, d):
     # at T = 0, t and 1, and on the noise ladder with nu added, quietly
@@ -347,7 +350,7 @@ def test_closed_form_witness_equals_the_model(statistics, kind, t, nu, eta, d):
     closed = witness_holds(statistics, t_grid, nus, det)
     assert closed.shape == clear.shape
     assert (closed == _holds(Criterion.NONGAUSS, *model))[clear].all()
-    return bool((closed & clear).any())  # 38-40 of the 61 cases see the witness hold
+    return bool((closed & clear).any())  # 43-45 of the 66 cases see the witness hold
 
 
 def test_cases_do_not_depend_on_what_is_loaded():

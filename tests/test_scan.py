@@ -103,7 +103,7 @@ class TestMaxNoise:
         assert bound.nu_star == pytest.approx(fine_last, abs=2e-4)
 
     def test_probe_does_not_disturb_result(self):
-        # the witness's first two decisions come from the opening rows: the
+        # the closed form checks the opening rows for a second crossing: the
         # boundary is still the one a plain scalar bisection finds
         config = thermal_config()
         bound = max_noise(Criterion.NONGAUSS, 0.6, config)
@@ -279,10 +279,20 @@ def scalar_max_noise(criterion, t, config):
 
 
 ORACLE_GRID = (0.0, 0.05, 0.3, 0.55, 0.8, 0.97, 1.0)  # 0 undefined, 1 capped
+# every noise/detector pairing; the two that ``oracle_config`` picks by default keep short ids
+PAIRINGS = [
+    pytest.param(NoiseStatistics.THERMAL, DetectorKind.PNRD, id="thermal"),
+    pytest.param(NoiseStatistics.POISSON, DetectorKind.SPAD, id="poisson"),
+    pytest.param(NoiseStatistics.THERMAL, DetectorKind.SPAD, id="thermal-spad"),
+    pytest.param(NoiseStatistics.POISSON, DetectorKind.PNRD, id="poisson-pnrd"),
+]
 
 
-def oracle_config(statistics, dark=0.0, **kw):
-    kind = DetectorKind.PNRD if statistics is NoiseStatistics.THERMAL else DetectorKind.SPAD
+def oracle_config(statistics, dark=0.0, kind=None, **kw):
+    """The oracle's link; the detector is a PNRD for thermal and a SPAD for Poisson noise
+    unless ``kind`` names it."""
+    if kind is None:
+        kind = DetectorKind.PNRD if statistics is NoiseStatistics.THERMAL else DetectorKind.SPAD
     settings = dict(t_grid=ORACLE_GRID, statistics=statistics,
                     detector=DetectorModel(kind, eta=0.7, dark=dark), nu_cap=3.0, tol=1e-4)
     settings.update(kw)
@@ -290,7 +300,7 @@ def oracle_config(statistics, dark=0.0, **kw):
 
 
 class TestSweepOracle:
-    @pytest.mark.parametrize("statistics", list(NoiseStatistics))
+    @pytest.mark.parametrize("statistics,kind", PAIRINGS)
     @pytest.mark.parametrize("settings", [
         {},
         {"dark": 0.001},
@@ -300,8 +310,8 @@ class TestSweepOracle:
         {"criteria": (Criterion.NONGAUSS, Criterion.DI)},
         {"criteria": (Criterion.BB84,), "nu_cap": 0.7, "tol": 3e-5},
     ])
-    def test_sweep_equals_scalar_bisection(self, statistics, settings):
-        config = oracle_config(statistics, **settings)
+    def test_sweep_equals_scalar_bisection(self, statistics, kind, settings):
+        config = oracle_config(statistics, kind=kind, **settings)
         curve = sweep(config)
         assert [point.t for point in curve.points] == list(config.t_grid)
         for point in curve.points:
@@ -361,13 +371,12 @@ def test_unread_security_roots_stay_quiet(statistics, eta, dark, p):
 
 
 class TestSweepCost:
-    """One opening evaluation; later witness steps in closed form, or on the model without one.
+    """One model call per sweep, on every pairing; every witness step in closed form.
 
-    The opening call decides nu = 0, nu = nu_cap and, when the witness is
-    scanned, its first two bisection levels; security boundaries come from
-    the closed-form roots and cost nothing more.  From the third step on,
-    ``witness_holds`` decides the witness row, except for Poisson noise on a
-    PNRD, which has no closed form and calls the model once per step.
+    The opening call decides nu = 0 and nu = nu_cap; security boundaries
+    come from the closed-form roots and cost nothing more.  When the witness
+    is scanned, ``witness_holds`` checks its five opening rows for a second
+    crossing and then decides the witness row of every step.
     """
 
     @staticmethod
@@ -390,12 +399,7 @@ class TestSweepCost:
         monkeypatch.setattr(qkdng.scan, "witness_holds", counted_holds)
         return calls, decided
 
-    @pytest.mark.parametrize("statistics,kind", [
-        pytest.param(NoiseStatistics.THERMAL, DetectorKind.PNRD, id="thermal"),
-        pytest.param(NoiseStatistics.POISSON, DetectorKind.SPAD, id="poisson"),
-        pytest.param(NoiseStatistics.THERMAL, DetectorKind.SPAD, id="thermal-spad"),
-        pytest.param(NoiseStatistics.POISSON, DetectorKind.PNRD, id="poisson-pnrd"),
-    ])
+    @pytest.mark.parametrize("statistics,kind", PAIRINGS)
     @pytest.mark.parametrize("points", [1, 7, 40])
     # nu_cap 2 * 10**decades: at 2e9 the witness already fails at both first-level rows
     @pytest.mark.parametrize("decades", [0, 9])
@@ -407,20 +411,13 @@ class TestSweepCost:
         curve = sweep(config)
         steps = math.ceil(math.log2(config.nu_cap / config.tol))  # 11 or 41
         assert curve.bisection_steps == steps
-        # the opening call decides the first two steps
-        assert np.shape(calls[0][2]) == (5, 1)
-        assert calls[0][2][:, 0].tolist() == list(opening_rows(config.nu_cap))
-        # each later step hands the closed form the witness row alone
-        assert [np.shape(nu) for (_, _, nu, _), _ in decided] == [(points,)] * (steps - 2)
-        if (statistics, kind) != (NoiseStatistics.POISSON, DetectorKind.PNRD):
-            assert len(calls) == curve.evaluations == 1
-            assert curve.closed_form_steps == steps - 2
-            assert all(held.shape == (points,) for _, held in decided)
-        else:  # no closed form: every later step asks the model, on the same row
-            assert [held for _, held in decided] == [None] * (steps - 2)
-            assert len(calls) == curve.evaluations == 1 + steps - 2
-            assert curve.closed_form_steps == 0
-            assert [np.shape(nu) for _, _, nu, _, _ in calls[1:]] == [(1, points)] * (steps - 2)
+        # one model call, on the rows nu = 0 and nu_cap
+        assert len(calls) == 1
+        assert calls[0][2].tolist() == [[0.0], [config.nu_cap]]
+        # the closed form checks the five opening rows, then decides each step's witness row
+        assert decided[0][0][2][:, 0].tolist() == list(opening_rows(config.nu_cap))
+        assert [np.shape(nu) for (_, _, nu, _), _ in decided] == [(5, 1)] + [(points,)] * steps
+        assert [held.shape for _, held in decided] == [(5, points)] + [(points,)] * steps
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("nu_cap", [0.3, 1e6, 1.7e308])
@@ -429,17 +426,17 @@ class TestSweepCost:
         # stays finite at 1.7e308, where 0.5 * (lo + hi) would overflow
         half = 0.5 * np.zeros(1) + 0.5 * nu_cap
         lower, upper = 0.5 * 0.0 + 0.5 * half, 0.5 * half + 0.5 * nu_cap
-        calls, _ = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
+        _, decided = self.count_calls(monkeypatch, NoiseStatistics.THERMAL)
         sweep(thermal_config(t_grid=(0.5, 0.9), nu_cap=nu_cap, criteria=(Criterion.NONGAUSS,)))
-        rows = calls[0][2][:, 0].tolist()
+        rows = decided[0][0][2][:, 0].tolist()
         assert [x.hex() for x in rows] == [x.hex() for x in (
             0.0, lower[0], half[0], upper[0], nu_cap)]
 
     @pytest.mark.parametrize("nu_cap", [0.3, 1e6, 1.7e308])
     def test_rows_decide_the_first_two_steps(self, monkeypatch, nu_cap):
-        # a witness that fails from c on, with c in each gap between the rows:
-        # the sweep takes its first two decisions from the rows and still ends
-        # where a scalar bisection on the predicate ends
+        # a witness that fails from c on, with c in each gap between the
+        # opening rows, the floats of the first two steps' midpoints: the sweep
+        # ends where a scalar bisection on the predicate ends
         tol = nu_cap / 2**6
         for c in (0.1 * nu_cap, 0.3 * nu_cap, 0.6 * nu_cap, 0.9 * nu_cap):
             fake_fields(monkeypatch, lambda t, nu, c=c: nu <= c)
@@ -470,9 +467,8 @@ class TestSweepCost:
         assert curve.bisection_steps == math.ceil(math.log2(config.nu_cap / config.tol))
         assert any(0.0 < nu < config.nu_cap for column in curve.columns
                    for nu in column.nu_star)  # open brackets were bisected
-        assert len(calls) == curve.evaluations == 1
-        assert decided == [] and curve.closed_form_steps == 0
-        assert calls[0][2][:, 0].tolist() == [0.0, config.nu_cap]  # no witness rows
+        assert len(calls) == 1 and decided == []
+        assert calls[0][2][:, 0].tolist() == [0.0, config.nu_cap]
 
     def test_no_bisection_without_an_open_bracket(self, monkeypatch):
         # every boundary is undefined, dead or capped: nothing left to halve
@@ -480,16 +476,15 @@ class TestSweepCost:
         curve = sweep(oracle_config(NoiseStatistics.THERMAL, t_grid=(0.0, 1.0),
                                     criteria=(Criterion.BB84,)))
         assert curve.bisection_steps == 0
-        assert len(calls) == curve.evaluations == 1
-        assert decided == [] and curve.closed_form_steps == 0
+        assert len(calls) == 1 and decided == []
 
 
 @pytest.mark.parametrize("statistics", list(NoiseStatistics))
 @pytest.mark.parametrize("kind", list(DetectorKind))
 def test_probe_leaves_boundaries_alone(statistics, kind):
-    # the opening rows decide the witness's first two steps and check it for
-    # a second crossing: every pairing's boundaries, caps, undefined points
-    # and warnings are those of the scalar bisection
+    # the closed form checks the opening rows for a second crossing and
+    # decides every witness step: every pairing's boundaries, caps, undefined
+    # points and warnings are those of the scalar bisection
     config = ScanConfig(t_grid=tuple(np.linspace(0.0, 1.0, 41)), statistics=statistics,
                         detector=DetectorModel(kind, eta=0.7), nu_cap=3.0, tol=1e-4)
     curve = sweep(config)
@@ -505,8 +500,8 @@ def fake_fields(monkeypatch, witness, bb84=lambda t, nu: False, di=lambda t, nu:
     """Give the sweep a model whose criteria hold exactly where the given predicates of (t, nu) do.
 
     Both of the sweep's seams are replaced: ``link_fields`` and the
-    closed-form ``witness_holds``, which decides the witness from the third
-    step on.  Security is faked through ``q``: 0 where DI holds,
+    closed-form ``witness_holds``, which checks the opening rows and decides
+    every witness step.  Security is faked through ``q``: 0 where DI holds,
     ``Q_STAR_BB84`` where only BB84 does and 1/2 elsewhere, so ``di`` must
     imply ``bb84``.
     """
